@@ -26,12 +26,10 @@ import numpy as np
 from ._version import __version__
 from .analysis import (SlopeFit, fit_early_slope, scaling_exponent,
                        summary_table)
-from .io import (METADATA_NAME, OutputBundle, parse_config, read_metadata,
-                 read_onset_table, write_tables)
-from .model import CouplingSet
+from .io import (OutputBundle, parse_config, read_metadata, read_onset_table,
+                 write_csv, write_tables)
 from .sweep import (ConfigError, RunConfig, build_time_grid, cell_chi_values,
-                    derive_cell_seed, oracle_report, run_sweep,
-                    PURPOSE_COUPLINGS)
+                    oracle_report, run_sweep)
 
 __all__ = ["main"]
 
@@ -168,22 +166,6 @@ def _cmd_report(ns) -> int:
     return 0
 
 
-def _fmt_field(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
-def _write_rows(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(_fmt_field(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
-
-
 def _cmd_plot_data(ns) -> int:
     config = read_metadata(ns.indir)
     out_dir = Path(ns.out) if ns.out else Path(ns.indir)
@@ -196,10 +178,7 @@ def _cmd_plot_data(ns) -> int:
         if ns.m not in config.m_grid:
             raise ConfigError(f"--m {ns.m} is not on the configured m grid")
         m_index = config.m_grid.index(ns.m)
-        lam_seed = derive_cell_seed(config.master_seed,
-                                    purpose=PURPOSE_COUPLINGS)
-        couplings = CouplingSet.exponential(
-            config.n_sites, config.coupling_rate, config.g, lam_seed)
+        couplings = config.couplings()
         grid = build_time_grid(config.time_grid)
         rows = []
         for t_index, t in enumerate(grid):
@@ -208,7 +187,7 @@ def _cmd_plot_data(ns) -> int:
             cdf = np.arange(1, chi.size + 1) / chi.size
             rows.extend([float(t), ns.m, float(c), float(f)]
                         for c, f in zip(chi, cdf))
-        _write_rows(path, "t,m,chi,cdf", rows)
+        write_csv(path, "t,m,chi,cdf", rows)
         print(path)
         return 0
 
@@ -222,7 +201,7 @@ def _cmd_plot_data(ns) -> int:
                 r_lo = n / p.m_star_hi if p.m_star_hi else None
                 r_hi = n / p.m_star_lo if p.m_star_lo else None
                 rows.append([p.t, p.delta, p.r, p.r_eff, r_lo, r_hi])
-        _write_rows(path, "t,delta,R,R_eff,R_lo,R_hi", rows)
+        write_csv(path, "t,delta,R,R_eff,R_lo,R_hi", rows)
     elif ns.figure == "fi":
         rows = []
         for traj in primary_trajs:
@@ -230,7 +209,7 @@ def _cmd_plot_data(ns) -> int:
                 fi_lo = math.log2(n / p.m_star_hi) if p.m_star_hi else None
                 fi_hi = math.log2(n / p.m_star_lo) if p.m_star_lo else None
                 rows.append([p.t, p.delta, p.fi, p.fi_eff, fi_lo, fi_hi])
-        _write_rows(path, "t,delta,FI,FI_eff,FI_lo,FI_hi", rows)
+        write_csv(path, "t,delta,FI,FI_eff,FI_lo,FI_hi", rows)
     elif ns.figure == "growth":
         rows = []
         for traj in primary_trajs:
@@ -242,13 +221,13 @@ def _cmd_plot_data(ns) -> int:
                           and fit.window_start <= i <= fit.window_end)
                 pred = (fit.kappa * p.t + fit.intercept) if in_win else None
                 rows.append([p.delta, p.t, math.log(p.r), int(in_win), pred])
-        _write_rows(path, "delta,t,ln_R,in_window,fit", rows)
+        write_csv(path, "delta,t,ln_R,in_window,fit", rows)
     else:  # protocol comparison
         rows = []
         for traj in trajectories:
             for p in traj.points:
                 rows.append([p.t, p.delta, traj.protocol, p.r, p.r_eff])
-        _write_rows(path, "t,delta,protocol,R,R_eff", rows)
+        write_csv(path, "t,delta,protocol,R,R_eff", rows)
     print(path)
     return 0
 

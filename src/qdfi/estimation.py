@@ -43,8 +43,6 @@ __all__ = [
     "combine_onset_ci",
 ]
 
-_LN2 = math.log(2.0)
-
 
 class EstimationError(ValueError):
     """Invalid estimation input (counts, grids, or curve shapes)."""

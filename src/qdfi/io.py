@@ -12,8 +12,8 @@ inputs give byte-identical files.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,6 +30,7 @@ __all__ = [
     "parse_config",
     "parse_config_text",
     "serialize_config",
+    "write_csv",
     "write_tables",
     "read_metadata",
     "read_onset_table",
@@ -47,13 +48,15 @@ SLOPES_HEADER = ("delta,kappa,kappa_base2,intercept,r2,"
 SCALING_HEADER = "delta,exponent,n_points"
 SUMMARY_HEADER = "delta,max_R,final_FI,kappa,r2,t_star"
 
-# key in the config file -> (RunConfig/TimeGridSpec attribute, parser kind)
 _INT = "int"
 _FLOAT = "float"
 _FLOAT_LIST = "float_list"
 _INT_LIST = "int_list"
 _STR_LIST = "str_list"
 
+# key in the config file -> (RunConfig attribute path, parser kind), in the
+# order serialize_config writes them; "time_grid." keys build the TimeGridSpec.
+_GRID = "time_grid."
 _CONFIG_KEYS: Dict[str, Tuple[str, str]] = {
     "N": ("n_sites", _INT),
     "g": ("g", _FLOAT),
@@ -64,19 +67,17 @@ _CONFIG_KEYS: Dict[str, Tuple[str, str]] = {
     "protocols": ("protocols", _STR_LIST),
     "n_fragments": ("n_fragments", _INT),
     "m_grid": ("m_grid", _INT_LIST),
+    "t_min": (_GRID + "t_min", _FLOAT),
+    "t_knee": (_GRID + "t_knee", _FLOAT),
+    "t_max": (_GRID + "t_max", _FLOAT),
+    "n_dense": (_GRID + "n_dense", _INT),
+    "n_coarse": (_GRID + "n_coarse", _INT),
     "alpha": ("alpha", _FLOAT),
     "bootstrap_B": ("bootstrap_replicates", _INT),
     "bootstrap_budget": ("bootstrap_budget", _INT),
     "overlap_pairs": ("overlap_pairs", _INT),
     "enumeration_cap": ("enumeration_cap", _INT),
     "master_seed": ("master_seed", _INT),
-}
-_GRID_KEYS: Dict[str, Tuple[str, str]] = {
-    "t_min": ("t_min", _FLOAT),
-    "t_knee": ("t_knee", _FLOAT),
-    "t_max": ("t_max", _FLOAT),
-    "n_dense": ("n_dense", _INT),
-    "n_coarse": ("n_coarse", _INT),
 }
 
 
@@ -115,14 +116,14 @@ def parse_config_text(text: str) -> RunConfig:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        if key in _CONFIG_KEYS:
-            attr, kind = _CONFIG_KEYS[key]
-            main[attr] = _parse_value(kind, value, key, lineno)
-        elif key in _GRID_KEYS:
-            attr, kind = _GRID_KEYS[key]
-            grid[attr] = _parse_value(kind, value, key, lineno)
-        else:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        attr, kind = _CONFIG_KEYS[key]
+        parsed = _parse_value(kind, value, key, lineno)
+        if attr.startswith(_GRID):
+            grid[attr.removeprefix(_GRID)] = parsed
+        else:
+            main[attr] = parsed
     if grid:
         main["time_grid"] = TimeGridSpec(**grid)
     return RunConfig(**main)
@@ -152,28 +153,14 @@ def _fmt(value) -> str:
 
 def serialize_config(config: RunConfig) -> str:
     """Render a RunConfig as config text that parses back identically."""
-    lines = [
-        f"N = {config.n_sites}",
-        f"g = {_fmt(config.g)}",
-        f"coupling_rate = {_fmt(config.coupling_rate)}",
-        f"p0 = {_fmt(config.p0)}",
-        "deltas = " + ", ".join(_fmt(d) for d in config.deltas),
-        f"theta = {_fmt(config.theta)}",
-        "protocols = " + ", ".join(config.protocols),
-        f"n_fragments = {config.n_fragments}",
-        "m_grid = " + ", ".join(str(m) for m in config.m_grid),
-        f"t_min = {_fmt(config.time_grid.t_min)}",
-        f"t_knee = {_fmt(config.time_grid.t_knee)}",
-        f"t_max = {_fmt(config.time_grid.t_max)}",
-        f"n_dense = {config.time_grid.n_dense}",
-        f"n_coarse = {config.time_grid.n_coarse}",
-        f"alpha = {_fmt(config.alpha)}",
-        f"bootstrap_B = {config.bootstrap_replicates}",
-        f"bootstrap_budget = {config.bootstrap_budget}",
-        f"overlap_pairs = {config.overlap_pairs}",
-        f"enumeration_cap = {config.enumeration_cap}",
-        f"master_seed = {config.master_seed}",
-    ]
+    lines = []
+    for key, (attr, _) in _CONFIG_KEYS.items():
+        value = attrgetter(attr)(config)
+        if isinstance(value, tuple):
+            text = ", ".join(_fmt(v) for v in value)
+        else:
+            text = _fmt(value)
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -200,7 +187,9 @@ class OutputBundle:
                    overlaps=result.overlaps)
 
 
-def _write_csv(path: Path, header: str, rows: List[List[object]]) -> None:
+def write_csv(path: Path, header: str,
+              rows: Sequence[Sequence[object]]) -> None:
+    """Write one header line and the formatted rows, LF-terminated."""
     lines = [header]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
@@ -242,18 +231,18 @@ def write_tables(bundle: OutputBundle, out_dir) -> Dict[str, Path]:
         rows = [[c.t, c.m, c.delta, c.protocol, c.n, c.k, c.p_hat,
                  c.phi_iso, c.ci_low, c.ci_high] for c in bundle.cells]
         path = out / "phi.csv"
-        _write_csv(path, PHI_HEADER, rows)
+        write_csv(path, PHI_HEADER, rows)
         written["phi"] = path
     if bundle.trajectories is not None:
         path = out / "onset.csv"
-        _write_csv(path, ONSET_HEADER,
-                   _onset_rows(bundle.trajectories, bundle.config.theta))
+        write_csv(path, ONSET_HEADER,
+                  _onset_rows(bundle.trajectories, bundle.config.theta))
         written["onset"] = path
     if bundle.overlaps is not None:
         rows = [[o.t, o.m, o.protocol, o.eta, o.pairs_used]
                 for o in bundle.overlaps]
         path = out / "overlap.csv"
-        _write_csv(path, OVERLAP_HEADER, rows)
+        write_csv(path, OVERLAP_HEADER, rows)
         written["overlap"] = path
     if bundle.slope_fits is not None:
         rows = []
@@ -266,20 +255,20 @@ def write_tables(bundle: OutputBundle, out_dir) -> Dict[str, Path]:
                              fit.intercept, fit.r2, fit.t_start, fit.t_end,
                              fit.n_points])
         path = out / "slopes.csv"
-        _write_csv(path, SLOPES_HEADER, rows)
+        write_csv(path, SLOPES_HEADER, rows)
         written["slopes"] = path
     if bundle.scalings is not None:
         rows = [[delta, fit.exponent if fit else None,
                  fit.n_points if fit else None]
                 for delta, fit in bundle.scalings]
         path = out / "scaling.csv"
-        _write_csv(path, SCALING_HEADER, rows)
+        write_csv(path, SCALING_HEADER, rows)
         written["scaling"] = path
     if bundle.summaries is not None:
         rows = [[s.delta, s.max_r, s.final_fi, s.kappa, s.r2, s.t_star]
                 for s in bundle.summaries]
         path = out / "summary.csv"
-        _write_csv(path, SUMMARY_HEADER, rows)
+        write_csv(path, SUMMARY_HEADER, rows)
         written["summary"] = path
     return written
 

@@ -49,8 +49,6 @@ _EDGE_TOL = 1e-9
 # Clamp applied to log arguments so entropy evaluation never produces NaN.
 _LOG_CLIP = 1e-15
 
-_LN2 = math.log(2.0)
-
 
 class DomainError(ValueError):
     """A numeric argument left its physical domain."""

@@ -73,11 +73,6 @@ class FragmentSample:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "n_fragments", int(idx.shape[0]))
 
-    def fragments(self):
-        """Iterate fragments as 1-d sorted index arrays."""
-        for row in self.indices:
-            yield row
-
     def validate(self, n_sites: int) -> None:
         """Assert the structural invariants; raises SamplingError."""
         idx = self.indices

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,8 +29,8 @@ from .estimation import (AdequacyCell, IsotonicCurve, OnsetEstimate,
                          combine_onset_ci, isotonic_fit, onset_ci_inversion,
                          onset_from_curve, redundancy_fi)
 from .model import CouplingSet, PointerEnsemble, Tolerance, holevo_biased
-from .sampling import (DEFAULT_ENUMERATION_CAP, FragmentSample, OverlapStat,
-                       enumerate_fragments, estimate_overlap_eta,
+from .sampling import (DEFAULT_ENUMERATION_CAP, PROTOCOLS, FragmentSample,
+                       OverlapStat, enumerate_fragments, estimate_overlap_eta,
                        partition_disjoint, sample_random_fragments)
 
 __all__ = [
@@ -59,7 +59,8 @@ class SweepCellError(RuntimeError):
     """One or more cells failed; the message lists their coordinates."""
 
 
-_PROTOCOL_IDS = {"random": 0, "disjoint": 1, "exhaustive": 2}
+# Seed-stream id of each protocol: its position in sampling.PROTOCOLS.
+_PROTOCOL_IDS = {name: i for i, name in enumerate(PROTOCOLS)}
 
 # Purpose tags keep independent random streams from colliding even when
 # the coordinate indices agree.
@@ -226,6 +227,12 @@ class RunConfig:
         """Bootstrap runs when per-replicate flag volume fits the budget."""
         return self.n_fragments * len(self.m_grid) <= self.bootstrap_budget
 
+    def couplings(self) -> CouplingSet:
+        """The run's quenched couplings, drawn from the master seed."""
+        seed = derive_cell_seed(self.master_seed, purpose=PURPOSE_COUPLINGS)
+        return CouplingSet.exponential(self.n_sites, self.coupling_rate,
+                                       self.g, seed)
+
 
 @dataclass(frozen=True)
 class RedundancyTrajectory:
@@ -286,6 +293,25 @@ def _sample_cell(config: RunConfig, t_index: int, m_index: int,
     return enumerate_fragments(config.n_sites, m, config.enumeration_cap)
 
 
+def _tolerances(config: RunConfig) -> List[Tolerance]:
+    """The adequacy tolerance of each configured delta, in config order."""
+    entropy = PointerEnsemble(config.p0).entropy
+    return [Tolerance.for_entropy(d, config.theta, entropy)
+            for d in config.deltas]
+
+
+def _fragment_chi(config: RunConfig, couplings: CouplingSet, t: float,
+                  indices: np.ndarray) -> np.ndarray:
+    """Holevo information chi at time t of each fragment in ``indices``
+    (one row of site indices per fragment).
+
+    The log overlap is -g^2 t^2 times the fragment's coupling sum, as in
+    model.log_overlap; the operation order below fixes the output bytes.
+    """
+    sums = couplings.couplings[indices].sum(axis=1)
+    return holevo_biased(-(config.g ** 2) * (t * t) * sums, config.p0)
+
+
 def cell_chi_values(config: RunConfig, couplings: CouplingSet,
                     time_grid: np.ndarray, t_index: int, m_index: int,
                     protocol: str) -> np.ndarray:
@@ -296,10 +322,8 @@ def cell_chi_values(config: RunConfig, couplings: CouplingSet,
     -level distribution without storing it.
     """
     sample = _sample_cell(config, t_index, m_index, protocol)
-    t = float(time_grid[t_index])
-    sums = couplings.couplings[sample.indices].sum(axis=1)
-    log_c = -(config.g ** 2) * (t * t) * sums
-    return holevo_biased(log_c, config.p0)
+    return _fragment_chi(config, couplings, float(time_grid[t_index]),
+                         sample.indices)
 
 
 @dataclass
@@ -318,14 +342,11 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
                         time_grid: np.ndarray, protocol: str,
                         t_index: int) -> _TimePayload:
     t = float(time_grid[t_index])
-    ensemble = PointerEnsemble(config.p0)
-    tols = [Tolerance.for_entropy(d, config.theta, ensemble.entropy)
-            for d in config.deltas]
+    tols = _tolerances(config)
     proto_id = _PROTOCOL_IDS[protocol]
 
     cells_by_delta: Dict[float, List[AdequacyCell]] = {
         d: [] for d in config.deltas}
-    counts_by_delta: Dict[float, List[int]] = {d: [] for d in config.deltas}
     sizes: List[int] = []
     overlap_by_m: Dict[int, Optional[OverlapStat]] = {}
     overlaps: List[OverlapRecord] = []
@@ -338,9 +359,7 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
         except Exception as exc:  # aggregated, reported with coordinates
             errors.append(f"(t={t}, m={m}, {protocol}): {exc}")
             continue
-        sums = couplings.couplings[sample.indices].sum(axis=1)
-        log_c = -(config.g ** 2) * (t * t) * sums
-        chi = holevo_biased(log_c, config.p0)
+        chi = _fragment_chi(config, couplings, t, sample.indices)
         evaluations += int(chi.size)
 
         if sample.n_fragments >= 2:
@@ -361,7 +380,6 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
             cell = adequacy_cell(flags, t=t, m=m, delta=tol.delta,
                                  protocol=protocol, alpha=config.alpha)
             cells_by_delta[tol.delta].append(cell)
-            counts_by_delta[tol.delta].append(cell.k)
 
     if errors:
         raise SweepCellError("cell failures: " + "; ".join(errors))
@@ -386,7 +404,7 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
                                          d_index, proto_id,
                                          PURPOSE_BOOTSTRAP)
             boot = _bootstrap_counts(
-                m_arr, np.asarray(counts_by_delta[delta], dtype=float),
+                m_arr, np.array([c.k for c in cells], dtype=float),
                 n_arr, config.theta, config.bootstrap_replicates, boot_seed)
             m_lo, m_hi = combine_onset_ci(inversion, boot)
         else:
@@ -428,8 +446,8 @@ def _worker_run(task: Tuple[str, int]) -> _TimePayload:
                                _WORKER["time_grid"], protocol, t_index)
 
 
-def _fi_soft_violations(trajectories: Sequence[RedundancyTrajectory],
-                        n_sites: int) -> int:
+def _fi_soft_violations(
+        trajectories: Sequence[RedundancyTrajectory]) -> int:
     """Count FI decreases along t that exceed the adjacent CI widths.
 
     Sampling noise can make FI dip; a dip is only flagged when it is
@@ -462,10 +480,7 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     """
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-    lam_seed = derive_cell_seed(config.master_seed,
-                                purpose=PURPOSE_COUPLINGS)
-    couplings = CouplingSet.exponential(config.n_sites, config.coupling_rate,
-                                        config.g, lam_seed)
+    couplings = config.couplings()
     time_grid = build_time_grid(config.time_grid)
     tasks = [(protocol, t_index)
              for protocol in config.protocols
@@ -501,7 +516,7 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     overlaps.sort(key=lambda o: (o.t, o.m, o.protocol))
     stats = RunStats(
         holevo_evaluations=evaluations,
-        fi_soft_violations=_fi_soft_violations(trajectories, config.n_sites),
+        fi_soft_violations=_fi_soft_violations(trajectories),
         bootstrap_ran=config.bootstrap_enabled)
     return SweepResult(config=config, couplings=couplings,
                        time_grid=time_grid, cells=tuple(cells),
@@ -546,17 +561,11 @@ def oracle_report(config: RunConfig, band_alpha: float = 0.01) -> OracleReport:
             raise ConfigError(
                 f"oracle needs enumerable cells; C({config.n_sites}, {m}) "
                 f"= {count} exceeds cap {config.enumeration_cap}")
-    lam_seed = derive_cell_seed(config.master_seed,
-                                purpose=PURPOSE_COUPLINGS)
-    couplings = CouplingSet.exponential(config.n_sites, config.coupling_rate,
-                                        config.g, lam_seed)
+    couplings = config.couplings()
     time_grid = build_time_grid(config.time_grid)
     n_t = time_grid.size
     t_indices = sorted({n_t // 4, n_t // 2, (3 * n_t) // 4})
-    ensemble = PointerEnsemble(config.p0)
-    thresholds = [(d, Tolerance.for_entropy(d, config.theta,
-                                            ensemble.entropy).threshold)
-                  for d in config.deltas]
+    tols = _tolerances(config)
 
     out: List[OracleCell] = []
     for t_index in t_indices:
@@ -566,17 +575,16 @@ def oracle_report(config: RunConfig, band_alpha: float = 0.01) -> OracleReport:
                                   m_index, "random")
             exact_sample = enumerate_fragments(config.n_sites, m,
                                                config.enumeration_cap)
-            sums = couplings.couplings[exact_sample.indices].sum(axis=1)
-            log_c = -(config.g ** 2) * (t * t) * sums
-            chi_exact = holevo_biased(log_c, config.p0)
-            for delta, threshold in thresholds:
-                k = int(np.sum(chi >= threshold))
+            chi_exact = _fragment_chi(config, couplings, t,
+                                      exact_sample.indices)
+            for tol in tols:
+                k = int(np.sum(chi >= tol.threshold))
                 n = int(chi.size)
                 lo, hi = _wilson_bounds(np.array([k]), np.array([n]),
                                         band_alpha)
-                exact = float(np.mean(chi_exact >= threshold))
+                exact = float(np.mean(chi_exact >= tol.threshold))
                 out.append(OracleCell(
-                    t=t, m=m, delta=delta, phi_hat=k / n, phi_exact=exact,
+                    t=t, m=m, delta=tol.delta, phi_hat=k / n, phi_exact=exact,
                     ci_low=float(lo[0]), ci_high=float(hi[0]),
                     within=bool(lo[0] <= exact <= hi[0])))
 

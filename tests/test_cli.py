@@ -6,6 +6,7 @@ lives in the acceptance suite.
 """
 
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -81,13 +82,19 @@ class TestConfigParsing:
             parse_config_text("g = fast\n")
 
     def test_round_trip(self):
-        cfg = RunConfig(n_sites=33, deltas=(0.02, 0.2), theta=0.55,
+        cfg = RunConfig(n_sites=33, g=0.35, coupling_rate=2.5, p0=0.3,
+                        deltas=(0.02, 0.2), theta=0.55,
                         protocols=("disjoint", "random"),
                         n_fragments=123, m_grid=(1, 3, 9),
                         time_grid=TimeGridSpec(0.02, 0.9, 5.0, 7, 9),
                         alpha=0.1, bootstrap_replicates=77,
                         bootstrap_budget=5000, overlap_pairs=13,
-                        master_seed=99)
+                        enumeration_cap=4321, master_seed=99)
+        # every field off its default, so no key can round-trip by luck
+        default = RunConfig()
+        for obj, ref in ((cfg, default), (cfg.time_grid, default.time_grid)):
+            for f in fields(obj):
+                assert getattr(obj, f.name) != getattr(ref, f.name), f.name
         assert parse_config_text(serialize_config(cfg)) == cfg
 
     def test_round_trip_defaults(self):
