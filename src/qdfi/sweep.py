@@ -567,26 +567,30 @@ def oracle_report(config: RunConfig, band_alpha: float = 0.01) -> OracleReport:
     t_indices = sorted({n_t // 4, n_t // 2, (3 * n_t) // 4})
     tols = _tolerances(config)
 
-    out: List[OracleCell] = []
-    for t_index in t_indices:
-        t = float(time_grid[t_index])
-        for m_index, m in enumerate(config.m_grid):
+    # The exact family depends on m only: enumerate it once per m, then
+    # report cells in (t, m, delta) order.
+    by_coords: Dict[Tuple[int, int], List[OracleCell]] = {}
+    for m_index, m in enumerate(config.m_grid):
+        exact_sample = enumerate_fragments(config.n_sites, m,
+                                           config.enumeration_cap)
+        for t_index in t_indices:
+            t = float(time_grid[t_index])
             chi = cell_chi_values(config, couplings, time_grid, t_index,
                                   m_index, "random")
-            exact_sample = enumerate_fragments(config.n_sites, m,
-                                               config.enumeration_cap)
             chi_exact = _fragment_chi(config, couplings, t,
                                       exact_sample.indices)
+            cells = by_coords[(t_index, m_index)] = []
             for tol in tols:
                 k = int(np.sum(chi >= tol.threshold))
                 n = int(chi.size)
                 lo, hi = _wilson_bounds(np.array([k]), np.array([n]),
                                         band_alpha)
                 exact = float(np.mean(chi_exact >= tol.threshold))
-                out.append(OracleCell(
+                cells.append(OracleCell(
                     t=t, m=m, delta=tol.delta, phi_hat=k / n, phi_exact=exact,
                     ci_low=float(lo[0]), ci_high=float(hi[0]),
                     within=bool(lo[0] <= exact <= hi[0])))
+    out = [c for coords in sorted(by_coords) for c in by_coords[coords]]
 
     max_dev = max(abs(c.phi_hat - c.phi_exact) for c in out)
     frac = sum(c.within for c in out) / len(out)
