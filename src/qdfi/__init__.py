@@ -107,4 +107,5 @@ __all__ = [
     "serialize_config",
     "summary_table",
     "wilson_interval",
+    "write_tables",
 ]
