@@ -353,36 +353,44 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
     evaluations = 0
     errors: List[str] = []
 
+    first_error: Optional[Exception] = None
+
     for m_index, m in enumerate(config.m_grid):
+        # Everything done for one cell sits in the try, so any failure is
+        # reported with the cell's coordinates.
         try:
             sample = _sample_cell(config, t_index, m_index, protocol)
+            chi = _fragment_chi(config, couplings, t, sample.indices)
+            evaluations += int(chi.size)
+
+            if sample.n_fragments >= 2:
+                pair_seed = derive_cell_seed(config.master_seed, t_index,
+                                             m_index, 0, proto_id,
+                                             PURPOSE_PAIRS)
+                stat = estimate_overlap_eta(sample, config.overlap_pairs,
+                                            pair_seed)
+                overlaps.append(OverlapRecord(t=t, m=m, protocol=protocol,
+                                              eta=stat.eta,
+                                              pairs_used=stat.pairs_used))
+            else:
+                stat = None
+            overlap_by_m[m] = stat
+            sizes.append(sample.n_fragments)
+
+            for tol in tols:
+                flags = chi >= tol.threshold
+                cell = adequacy_cell(flags, t=t, m=m, delta=tol.delta,
+                                     protocol=protocol, alpha=config.alpha)
+                cells_by_delta[tol.delta].append(cell)
         except Exception as exc:  # aggregated, reported with coordinates
-            errors.append(f"(t={t}, m={m}, {protocol}): {exc}")
-            continue
-        chi = _fragment_chi(config, couplings, t, sample.indices)
-        evaluations += int(chi.size)
-
-        if sample.n_fragments >= 2:
-            pair_seed = derive_cell_seed(config.master_seed, t_index,
-                                         m_index, 0, proto_id, PURPOSE_PAIRS)
-            stat = estimate_overlap_eta(sample, config.overlap_pairs,
-                                        pair_seed)
-            overlaps.append(OverlapRecord(t=t, m=m, protocol=protocol,
-                                          eta=stat.eta,
-                                          pairs_used=stat.pairs_used))
-        else:
-            stat = None
-        overlap_by_m[m] = stat
-        sizes.append(sample.n_fragments)
-
-        for tol in tols:
-            flags = chi >= tol.threshold
-            cell = adequacy_cell(flags, t=t, m=m, delta=tol.delta,
-                                 protocol=protocol, alpha=config.alpha)
-            cells_by_delta[tol.delta].append(cell)
+            errors.append(f"(t={t}, m={m}, {protocol}): "
+                          f"{type(exc).__name__}: {exc}")
+            if first_error is None:
+                first_error = exc
 
     if errors:
-        raise SweepCellError("cell failures: " + "; ".join(errors))
+        raise SweepCellError(
+            "cell failures: " + "; ".join(errors)) from first_error
 
     out_cells: List[AdequacyCell] = []
     onsets: Dict[float, OnsetEstimate] = {}

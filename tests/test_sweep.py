@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import qdfi.sweep
 from qdfi import (ConfigError, CouplingSet, PointerEnsemble,
-                  RedundancyTrajectory, RunConfig, TimeGridSpec, Tolerance,
-                  build_time_grid, cell_chi_values, derive_cell_seed,
-                  enumerate_fragments, holevo_biased, oracle_report,
-                  run_sweep)
+                  RedundancyTrajectory, RunConfig, SweepCellError,
+                  TimeGridSpec, Tolerance, build_time_grid, cell_chi_values,
+                  derive_cell_seed, enumerate_fragments, holevo_biased,
+                  oracle_report, run_sweep)
 from qdfi.sweep import PURPOSE_COUPLINGS
 
 
@@ -293,6 +294,43 @@ class TestOracleReport:
                         bootstrap_replicates=1, overlap_pairs=1)
         with pytest.raises(ConfigError):
             oracle_report(cfg)
+
+
+class TestCellErrors:
+    def _config(self):
+        return small_config(m_grid=(1, 2, 3),
+                            time_grid=TimeGridSpec(n_dense=2, n_coarse=1))
+
+    def test_chi_failure_names_every_cell(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise FloatingPointError("chi broke")
+
+        monkeypatch.setattr(qdfi.sweep, "holevo_biased", broken)
+        cfg = self._config()
+        t0 = float(build_time_grid(cfg.time_grid)[0])
+        with pytest.raises(SweepCellError) as err:
+            run_sweep(cfg)
+        message = str(err.value)
+        for m in cfg.m_grid:
+            assert (f"(t={t0}, m={m}, random): FloatingPointError: "
+                    f"chi broke") in message
+        assert isinstance(err.value.__cause__, FloatingPointError)
+
+    def test_cell_failure_names_only_its_cell(self, monkeypatch):
+        real = qdfi.sweep.adequacy_cell
+
+        def broken_at_m2(flags, **kwargs):
+            if kwargs["m"] == 2:
+                raise ValueError("no cell")
+            return real(flags, **kwargs)
+
+        monkeypatch.setattr(qdfi.sweep, "adequacy_cell", broken_at_m2)
+        with pytest.raises(SweepCellError) as err:
+            run_sweep(self._config())
+        message = str(err.value)
+        assert message.count("ValueError: no cell") == 1
+        assert "m=2, random" in message
+        assert "m=1," not in message and "m=3," not in message
 
 
 class TestTrajectoryRecord:
