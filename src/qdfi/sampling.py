@@ -8,6 +8,12 @@ Three protocols produce the fragment sets whose adequacy gets counted:
   permutation, capped at min(N, 400) blocks,
 * ``exhaustive`` -- every m-subset in lexicographic order, for small N.
 
+Random m-subsets come from one of two exact samplers, chosen by expected
+cost: rejection of rows with a repeated index while the expected number
+of indices drawn per row stays at most N, ranking N uniform keys per row
+beyond that.  Key ranking draws its keys in chunks of bounded size, so
+memory stays O(n_fragments * m) beyond a fixed chunk.
+
 Fragments are stored as rows of a 2-d index array, each row sorted
 strictly increasing.  All draws run through numpy PCG64 generators seeded
 explicitly, so identical arguments give byte-identical samples on any
@@ -40,6 +46,9 @@ PROTOCOLS = ("random", "disjoint", "exhaustive")
 DEFAULT_BLOCK_CAP = 400
 # Exhaustive enumeration refuses to materialize more subsets than this.
 DEFAULT_ENUMERATION_CAP = 200_000
+# The key-ranking sampler holds at most this many float64 keys at a time
+# (8 MiB, plus as many int64 ranks from argpartition).
+_KEY_CHUNK = 1 << 20
 
 
 class SamplingError(ValueError):
@@ -136,13 +145,32 @@ def _distinct_rows_by_keys(rng: np.random.Generator, n_sites: int,
     """Uniform m-subsets as the m smallest of N iid uniform keys per row.
 
     Ranking iid continuous keys induces a uniform random permutation, so
-    the bottom-m index set is exactly uniform.  Used when m^2 > N and
-    rejection would churn; costs O(n_rows * N) memory so callers only
-    reach it for modest N.
+    the bottom-m index set is exactly uniform.  Used when rejection would
+    draw more than N indices per row.  Keys are drawn in blocks of at
+    most _KEY_CHUNK (at least one row), so memory is O(chunk + n_rows*m);
+    PCG64 fills consecutive blocks from one stream, so the rows equal a
+    single draw of all n_rows * N keys.
     """
-    keys = rng.random((n_rows, n_sites))
-    picked = np.argpartition(keys, m - 1, axis=1)[:, :m].astype(np.int64)
-    return np.sort(picked, axis=1)
+    rows = np.empty((n_rows, m), dtype=np.int64)
+    step = max(1, _KEY_CHUNK // n_sites)
+    for start in range(0, n_rows, step):
+        keys = rng.random((min(step, n_rows - start), n_sites))
+        picked = np.argpartition(keys, m - 1, axis=1)[:, :m]
+        rows[start:start + step] = np.sort(picked, axis=1)
+    return rows
+
+
+def _rejection_is_cheaper(n_sites: int, m: int) -> bool:
+    """True when rejection is expected to draw at most N indices per row.
+
+    A row of m uniform indices is all-distinct with probability
+    P = N! / ((N-m)! N^m), so rejection draws m / P indices per accepted
+    row; key ranking costs about N per row.  Every m^2 <= N takes
+    rejection: there P >= 1 - m(m-1)/(2N) > 1/2, so m / P < 2m <= N.
+    """
+    log_p = (math.lgamma(n_sites + 1) - math.lgamma(n_sites - m + 1)
+             - m * math.log(n_sites))
+    return math.log(m) - log_p <= math.log(n_sites)
 
 
 def sample_random_fragments(n_sites: int, m: int, n_fragments: int,
@@ -158,7 +186,7 @@ def sample_random_fragments(n_sites: int, m: int, n_fragments: int,
     rng = _rng(seed)
     if m == n_sites:
         rows = np.tile(np.arange(n_sites, dtype=np.int64), (n_fragments, 1))
-    elif m * m <= n_sites:
+    elif _rejection_is_cheaper(n_sites, m):
         rows = _distinct_rows_by_rejection(rng, n_sites, m, n_fragments)
     else:
         rows = _distinct_rows_by_keys(rng, n_sites, m, n_fragments)

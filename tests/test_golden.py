@@ -5,7 +5,8 @@ everything written to ``--out``: the SHA-256 of the sorted file names,
 each followed by that file's bytes.  The cases between them cover the
 random, disjoint and exhaustive protocols, p0 on both sides of 1/2,
 non-default g and coupling_rate, bootstrap on and off, and both random
-samplers (rejection for m^2 <= N, key ranking above).  One run is also
+samplers (rejection while it is expected to draw at most N indices per
+fragment, key ranking above).  One run is also
 carried through ``analyze`` and every ``plot-data`` figure, and the
 enumerable config pins the exact numbers of ``oracle_report``.
 
@@ -57,7 +58,8 @@ CONFIGS = {
         overlap_pairs = 25
         master_seed = 3
     """,
-    # random and disjoint, bootstrap off, key-ranking sampler for m^2 > N
+    # random and disjoint, bootstrap off; the key-ranking sampler runs
+    # from m = 14 at N = 64, so for m = 16, 24, 32 on this grid
     "no-bootstrap-keys-n64": """
         N = 64
         coupling_rate = 2.0

@@ -2,11 +2,13 @@
 
 Uniformity checks use chi-square and Wilson bounds with seeds pinned, so
 they are deterministic.  Critical values frozen from scipy.stats.chi2.ppf
-run independently: 0.999 quantile at df=49 is 85.351, at df=5 is 20.515.
+run independently: 0.999 quantile at df=49 is 85.351, at df=5 is 20.515,
+at df=1023 is 1168.497.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +16,11 @@ import pytest
 from qdfi import (FragmentSample, SamplingError, enumerate_fragments,
                   estimate_overlap_eta, partition_disjoint,
                   sample_random_fragments, wilson_interval)
+from qdfi import sampling
+from qdfi.sampling import _distinct_rows_by_keys, _rejection_is_cheaper
 
 CHI2_999_DF49 = 85.351
+CHI2_999_DF1023 = 1168.497
 
 
 def _rows_as_tuples(sample):
@@ -64,7 +69,10 @@ class TestRandomFragments:
         assert not np.array_equal(a.indices, c.indices)
 
     def test_rows_sorted_and_valid(self):
-        for m in (1, 3, 7, 20, 39):  # spans both internal sampling paths
+        # spans both internal sampling paths
+        assert _rejection_is_cheaper(40, 7)
+        assert not _rejection_is_cheaper(40, 20)
+        for m in (1, 3, 7, 20, 39):
             s = sample_random_fragments(40, m, 200, seed=2)
             s.validate(40)
             assert s.indices.shape == (200, m)
@@ -89,18 +97,74 @@ class TestRandomFragments:
         for count in seen.values():
             assert abs(count / n - 1 / 6) < 0.01
 
-    def test_enumerable_uniformity_wilson(self):
-        # N=6, m=3 (m*m > N exercises the permutation path): each of the
-        # C(6,3)=20 subsets should hold 1/20 inside its own 99% band
+    @pytest.mark.parametrize("m, by_rejection, seed", [
+        # N=6, m=3: rejection draws m/P = 5.4 <= N indices per row
+        (3, True, 23),
+        # N=6, m=4: m/P = 14.4 > N, so the key-ranking path runs
+        (4, False, 29),
+    ])
+    def test_enumerable_uniformity_wilson(self, m, by_rejection, seed):
+        # each of the C(6, m) subsets should hold 1/C(6, m) inside its
+        # own 99% band
+        assert _rejection_is_cheaper(6, m) is by_rejection
         n = 100_000
-        s = sample_random_fragments(6, 3, n, seed=23)
+        s = sample_random_fragments(6, m, n, seed=seed)
         seen = {}
         for row in _rows_as_tuples(s):
             seen[row] = seen.get(row, 0) + 1
-        assert len(seen) == 20
+        subsets = math.comb(6, m)
+        assert len(seen) == subsets
         for count in seen.values():
             lo, hi = wilson_interval(count, n, alpha=0.01)
-            assert lo <= 1 / 20 <= hi
+            assert lo <= 1 / subsets <= hi
+
+    @pytest.mark.parametrize("m, by_rejection", [(72, True), (80, False)])
+    def test_site_uniformity_at_the_crossover(self, m, by_rejection):
+        # N=1024 on either side of the rule: every site is drawn with
+        # probability m/N per fragment, df = 1023
+        assert _rejection_is_cheaper(1024, m) is by_rejection
+        n = 4000
+        s = sample_random_fragments(1024, m, n, seed=31)
+        s.validate(1024)
+        counts = np.bincount(s.indices.ravel(), minlength=1024)
+        expected = n * m / 1024
+        chi2 = float(np.sum((counts - expected) ** 2 / expected))
+        assert chi2 < CHI2_999_DF1023
+
+    def test_small_fragments_keep_rejection(self):
+        # every cell that used rejection under the old m^2 <= N rule
+        # still does, so its draws are unchanged
+        for n_sites in range(2, 2001):
+            for m in range(1, math.isqrt(n_sites) + 1):
+                assert _rejection_is_cheaper(n_sites, m), (n_sites, m)
+
+    def test_chunked_keys_match_one_shot_draw(self):
+        def one_shot(rng, n_sites, m, n_rows):
+            keys = rng.random((n_rows, n_sites))
+            picked = np.argpartition(keys, m - 1, axis=1)[:, :m]
+            return np.sort(picked.astype(np.int64), axis=1)
+
+        cases = [(20000, 400), (1024, 100), (sampling._KEY_CHUNK + 3, 50)]
+        for n_sites, m in cases:
+            step = max(1, sampling._KEY_CHUNK // n_sites)
+            n_rows = 2 * step + 1  # three chunks, the last one short
+            got = _distinct_rows_by_keys(sampling._rng(41), n_sites, m,
+                                         n_rows)
+            want = one_shot(sampling._rng(41), n_sites, m, n_rows)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (n_sites, m)
+
+    def test_key_path_memory_is_bounded(self):
+        # the one-shot key matrix would be 1000 x 20000 float64 = 160 MB
+        assert not _rejection_is_cheaper(20000, 400)
+        tracemalloc.start()
+        try:
+            s = sample_random_fragments(20000, 400, 1000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.indices.shape == (1000, 400)
+        assert peak < 40 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
     def test_errors(self):
         with pytest.raises(SamplingError):
