@@ -91,13 +91,13 @@ CONFIGS = {
 
 SIMULATE_DIGESTS = {
     "random-bootstrap-n40":
-        "0f50dd62fe9d2aedcc90e6de7bb8c87f963ddb7ff31ce4b0d6556344211939f7",
+        "4f20909396a2a7a9d28ac7be49fe4cb4268cae8f747e4dc989c376a067ac68e5",
     "protocols-p03-n300":
         "3f121ec079c0b2d1f2e3f27677674d4cca5690f96b977ac1b6123d2ddea4b3f2",
     "no-bootstrap-keys-n64":
-        "f8d6601dc449e1915d260f089ad19ce612b758334fe86e3ccb9da00a9623cd94",
+        "c4d5ffd1e502d97cc439cc227f50f335b370d5c7e974728cfc649e54e949b928",
     "exhaustive-p07-n12":
-        "16d0fc7cfd9c92314291d575e992b2d01a8b00bfd891302d43fcd46efafaa45e",
+        "45f20e41292e4cf01d60759952525f35adab1ec7a5b4ece899b69884b021ab65",
 }
 
 # analyze and the five plot-data figures, from the protocols-p03-n300 run
@@ -110,7 +110,7 @@ PLOT_DATA_DIGEST = (
 # oracle_report on exhaustive-p07-n12: (cells, max |phi_hat - phi_exact|,
 # within-band fraction), compared exactly
 ORACLE_RUN = "exhaustive-p07-n12"
-ORACLE_EXPECTED = (72, 0.0854545454545454, 1.0)
+ORACLE_EXPECTED = (72, 0.05727272727272725, 1.0)
 
 
 def _config_text(name):
