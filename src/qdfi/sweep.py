@@ -352,7 +352,6 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
     overlaps: List[OverlapRecord] = []
     evaluations = 0
     errors: List[str] = []
-
     first_error: Optional[Exception] = None
 
     for m_index, m in enumerate(config.m_grid):
