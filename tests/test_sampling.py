@@ -97,26 +97,30 @@ class TestRandomFragments:
         for count in seen.values():
             assert abs(count / n - 1 / 6) < 0.01
 
-    @pytest.mark.parametrize("m, by_rejection, seed", [
-        # N=6, m=3: rejection draws m/P = 5.4 <= N indices per row
-        (3, True, 23),
-        # N=6, m=4: m/P = 14.4 > N, so the key-ranking path runs
-        (4, False, 29),
-    ])
-    def test_enumerable_uniformity_wilson(self, m, by_rejection, seed):
-        # each of the C(6, m) subsets should hold 1/C(6, m) inside its
+    @staticmethod
+    def _assert_subsets_uniform(n_sites, m, seed):
+        # each of the C(N, m) subsets should hold 1/C(N, m) inside its
         # own 99% band
-        assert _rejection_is_cheaper(6, m) is by_rejection
         n = 100_000
-        s = sample_random_fragments(6, m, n, seed=seed)
+        s = sample_random_fragments(n_sites, m, n, seed=seed)
         seen = {}
         for row in _rows_as_tuples(s):
             seen[row] = seen.get(row, 0) + 1
-        subsets = math.comb(6, m)
+        subsets = math.comb(n_sites, m)
         assert len(seen) == subsets
         for count in seen.values():
             lo, hi = wilson_interval(count, n, alpha=0.01)
             assert lo <= 1 / subsets <= hi
+
+    def test_enumerable_uniformity_wilson(self):
+        # N=6, m=3: rejection draws m/P = 5.4 <= N indices per row
+        assert _rejection_is_cheaper(6, 3)
+        self._assert_subsets_uniform(6, 3, seed=23)
+
+    def test_enumerable_uniformity_wilson_keys(self):
+        # N=6, m=4: m/P = 14.4 > N, so the key-ranking path runs
+        assert not _rejection_is_cheaper(6, 4)
+        self._assert_subsets_uniform(6, 4, seed=29)
 
     @pytest.mark.parametrize("m, by_rejection", [(72, True), (80, False)])
     def test_site_uniformity_at_the_crossover(self, m, by_rejection):
