@@ -4,9 +4,9 @@ The early redundancy climb is summarized by a single rate kappa from an
 ordinary least-squares fit of ln R against t over a short window.  Window
 selection is deliberately rigid so that fitted rates are comparable
 across deltas and runs: scan window start times from the earliest
-present-onset point upward, lengths from 6 points to max_window, accept
-the earliest start that reaches R^2 >= 0.9, and at that start keep the
-longest qualifying length.
+present-onset point upward, lengths from MIN_POINTS = 6 points to
+MAX_WINDOW = 15, accept the earliest start that reaches R^2 >= MIN_R2 =
+0.9, and at that start keep the longest qualifying length.
 """
 
 from __future__ import annotations
@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+
+# The fixed early-slope window rule (see the module docstring).
+MIN_POINTS = 6
+MAX_WINDOW = 15
+MIN_R2 = 0.9
 
 
 class AnalysisError(ValueError):
@@ -100,36 +105,30 @@ def _present_points(traj: RedundancyTrajectory) -> List[Tuple[int,
     return [(i, p) for i, p in enumerate(traj.points) if p.m_star is not None]
 
 
-def fit_early_slope(traj: RedundancyTrajectory, min_points: int = 6,
-                    max_window: int = 15,
-                    min_r2: float = 0.9) -> Optional[SlopeFit]:
+def fit_early_slope(traj: RedundancyTrajectory) -> Optional[SlopeFit]:
     """Fit ln R = kappa t + b on the earliest well-described window.
 
     Operates on the subsequence of points with a present onset (absences
     cluster before the first onset, so this is the usable early record).
     Windows with zero response variance never qualify; returns None when
-    no window does or fewer than min_points onsets exist.
+    no window does or fewer than MIN_POINTS onsets exist.
     """
-    if min_points < 2:
-        raise AnalysisError("min_points must be >= 2")
-    if max_window < min_points:
-        raise AnalysisError("max_window must be >= min_points")
     present = _present_points(traj)
-    if len(present) < min_points:
+    if len(present) < MIN_POINTS:
         return None
     xs = np.array([p.t for _, p in present])
     ys = np.log(np.array([p.r for _, p in present]))
 
-    for start in range(0, len(present) - min_points + 1):
+    for start in range(0, len(present) - MIN_POINTS + 1):
         best = None
-        longest = min(max_window, len(present) - start)
-        for length in range(min_points, longest + 1):
+        longest = min(MAX_WINDOW, len(present) - start)
+        for length in range(MIN_POINTS, longest + 1):
             x = xs[start:start + length]
             y = ys[start:start + length]
             if np.ptp(y) == 0.0:
                 continue
             slope, intercept, r2 = _ols_line(x, y)
-            if r2 >= min_r2:
+            if r2 >= MIN_R2:
                 best = (length, slope, intercept, r2)
         if best is not None:
             length, slope, intercept, r2 = best

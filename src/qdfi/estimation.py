@@ -190,11 +190,6 @@ class IsotonicCurve:
         object.__setattr__(self, "m_grid", grid)
         object.__setattr__(self, "phi_iso", phi)
 
-    @classmethod
-    def fit(cls, m_grid, values, weights=None) -> "IsotonicCurve":
-        return cls(m_grid=np.asarray(m_grid, dtype=np.int64),
-                   phi_iso=isotonic_fit(values, weights))
-
 
 def onset_from_curve(curve: IsotonicCurve, theta: float) -> Optional[int]:
     """Smallest m with phi_iso >= theta (closed comparison), or None.
@@ -354,8 +349,8 @@ def combine_onset_ci(
 
     An interval is scored by (number of absent bounds, width); lower is
     better, and exact ties go to the inversion interval, which carries an
-    explicit coverage statement.  If both intervals are fully absent the
-    result is (None, None).
+    explicit coverage statement, so two fully absent intervals give
+    (None, None).
     """
     def score(iv: Tuple[Optional[int], Optional[int]]):
         lo, hi = iv
@@ -363,8 +358,6 @@ def combine_onset_ci(
         width = (hi - lo) if absent == 0 else math.inf
         return (absent, width)
 
-    if inversion == (None, None) and bootstrap == (None, None):
-        return (None, None)
     return bootstrap if score(bootstrap) < score(inversion) else inversion
 
 

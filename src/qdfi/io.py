@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,54 +48,39 @@ SLOPES_HEADER = ("delta,kappa,kappa_base2,intercept,r2,"
 SCALING_HEADER = "delta,exponent,n_points"
 SUMMARY_HEADER = "delta,max_R,final_FI,kappa,r2,t_star"
 
-_INT = "int"
-_FLOAT = "float"
-_FLOAT_LIST = "float_list"
-_INT_LIST = "int_list"
-_STR_LIST = "str_list"
 
-# key in the config file -> (RunConfig attribute path, parser kind), in the
+def _list_of(item: Callable[[str], object]) -> Callable[[str], tuple]:
+    """Parser of a comma-separated list of ``item`` values; blanks skipped."""
+    def parse(text: str) -> tuple:
+        return tuple(item(p.strip()) for p in text.split(",") if p.strip())
+    return parse
+
+
+# key in the config file -> (RunConfig attribute path, value parser), in the
 # order serialize_config writes them; "time_grid." keys build the TimeGridSpec.
 _GRID = "time_grid."
-_CONFIG_KEYS: Dict[str, Tuple[str, str]] = {
-    "N": ("n_sites", _INT),
-    "g": ("g", _FLOAT),
-    "coupling_rate": ("coupling_rate", _FLOAT),
-    "p0": ("p0", _FLOAT),
-    "deltas": ("deltas", _FLOAT_LIST),
-    "theta": ("theta", _FLOAT),
-    "protocols": ("protocols", _STR_LIST),
-    "n_fragments": ("n_fragments", _INT),
-    "m_grid": ("m_grid", _INT_LIST),
-    "t_min": (_GRID + "t_min", _FLOAT),
-    "t_knee": (_GRID + "t_knee", _FLOAT),
-    "t_max": (_GRID + "t_max", _FLOAT),
-    "n_dense": (_GRID + "n_dense", _INT),
-    "n_coarse": (_GRID + "n_coarse", _INT),
-    "alpha": ("alpha", _FLOAT),
-    "bootstrap_B": ("bootstrap_replicates", _INT),
-    "bootstrap_budget": ("bootstrap_budget", _INT),
-    "overlap_pairs": ("overlap_pairs", _INT),
-    "enumeration_cap": ("enumeration_cap", _INT),
-    "master_seed": ("master_seed", _INT),
+_CONFIG_KEYS: Dict[str, Tuple[str, Callable[[str], object]]] = {
+    "N": ("n_sites", int),
+    "g": ("g", float),
+    "coupling_rate": ("coupling_rate", float),
+    "p0": ("p0", float),
+    "deltas": ("deltas", _list_of(float)),
+    "theta": ("theta", float),
+    "protocols": ("protocols", _list_of(str)),
+    "n_fragments": ("n_fragments", int),
+    "m_grid": ("m_grid", _list_of(int)),
+    "t_min": (_GRID + "t_min", float),
+    "t_knee": (_GRID + "t_knee", float),
+    "t_max": (_GRID + "t_max", float),
+    "n_dense": (_GRID + "n_dense", int),
+    "n_coarse": (_GRID + "n_coarse", int),
+    "alpha": ("alpha", float),
+    "bootstrap_B": ("bootstrap_replicates", int),
+    "bootstrap_budget": ("bootstrap_budget", int),
+    "overlap_pairs": ("overlap_pairs", int),
+    "enumeration_cap": ("enumeration_cap", int),
+    "master_seed": ("master_seed", int),
 }
-
-
-def _parse_value(kind: str, text: str, key: str, lineno: int):
-    try:
-        if kind == _INT:
-            return int(text)
-        if kind == _FLOAT:
-            return float(text)
-        parts = [p.strip() for p in text.split(",") if p.strip()]
-        if kind == _FLOAT_LIST:
-            return tuple(float(p) for p in parts)
-        if kind == _INT_LIST:
-            return tuple(int(p) for p in parts)
-        return tuple(parts)
-    except ValueError as exc:
-        raise ConfigError(
-            f"line {lineno}: bad value for {key!r}: {exc}") from None
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -118,8 +103,12 @@ def parse_config_text(text: str) -> RunConfig:
         seen.add(key)
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        attr, kind = _CONFIG_KEYS[key]
-        parsed = _parse_value(kind, value, key, lineno)
+        attr, parse = _CONFIG_KEYS[key]
+        try:
+            parsed = parse(value)
+        except ValueError as exc:
+            raise ConfigError(
+                f"line {lineno}: bad value for {key!r}: {exc}") from None
         if attr.startswith(_GRID):
             grid[attr.removeprefix(_GRID)] = parsed
         else:

@@ -48,6 +48,8 @@ __all__ = [
 _EDGE_TOL = 1e-9
 # Clamp applied to log arguments so entropy evaluation never produces NaN.
 _LOG_CLIP = 1e-15
+# Absolute bracket width at which binary_entropy_inverse stops bisecting.
+_H2_INVERSE_TOL = 1e-12
 
 
 class DomainError(ValueError):
@@ -90,8 +92,8 @@ def binary_entropy(p):
     return h
 
 
-def binary_entropy_inverse(y: float, tol: float = 1e-12) -> float:
-    """Principal inverse of h2 on [0, 1/2], by bisection to absolute tol.
+def binary_entropy_inverse(y: float) -> float:
+    """Principal inverse of h2 on [0, 1/2], bisected to _H2_INVERSE_TOL.
 
     binary_entropy_inverse(0.0) == 0.0 and binary_entropy_inverse(1.0) == 0.5.
     """
@@ -105,7 +107,7 @@ def binary_entropy_inverse(y: float, tol: float = 1e-12) -> float:
     if y == 1.0:
         return 0.5
     lo, hi = 0.0, 0.5
-    while hi - lo > tol:
+    while hi - lo > _H2_INVERSE_TOL:
         mid = 0.5 * (lo + hi)
         if binary_entropy(mid) < y:
             lo = mid

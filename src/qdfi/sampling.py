@@ -5,7 +5,7 @@ Three protocols produce the fragment sets whose adequacy gets counted:
 * ``random``     -- independent uniform m-subsets (repeats across draws
   allowed, repeats within a draw impossible),
 * ``disjoint``   -- floor(N/m) non-overlapping blocks cut from one seeded
-  permutation, capped at min(N, 400) blocks,
+  permutation, capped at 400 blocks,
 * ``exhaustive`` -- every m-subset in lexicographic order, for small N.
 
 Random m-subsets come from one of two exact samplers, chosen by expected
@@ -66,7 +66,6 @@ class FragmentSample:
     indices: np.ndarray
     protocol: str
     m: int
-    seed: int
     n_fragments: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -128,8 +127,6 @@ def _distinct_rows_by_rejection(rng: np.random.Generator, n_sites: int,
     """
     idx = rng.integers(0, n_sites, size=(n_rows, m), dtype=np.int64)
     idx.sort(axis=1)
-    if m == 1:
-        return idx
     bad = np.flatnonzero((np.diff(idx, axis=1) == 0).any(axis=1))
     while bad.size:
         fresh = rng.integers(0, n_sites, size=(bad.size, m), dtype=np.int64)
@@ -184,36 +181,31 @@ def sample_random_fragments(n_sites: int, m: int, n_fragments: int,
     if n_fragments < 1:
         raise SamplingError("n_fragments must be >= 1")
     rng = _rng(seed)
-    if m == n_sites:
-        rows = np.tile(np.arange(n_sites, dtype=np.int64), (n_fragments, 1))
-    elif _rejection_is_cheaper(n_sites, m):
+    if _rejection_is_cheaper(n_sites, m):
         rows = _distinct_rows_by_rejection(rng, n_sites, m, n_fragments)
     else:
         rows = _distinct_rows_by_keys(rng, n_sites, m, n_fragments)
-    return FragmentSample(indices=rows, protocol="random", m=m, seed=seed)
+    return FragmentSample(indices=rows, protocol="random", m=m)
 
 
-def partition_disjoint(n_sites: int, m: int, seed: int,
-                       block_cap: int = DEFAULT_BLOCK_CAP) -> FragmentSample:
+def partition_disjoint(n_sites: int, m: int, seed: int) -> FragmentSample:
     """Cut floor(N/m) disjoint m-blocks from one seeded permutation.
 
-    When the partition yields more than min(N, block_cap) blocks, a
+    When the partition yields more than DEFAULT_BLOCK_CAP blocks, a
     uniformly chosen subset of blocks of exactly that size is retained.
     Leftover sites (N mod m of them) are dropped.
     """
     _check_sizes(n_sites, m)
-    if block_cap < 1:
-        raise SamplingError("block_cap must be >= 1")
     rng = _rng(seed)
     perm = rng.permutation(n_sites)
     n_blocks = n_sites // m
     blocks = perm[: n_blocks * m].reshape(n_blocks, m)
-    cap = min(n_sites, block_cap)
-    if n_blocks > cap:
-        keep = np.sort(rng.choice(n_blocks, size=cap, replace=False))
+    if n_blocks > DEFAULT_BLOCK_CAP:
+        keep = np.sort(rng.choice(n_blocks, size=DEFAULT_BLOCK_CAP,
+                                  replace=False))
         blocks = blocks[keep]
     rows = np.sort(blocks, axis=1)
-    return FragmentSample(indices=rows, protocol="disjoint", m=m, seed=seed)
+    return FragmentSample(indices=rows, protocol="disjoint", m=m)
 
 
 def enumerate_fragments(n_sites: int, m: int,
@@ -234,7 +226,7 @@ def enumerate_fragments(n_sites: int, m: int,
             itertools.combinations(range(n_sites), m)),
         dtype=np.int64, count=count * m)
     rows = flat.reshape(count, m)
-    return FragmentSample(indices=rows, protocol="exhaustive", m=m, seed=0)
+    return FragmentSample(indices=rows, protocol="exhaustive", m=m)
 
 
 def estimate_overlap_eta(sample: FragmentSample, n_pairs: int,

@@ -30,7 +30,7 @@ from .estimation import (AdequacyCell, IsotonicCurve, OnsetEstimate,
                          onset_from_curve, redundancy_fi)
 from .model import CouplingSet, PointerEnsemble, Tolerance, holevo_biased
 from .sampling import (DEFAULT_ENUMERATION_CAP, PROTOCOLS, FragmentSample,
-                       OverlapStat, enumerate_fragments, estimate_overlap_eta,
+                       enumerate_fragments, estimate_overlap_eta,
                        partition_disjoint, sample_random_fragments)
 
 __all__ = [
@@ -71,8 +71,10 @@ PURPOSE_BOOTSTRAP = 4
 
 _MASK64 = (1 << 64) - 1
 
-# Fraction of enumeration-oracle cells whose exact value must fall inside
-# the sampled 99% Wilson band for the check to pass.
+# The enumeration oracle checks each exact value against the sampled
+# (1 - ORACLE_BAND_ALPHA) = 99% Wilson band; at least ORACLE_MIN_FRACTION
+# of cells must fall inside for the check to pass.
+ORACLE_BAND_ALPHA = 0.01
 ORACLE_MIN_FRACTION = 0.98
 
 
@@ -330,10 +332,8 @@ def cell_chi_values(config: RunConfig, couplings: CouplingSet,
 class _TimePayload:
     """Everything one (protocol, t) work unit produces."""
 
-    protocol: str
-    t_index: int
     cells: List[AdequacyCell]
-    onsets: Dict[float, OnsetEstimate]
+    onsets: List[OnsetEstimate]    # one per delta, in config order
     overlaps: List[OverlapRecord]
     holevo_evaluations: int
 
@@ -345,18 +345,16 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
     tols = _tolerances(config)
     proto_id = _PROTOCOL_IDS[protocol]
 
-    cells_by_delta: Dict[float, List[AdequacyCell]] = {
-        d: [] for d in config.deltas}
-    sizes: List[int] = []
-    overlap_by_m: Dict[int, Optional[OverlapStat]] = {}
+    cells_by_delta: List[List[AdequacyCell]] = [[] for _ in tols]
+    eta_by_m: Dict[int, float] = {}
     overlaps: List[OverlapRecord] = []
     evaluations = 0
-    errors: List[str] = []
-    first_error: Optional[Exception] = None
+    # (coordinates, exception) of every failed step; everything done for
+    # one cell or one onset sits in a try, so each failure is reported
+    # with its coordinates.
+    errors: List[Tuple[str, Exception]] = []
 
     for m_index, m in enumerate(config.m_grid):
-        # Everything done for one cell sits in the try, so any failure is
-        # reported with the cell's coordinates.
         try:
             sample = _sample_cell(config, t_index, m_index, protocol)
             chi = _fragment_chi(config, couplings, t, sample.indices)
@@ -371,68 +369,58 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
                 overlaps.append(OverlapRecord(t=t, m=m, protocol=protocol,
                                               eta=stat.eta,
                                               pairs_used=stat.pairs_used))
-            else:
-                stat = None
-            overlap_by_m[m] = stat
-            sizes.append(sample.n_fragments)
+                eta_by_m[m] = stat.eta
 
-            for tol in tols:
+            for cells, tol in zip(cells_by_delta, tols):
                 flags = chi >= tol.threshold
-                cell = adequacy_cell(flags, t=t, m=m, delta=tol.delta,
-                                     protocol=protocol, alpha=config.alpha)
-                cells_by_delta[tol.delta].append(cell)
+                cells.append(adequacy_cell(flags, t=t, m=m, delta=tol.delta,
+                                           protocol=protocol,
+                                           alpha=config.alpha))
         except Exception as exc:  # aggregated, reported with coordinates
-            errors.append(f"(t={t}, m={m}, {protocol}): "
-                          f"{type(exc).__name__}: {exc}")
-            if first_error is None:
-                first_error = exc
-
-    if errors:
-        raise SweepCellError(
-            "cell failures: " + "; ".join(errors)) from first_error
+            errors.append((f"t={t}, m={m}", exc))
 
     out_cells: List[AdequacyCell] = []
-    onsets: Dict[float, OnsetEstimate] = {}
+    onsets: List[OnsetEstimate] = []
     m_arr = np.asarray(config.m_grid, dtype=np.int64)
-    n_arr = np.asarray(sizes, dtype=float)
+    # Onsets need every cell of the time point: none is computed once a
+    # cell has failed.
+    for d_index, cells in enumerate([] if errors else cells_by_delta):
+        delta = config.deltas[d_index]
+        try:
+            n_arr = np.array([c.n for c in cells], dtype=float)
+            iso = isotonic_fit(np.array([c.p_hat for c in cells]), n_arr)
+            cells = [replace(c, phi_iso=float(v)) for c, v in zip(cells, iso)]
+            m_star = onset_from_curve(IsotonicCurve(m_arr, iso), config.theta)
+            m_lo, m_hi = onset_ci_inversion(cells, config.theta)
+            if config.bootstrap_enabled:
+                boot_seed = derive_cell_seed(config.master_seed, t_index, 0,
+                                             d_index, proto_id,
+                                             PURPOSE_BOOTSTRAP)
+                boot = _bootstrap_counts(
+                    m_arr, np.array([c.k for c in cells], dtype=float),
+                    n_arr, config.theta, config.bootstrap_replicates,
+                    boot_seed)
+                m_lo, m_hi = combine_onset_ci((m_lo, m_hi), boot)
 
-    for d_index, delta in enumerate(config.deltas):
-        cells = cells_by_delta[delta]
-        phat = np.array([c.p_hat for c in cells])
-        iso = isotonic_fit(phat, n_arr)
-        cells = [replace(c, phi_iso=float(v)) for c, v in zip(cells, iso)]
-        out_cells.extend(cells)
-
-        curve = IsotonicCurve(m_arr, iso)
-        m_star = onset_from_curve(curve, config.theta)
-        inversion = onset_ci_inversion(cells, config.theta)
-        if config.bootstrap_enabled:
-            boot_seed = derive_cell_seed(config.master_seed, t_index, 0,
-                                         d_index, proto_id,
-                                         PURPOSE_BOOTSTRAP)
-            boot = _bootstrap_counts(
-                m_arr, np.array([c.k for c in cells], dtype=float),
-                n_arr, config.theta, config.bootstrap_replicates, boot_seed)
-            m_lo, m_hi = combine_onset_ci(inversion, boot)
-        else:
-            m_lo, m_hi = inversion
-
-        if m_star is None:
-            onsets[delta] = OnsetEstimate(
-                t=t, delta=delta, m_star=None, m_star_lo=m_lo,
-                m_star_hi=m_hi, r=None, r_eff=None, eta=None, fi=None,
-                fi_eff=None)
-        else:
-            stat = overlap_by_m.get(m_star)
-            eta = stat.eta if stat is not None else 0.0
-            vals = redundancy_fi(config.n_sites, m_star, eta)
-            onsets[delta] = OnsetEstimate(
+            eta = r = r_eff = fi = fi_eff = None
+            if m_star is not None:
+                # a single-fragment family has no pair estimate
+                eta = eta_by_m.get(m_star, 0.0)
+                r, r_eff, fi, fi_eff = redundancy_fi(config.n_sites, m_star,
+                                                     eta)
+            onsets.append(OnsetEstimate(
                 t=t, delta=delta, m_star=m_star, m_star_lo=m_lo,
-                m_star_hi=m_hi, r=vals.r, r_eff=vals.r_eff, eta=eta,
-                fi=vals.fi, fi_eff=vals.fi_eff)
+                m_star_hi=m_hi, r=r, r_eff=r_eff, eta=eta, fi=fi,
+                fi_eff=fi_eff))
+            out_cells.extend(cells)
+        except Exception as exc:  # aggregated, reported with coordinates
+            errors.append((f"t={t}, delta={delta}", exc))
 
-    return _TimePayload(protocol=protocol, t_index=t_index, cells=out_cells,
-                        onsets=onsets, overlaps=overlaps,
+    if errors:
+        raise SweepCellError("cell failures: " + "; ".join(
+            f"({where}, {protocol}): {type(exc).__name__}: {exc}"
+            for where, exc in errors)) from errors[0][1]
+    return _TimePayload(cells=out_cells, onsets=onsets, overlaps=overlaps,
                         holevo_evaluations=evaluations)
 
 
@@ -502,22 +490,22 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
                 initargs=(config, couplings, time_grid)) as pool:
             payloads = list(pool.map(_worker_run, tasks))
 
-    by_key = {(p.protocol, p.t_index): p for p in payloads}
+    # Payloads come back in task order: protocol-major, then time.
     cells: List[AdequacyCell] = []
     overlaps: List[OverlapRecord] = []
-    trajectories: List[RedundancyTrajectory] = []
     evaluations = 0
-    for protocol in config.protocols:
-        for t_index in range(time_grid.size):
-            payload = by_key[(protocol, t_index)]
-            cells.extend(payload.cells)
-            overlaps.extend(payload.overlaps)
-            evaluations += payload.holevo_evaluations
-        for delta in config.deltas:
-            points = tuple(by_key[(protocol, i)].onsets[delta]
-                           for i in range(time_grid.size))
-            trajectories.append(RedundancyTrajectory(
-                delta=delta, protocol=protocol, points=points))
+    for payload in payloads:
+        cells.extend(payload.cells)
+        overlaps.extend(payload.overlaps)
+        evaluations += payload.holevo_evaluations
+    n_t = time_grid.size
+    trajectories = [
+        RedundancyTrajectory(
+            delta=delta, protocol=protocol,
+            points=tuple(p.onsets[d_index]
+                         for p in payloads[p_index * n_t:(p_index + 1) * n_t]))
+        for p_index, protocol in enumerate(config.protocols)
+        for d_index, delta in enumerate(config.deltas)]
 
     cells.sort(key=lambda c: (c.t, c.m, c.delta, c.protocol))
     overlaps.sort(key=lambda o: (o.t, o.m, o.protocol))
@@ -553,13 +541,13 @@ class OracleReport:
     passed: bool
 
 
-def oracle_report(config: RunConfig, band_alpha: float = 0.01) -> OracleReport:
+def oracle_report(config: RunConfig) -> OracleReport:
     """Cross-check sampled adequacy fractions against exact enumeration.
 
     Requires C(N, m) within the enumeration cap for every m on the grid.
     Three representative times (quartile indices of the grid) are checked;
     a cell passes when the exact fraction falls inside the sampled
-    (1 - band_alpha) Wilson band, and the report passes when at least
+    (1 - ORACLE_BAND_ALPHA) Wilson band, and the report passes when at least
     ORACLE_MIN_FRACTION of cells do.
     """
     for m in config.m_grid:
@@ -591,7 +579,7 @@ def oracle_report(config: RunConfig, band_alpha: float = 0.01) -> OracleReport:
                 k = int(np.sum(chi >= tol.threshold))
                 n = int(chi.size)
                 lo, hi = _wilson_bounds(np.array([k]), np.array([n]),
-                                        band_alpha)
+                                        ORACLE_BAND_ALPHA)
                 exact = float(np.mean(chi_exact >= tol.threshold))
                 cells.append(OracleCell(
                     t=t, m=m, delta=tol.delta, phi_hat=k / n, phi_exact=exact,

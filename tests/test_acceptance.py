@@ -100,7 +100,7 @@ def test_sampled_adequacy_matches_enumeration():
                         time_grid=TimeGridSpec(n_dense=6, n_coarse=6),
                         bootstrap_replicates=10, overlap_pairs=10,
                         master_seed=7)
-        report = oracle_report(cfg, band_alpha=0.01)
+        report = oracle_report(cfg)
         assert report.fraction_within >= 0.98, (
             f"only {report.fraction_within:.3f} of cells inside the band")
         assert report.passed

@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from qdfi import (AnalysisError, OnsetEstimate, RedundancyTrajectory,
-                  RunConfig, TimeGridSpec, fit_early_slope, onset_time,
-                  run_sweep, scaling_exponent, summary_table)
+from qdfi import (OnsetEstimate, RedundancyTrajectory, RunConfig,
+                  TimeGridSpec, fit_early_slope, onset_time, run_sweep,
+                  scaling_exponent, summary_table)
 
 LOG2_150000 = 17.194602975157967
 
@@ -132,14 +132,6 @@ class TestFitEarlySlope:
         times = np.arange(1, 5, dtype=float)
         traj = traj_from_lnr(times, 2.0 * times)
         assert fit_early_slope(traj) is None
-
-    def test_bad_arguments(self):
-        times = np.arange(1, 11, dtype=float)
-        traj = traj_from_lnr(times, 2.0 * times)
-        with pytest.raises(AnalysisError):
-            fit_early_slope(traj, min_points=1)
-        with pytest.raises(AnalysisError):
-            fit_early_slope(traj, min_points=8, max_window=6)
 
 
 class TestOnsetTime:

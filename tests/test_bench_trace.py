@@ -1,0 +1,49 @@
+"""The benchmark's trace contract, checked on every test run.
+
+bench/traced.py wraps the layer entry points that qdfi.sweep and qdfi.cli
+bind and counts the work done through them; bench/run.py rejects a run
+whose counts differ from its closed-form expected_counts.  This runs one
+traced simulate on the toy-size protocols-n2000 workload (both sampling
+protocols, eta, bootstrap) and checks every count, so a change that moves
+or renames a wrapped call fails here rather than only in the benchmark.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+
+
+def _bench_run_module():
+    spec = importlib.util.spec_from_file_location("bench_run",
+                                                  BENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_counts_match_expected(tmp_path):
+    run = _bench_run_module()
+    wl = run.WORKLOADS["protocols-n2000"]
+    cfg = run.workload_config(wl, wl.seed, smoke=True)
+    cfg_path = tmp_path / "config.txt"
+    run.write_config(cfg, cfg_path)
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "traced.py"), str(cfg_path),
+         str(tmp_path / "out")],
+        capture_output=True, text=True, cwd=ROOT, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(proc.stdout.strip().splitlines()[-1])
+
+    counts = trace["counts"]
+    for name, want in run.expected_counts(cfg).items():
+        assert counts[name] == want, name
+    assert counts["model.holevo_evals"] == trace["holevo_evaluations"]

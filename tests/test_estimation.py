@@ -208,7 +208,8 @@ class TestOnsetFromCurve:
         assert onset_from_curve(curve, 0.9) == 1
 
     def test_fit_classmethod(self):
-        curve = IsotonicCurve.fit([1, 2, 3], [0.3, 0.2, 0.5])
+        curve = IsotonicCurve(np.array([1, 2, 3]),
+                              isotonic_fit([0.3, 0.2, 0.5]))
         assert np.allclose(curve.phi_iso, [0.25, 0.25, 0.5])
 
     def test_curve_validation(self):

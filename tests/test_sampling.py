@@ -30,28 +30,28 @@ def _rows_as_tuples(sample):
 class TestFragmentSampleValidation:
     def test_accepts_sorted_rows(self):
         s = FragmentSample(indices=np.array([[0, 2], [1, 3]]),
-                           protocol="random", m=2, seed=0)
+                           protocol="random", m=2)
         s.validate(4)
 
     def test_rejects_out_of_range(self):
         s = FragmentSample(indices=np.array([[0, 5]]), protocol="random",
-                           m=2, seed=0)
+                           m=2)
         with pytest.raises(SamplingError):
             s.validate(4)
 
     def test_rejects_duplicate_within_row(self):
         with pytest.raises(SamplingError):
             FragmentSample(indices=np.array([[1, 1]]), protocol="random",
-                           m=2, seed=0).validate(4)
+                           m=2).validate(4)
 
     def test_rejects_unknown_protocol(self):
         with pytest.raises(SamplingError):
             FragmentSample(indices=np.array([[0, 1]]), protocol="fancy",
-                           m=2, seed=0)
+                           m=2)
 
     def test_disjoint_claim_is_checked(self):
         s = FragmentSample(indices=np.array([[0, 1], [1, 2]]),
-                           protocol="disjoint", m=2, seed=0)
+                           protocol="disjoint", m=2)
         with pytest.raises(SamplingError):
             s.validate(4)
 
@@ -199,12 +199,12 @@ class TestDisjointPartition:
             partition_disjoint(6, 7, seed=0)
 
     def test_block_cap(self):
-        s = partition_disjoint(5000, 10, seed=3, block_cap=400)
+        s = partition_disjoint(5000, 10, seed=3)
         assert s.n_fragments == 400
         s.validate(5000)
 
     def test_cap_never_exceeds_available_blocks(self):
-        s = partition_disjoint(12, 5, seed=1, block_cap=400)
+        s = partition_disjoint(12, 5, seed=1)
         assert s.n_fragments == 2
 
     def test_deterministic(self):
@@ -246,14 +246,14 @@ class TestOverlapEta:
 
     def test_identical_fragments_full_overlap(self):
         idx = np.tile(np.array([2, 5, 9]), (4, 1))
-        s = FragmentSample(indices=idx, protocol="random", m=3, seed=0)
+        s = FragmentSample(indices=idx, protocol="random", m=3)
         stat = estimate_overlap_eta(s, 20, seed=1)
         assert stat.eta == 1.0
 
     def test_single_pair_value(self):
         # {1,2} vs {2,3}: intersection 1, union 3
         idx = np.array([[1, 2], [2, 3]])
-        s = FragmentSample(indices=idx, protocol="random", m=2, seed=0)
+        s = FragmentSample(indices=idx, protocol="random", m=2)
         stat = estimate_overlap_eta(s, 1, seed=4)
         assert abs(stat.eta - 1 / 3) < 1e-15
 

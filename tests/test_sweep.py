@@ -332,6 +332,62 @@ class TestCellErrors:
         assert "m=2, random" in message
         assert "m=1," not in message and "m=3," not in message
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", ["isotonic_fit", "_bootstrap_counts"])
+    def test_onset_failure_names_every_delta(self, monkeypatch, name,
+                                             threads):
+        def broken(*args, **kwargs):
+            raise ValueError(f"{name} broke")
+
+        monkeypatch.setattr(qdfi.sweep, name, broken)
+        cfg = self._config()
+        assert cfg.bootstrap_enabled
+        t0 = float(build_time_grid(cfg.time_grid)[0])
+        with pytest.raises(SweepCellError) as err:
+            run_sweep(cfg, threads=threads)
+        message = str(err.value)
+        for delta in cfg.deltas:
+            assert (f"(t={t0}, delta={delta}, random): ValueError: "
+                    f"{name} broke") in message
+        assert message.count(f"{name} broke") == len(cfg.deltas)
+        cause = err.value.__cause__
+        if threads == 1:
+            assert isinstance(cause, ValueError)
+        else:  # a pool re-raises with the worker's traceback as the cause
+            assert f"ValueError: {name} broke" in str(cause)
+
+
+class TestFiSoftViolations:
+    @staticmethod
+    def _traj(*points):
+        """Trajectory at t = 1, 2, ... from (fi, m_star_lo, m_star_hi)."""
+        from qdfi import OnsetEstimate
+        estimates = tuple(
+            OnsetEstimate(t=float(t), delta=0.05, m_star=4, m_star_lo=lo,
+                          m_star_hi=hi, r=None, r_eff=None, eta=0.0, fi=fi,
+                          fi_eff=fi)
+            for t, (fi, lo, hi) in enumerate(points, start=1))
+        return RedundancyTrajectory(delta=0.05, protocol="random",
+                                    points=estimates)
+
+    def test_dip_wider_than_both_widths_counts(self):
+        # each width is log2(20 / 10) = 1 bit, so a dip of 3 > 1 + 1 counts
+        traj = self._traj((5.0, 10, 20), (2.0, 10, 20))
+        assert qdfi.sweep._fi_soft_violations([traj]) == 1
+
+    def test_dip_within_widths_is_noise(self):
+        traj = self._traj((5.0, 10, 20), (3.5, 10, 20))
+        assert qdfi.sweep._fi_soft_violations([traj]) == 0
+
+    def test_missing_bound_is_skipped(self):
+        traj = self._traj((5.0, 10, 20), (0.0, None, 20))
+        assert qdfi.sweep._fi_soft_violations([traj]) == 0
+
+    def test_run_stats_report_the_count(self):
+        result = run_sweep(small_config())
+        assert result.stats.fi_soft_violations == (
+            qdfi.sweep._fi_soft_violations(result.trajectories))
+
 
 class TestTrajectoryRecord:
     def test_times_must_increase(self):
