@@ -469,8 +469,8 @@ def _fi_soft_violations(
 def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     """Execute the full counting pipeline for one configuration.
 
-    threads > 1 fans the (protocol, t) work units over a process pool;
-    the result is identical for any thread count because all randomness
+    threads > 1 fans the (protocol, t) work units over a process pool of
+    at most one worker per unit; the result is identical for any thread count because all randomness
     is derived per cell and assembly order is canonical.
     """
     if threads < 1:
@@ -486,7 +486,8 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
                     for p, i in tasks]
     else:
         with ProcessPoolExecutor(
-                max_workers=threads, initializer=_worker_init,
+                max_workers=min(threads, len(tasks)),
+                initializer=_worker_init,
                 initargs=(config, couplings, time_grid)) as pool:
             payloads = list(pool.map(_worker_run, tasks))
 

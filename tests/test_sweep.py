@@ -256,6 +256,33 @@ class TestDeterminism:
         assert serial.trajectories == parallel.trajectories
         assert serial.overlaps == parallel.overlaps
 
+    def test_pool_never_exceeds_the_task_count(self, monkeypatch):
+        # a recorder stands in for the process pool and runs the tasks in
+        # this process, so no worker process is ever started
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer, initargs):
+                seen.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(qdfi.sweep, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(qdfi.sweep, "_WORKER", {})
+        # one protocol on the smallest valid time grid: three tasks
+        cfg = small_config(time_grid=TimeGridSpec(n_dense=2, n_coarse=1))
+        pooled = run_sweep(cfg, threads=64)
+        assert seen == [3]
+        assert pooled.cells == run_sweep(cfg).cells
+
     def test_master_seed_matters(self):
         a = run_sweep(small_config(master_seed=1))
         b = run_sweep(small_config(master_seed=2))
