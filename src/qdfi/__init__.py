@@ -16,9 +16,8 @@ Layout:
 """
 
 from ._version import __version__
-from .analysis import (AnalysisError, ScalingFit, SlopeFit, SummaryRow,
-                       fit_early_slope, onset_time, scaling_exponent,
-                       summary_table)
+from .analysis import (ScalingFit, SlopeFit, SummaryRow, fit_early_slope,
+                       onset_time, scaling_exponent, summary_table)
 from .estimation import (AdequacyCell, EstimationError, IsotonicCurve,
                          OnsetEstimate, RedundancyValues, adequacy_cell,
                          bootstrap_onset, combine_onset_ci, isotonic_fit,
@@ -44,7 +43,6 @@ from .io import (OutputBundle, parse_config, parse_config_text, read_metadata,
 __all__ = [
     "__version__",
     "AdequacyCell",
-    "AnalysisError",
     "ConfigError",
     "CouplingSet",
     "DegenerateCutoffError",

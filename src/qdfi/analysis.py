@@ -21,7 +21,6 @@ from .estimation import OnsetEstimate
 from .sweep import RedundancyTrajectory
 
 __all__ = [
-    "AnalysisError",
     "SlopeFit",
     "ScalingFit",
     "SummaryRow",
@@ -37,10 +36,6 @@ _LN2 = math.log(2.0)
 MIN_POINTS = 6
 MAX_WINDOW = 15
 MIN_R2 = 0.9
-
-
-class AnalysisError(ValueError):
-    """Invalid analysis input."""
 
 
 @dataclass(frozen=True)
