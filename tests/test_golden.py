@@ -5,9 +5,8 @@ everything written to ``--out``: the SHA-256 of the sorted file names,
 each followed by that file's bytes.  The cases between them cover the
 random, disjoint and exhaustive protocols, p0 on both sides of 1/2,
 non-default g and coupling_rate, bootstrap on and off, and both random
-samplers (rejection while it is expected to draw at most N indices per
-fragment, key ranking above).  One run is also
-carried through ``analyze`` and every ``plot-data`` figure, and the
+samplers (slot redraw while 8m <= N, key ranking above).  One run is
+also carried through ``analyze`` and every ``plot-data`` figure, and the
 enumerable config pins the exact numbers of ``oracle_report``.
 
 A change that alters any digest changes what the program writes; it is
@@ -59,7 +58,7 @@ CONFIGS = {
         master_seed = 3
     """,
     # random and disjoint, bootstrap off; the key-ranking sampler runs
-    # from m = 14 at N = 64, so for m = 16, 24, 32 on this grid
+    # from m = 9 at N = 64, so for m = 12, 16, 24, 32 on this grid
     "no-bootstrap-keys-n64": """
         N = 64
         coupling_rate = 2.0

@@ -3,7 +3,7 @@
 Uniformity checks use chi-square and Wilson bounds with seeds pinned, so
 they are deterministic.  Critical values frozen from scipy.stats.chi2.ppf
 run independently: 0.999 quantile at df=49 is 85.351, at df=5 is 20.515,
-at df=1023 is 1168.497.
+at df=14 is 36.123, at df=119 is 172.418, at df=1023 is 1168.497.
 """
 
 import itertools
@@ -12,14 +12,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qdfi import (FragmentSample, SamplingError, enumerate_fragments,
                   estimate_overlap_eta, partition_disjoint,
                   sample_random_fragments, wilson_interval)
 from qdfi import sampling
-from qdfi.sampling import _distinct_rows_by_keys, _rejection_is_cheaper
+from qdfi.sampling import (_distinct_rows_by_keys, _distinct_rows_by_redraw,
+                           _redraw_is_cheaper)
 
+CHI2_999_DF14 = 36.123
 CHI2_999_DF49 = 85.351
+CHI2_999_DF119 = 172.418
 CHI2_999_DF1023 = 1168.497
 
 
@@ -70,8 +74,8 @@ class TestRandomFragments:
 
     def test_rows_sorted_and_valid(self):
         # spans both internal sampling paths
-        assert _rejection_is_cheaper(40, 7)
-        assert not _rejection_is_cheaper(40, 20)
+        assert _redraw_is_cheaper(40, 5)
+        assert not _redraw_is_cheaper(40, 6)
         for m in (1, 3, 7, 20, 39):
             s = sample_random_fragments(40, m, 200, seed=2)
             s.validate(40)
@@ -87,7 +91,7 @@ class TestRandomFragments:
         assert chi2 < CHI2_999_DF49
 
     def test_pair_frequencies(self):
-        # N=4, m=2: all 6 pairs near 1/6 (exercises the rejection path)
+        # N=4, m=2: all 6 pairs near 1/6 (8m > N: the key-ranking path)
         n = 60_000
         s = sample_random_fragments(4, 2, n, seed=19)
         seen = {}
@@ -113,20 +117,56 @@ class TestRandomFragments:
             assert lo <= 1 / subsets <= hi
 
     def test_enumerable_uniformity_wilson(self):
-        # N=6, m=3: rejection draws m/P = 5.4 <= N indices per row
-        assert _rejection_is_cheaper(6, 3)
+        # N=6, m=3: 8m > N, so the key-ranking path runs
+        assert not _redraw_is_cheaper(6, 3)
         self._assert_subsets_uniform(6, 3, seed=23)
 
     def test_enumerable_uniformity_wilson_keys(self):
-        # N=6, m=4: m/P = 14.4 > N, so the key-ranking path runs
-        assert not _rejection_is_cheaper(6, 4)
+        # N=6, m=4: 8m > N, so the key-ranking path runs
+        assert not _redraw_is_cheaper(6, 4)
         self._assert_subsets_uniform(6, 4, seed=29)
 
-    @pytest.mark.parametrize("m, by_rejection", [(72, True), (80, False)])
-    def test_site_uniformity_at_the_crossover(self, m, by_rejection):
+    @pytest.mark.parametrize("n_sites, m, critical", [
+        (16, 2, CHI2_999_DF119),  # the public rule's redraw side, 8m = N
+        (6, 4, CHI2_999_DF14),  # 72% of first draws repeat a site
+    ])
+    def test_redraw_all_subsets_chi_square(self, n_sites, m, critical):
+        # every one of the C(N, m) subsets against 1/C(N, m), exact on the
+        # redraw path whatever the share of rows that repeat
+        n = 120_000
+        rows = _distinct_rows_by_redraw(sampling._rng(37), n_sites, m, n)
+        FragmentSample(indices=rows, protocol="random", m=m).validate(n_sites)
+        subsets = math.comb(n_sites, m)
+        codes = (rows * n_sites ** np.arange(m)).sum(axis=1)
+        counts = np.unique(codes, return_counts=True)[1]
+        assert counts.size == subsets
+        expected = n / subsets
+        chi2 = float(np.sum((counts - expected) ** 2 / expected))
+        assert chi2 < critical
+
+    def test_rows_without_a_repeat_keep_the_plain_draw(self):
+        # the first draw is kept as is wherever it repeats no site
+        def plain(n_sites, m, n_rows, seed):
+            idx = sampling._rng(seed).integers(0, n_sites, size=(n_rows, m),
+                                               dtype=np.int64)
+            return np.sort(idx, axis=1)
+
+        first = plain(150_000, 8, 50, 43)
+        assert np.all(np.diff(first, axis=1) > 0)
+        s = sample_random_fragments(150_000, 8, 50, seed=43)
+        assert np.array_equal(s.indices, first)
+
+        first = plain(1024, 64, 400, 43)
+        clean = np.all(np.diff(first, axis=1) > 0, axis=1)
+        assert 0 < clean.sum() < 400
+        s = sample_random_fragments(1024, 64, 400, seed=43)
+        assert np.array_equal(s.indices[clean], first[clean])
+
+    @pytest.mark.parametrize("m, by_redraw", [(128, True), (129, False)])
+    def test_site_uniformity_at_the_crossover(self, m, by_redraw):
         # N=1024 on either side of the rule: every site is drawn with
         # probability m/N per fragment, df = 1023
-        assert _rejection_is_cheaper(1024, m) is by_rejection
+        assert _redraw_is_cheaper(1024, m) is by_redraw
         n = 4000
         s = sample_random_fragments(1024, m, n, seed=31)
         s.validate(1024)
@@ -134,13 +174,6 @@ class TestRandomFragments:
         expected = n * m / 1024
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         assert chi2 < CHI2_999_DF1023
-
-    def test_small_fragments_keep_rejection(self):
-        # every cell that used rejection under the old m^2 <= N rule
-        # still does, so its draws are unchanged
-        for n_sites in range(2, 2001):
-            for m in range(1, math.isqrt(n_sites) + 1):
-                assert _rejection_is_cheaper(n_sites, m), (n_sites, m)
 
     def test_chunked_keys_match_one_shot_draw(self):
         def one_shot(rng, n_sites, m, n_rows):
@@ -159,16 +192,35 @@ class TestRandomFragments:
             assert np.array_equal(got, want), (n_sites, m)
 
     def test_key_path_memory_is_bounded(self):
-        # the one-shot key matrix would be 1000 x 20000 float64 = 160 MB
-        assert not _rejection_is_cheaper(20000, 400)
+        # the one-shot key matrix would be 500 x 20000 float64 = 80 MB
+        assert not _redraw_is_cheaper(20000, 2560)
         tracemalloc.start()
         try:
-            s = sample_random_fragments(20000, 400, 1000, seed=3)
+            s = sample_random_fragments(20000, 2560, 500, seed=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert s.indices.shape == (1000, 400)
+        assert s.indices.shape == (500, 2560)
         assert peak < 40 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+    @given(st.data())
+    def test_rows_valid_and_seeded_on_both_paths(self, data):
+        # either side of 8m <= N, for N <= 64 and up to 50 fragments
+        if data.draw(st.booleans(), label="redraw"):
+            n_sites = data.draw(st.integers(8, 64), label="N")
+            m = data.draw(st.integers(1, n_sites // 8), label="m")
+        else:
+            n_sites = data.draw(st.integers(1, 64), label="N")
+            m = data.draw(st.integers(n_sites // 8 + 1, n_sites), label="m")
+        n = data.draw(st.integers(1, 50), label="n")
+        seed = data.draw(st.integers(0, 2 ** 64 - 1), label="seed")
+        s = sample_random_fragments(n_sites, m, n, seed=seed)
+        rows = s.indices
+        assert rows.shape == (n, m)
+        assert rows.min() >= 0 and rows.max() < n_sites
+        assert np.all(np.diff(rows, axis=1) > 0)
+        again = sample_random_fragments(n_sites, m, n, seed=seed)
+        assert np.array_equal(again.indices, rows)
 
     def test_errors(self):
         with pytest.raises(SamplingError):
