@@ -90,26 +90,26 @@ CONFIGS = {
 
 SIMULATE_DIGESTS = {
     "random-bootstrap-n40":
-        "4f20909396a2a7a9d28ac7be49fe4cb4268cae8f747e4dc989c376a067ac68e5",
+        "3871960b346f4f234cdf83ec72461a5e1cd7d99e79715f859dbd81f545d16a84",
     "protocols-p03-n300":
-        "3f121ec079c0b2d1f2e3f27677674d4cca5690f96b977ac1b6123d2ddea4b3f2",
+        "8d6c815c35664b5996fb7e88b0f3e662b02061c1a5799f7436168ace21dd5fd5",
     "no-bootstrap-keys-n64":
-        "c4d5ffd1e502d97cc439cc227f50f335b370d5c7e974728cfc649e54e949b928",
+        "333ceb188c952a72d8ec0d14633184aed2f8363f68ef58fdb8ad3906abbb36c8",
     "exhaustive-p07-n12":
-        "45f20e41292e4cf01d60759952525f35adab1ec7a5b4ece899b69884b021ab65",
+        "29bd4443f2e41bb88059a68e9ac8105d2d2633526a6b44152470b6c44caa6144",
 }
 
 # analyze and the five plot-data figures, from the protocols-p03-n300 run
 ANALYSIS_RUN = "protocols-p03-n300"
 ANALYZE_DIGEST = (
-    "c0eb318105d48934136ad4f4ba0a93b34809a276ec41c748f94092c43179937b")
+    "c88af9f326ca38cdee1ad3339387be9fbd76dbcbcec6c224156031d018b2b5c4")
 PLOT_DATA_DIGEST = (
-    "37e90b9f82795f7047ffffe95b7f85a7c00a95f256eaeac1f33e0f17e85c7b69")
+    "105afa968940076b5beb4896245df7e41fafb6f39d8f581b8dad44040f35cea6")
 
 # oracle_report on exhaustive-p07-n12: (cells, max |phi_hat - phi_exact|,
 # within-band fraction), compared exactly
 ORACLE_RUN = "exhaustive-p07-n12"
-ORACLE_EXPECTED = (72, 0.05727272727272725, 1.0)
+ORACLE_EXPECTED = (72, 0.0854545454545454, 1.0)
 
 
 def _config_text(name):
