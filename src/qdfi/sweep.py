@@ -470,8 +470,9 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     """Execute the full counting pipeline for one configuration.
 
     threads > 1 fans the (protocol, t) work units over a process pool of
-    at most one worker per unit; the result is identical for any thread count because all randomness
-    is derived per cell and assembly order is canonical.
+    at most one worker per unit; the result is identical for any thread
+    count because all randomness is derived per cell and assembly order
+    is canonical.
     """
     if threads < 1:
         raise ConfigError("threads must be >= 1")
