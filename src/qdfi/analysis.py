@@ -147,22 +147,16 @@ def onset_time(traj: RedundancyTrajectory) -> Optional[float]:
 
 
 def scaling_exponent(traj: RedundancyTrajectory,
-                     m_cap: Optional[int] = None) -> Optional[ScalingFit]:
+                     m_cap: int) -> Optional[ScalingFit]:
     """Log-log slope of m*(t) on the pre-plateau window.
 
-    Qualifying points have 1 < m* < m_cap: the boundaries are excluded
-    because a clamped onset carries no scaling information.  m_cap should
-    be the top of the m grid; when omitted, the largest observed onset is
-    used, which drops any early grid-edge points conservatively.  Needs
-    at least 4 qualifying points; the dephasing mean-field reference
-    value is -2.
+    Qualifying points have 1 < m* < m_cap, where m_cap is the top of the
+    m grid: the boundaries are excluded because a clamped onset carries
+    no scaling information.  Needs at least 4 qualifying points; the
+    dephasing mean-field reference value is -2.
     """
-    present = [p for _, p in _present_points(traj)]
-    if not present:
-        return None
-    if m_cap is None:
-        m_cap = max(p.m_star for p in present)
-    pts = [(p.t, p.m_star) for p in present if 1 < p.m_star < m_cap]
+    pts = [(p.t, p.m_star) for _, p in _present_points(traj)
+           if 1 < p.m_star < m_cap]
     if len(pts) < 4:
         return None
     x = np.log(np.array([t for t, _ in pts]))
@@ -191,5 +185,5 @@ def summary_table(trajectories: Sequence[RedundancyTrajectory],
             final_fi=present[-1].fi if present else None,
             kappa=fit.kappa if fit is not None else None,
             r2=fit.r2 if fit is not None else None,
-            t_star=present[0].t if present else None))
+            t_star=onset_time(traj)))
     return rows

@@ -367,8 +367,9 @@ class OnsetEstimate:
 
     m_star is None when the smoothed curve never reaches theta on the m
     grid; the derived fields are then None as well.  eta records the
-    overlap actually used for the corrected values (0.0 when the family
-    had a single fragment and no pair estimate existed).
+    overlap used for the corrected values: 0.0 when the onset family had
+    a single fragment or its sampled pairs all saw one set (eta = 1, as
+    at m* = N), leaving R_eff = R.
     """
 
     t: float

@@ -232,34 +232,29 @@ class PointerEnsemble:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Adequacy tolerance delta, onset quantile theta, and the derived
-    information threshold (1 - delta) * H_S in bits.
+    """Adequacy tolerance delta and the derived information threshold
+    (1 - delta) * H_S in bits.
 
     delta = 0 is rejected: the exact-information limit makes the overlap
     cutoff degenerate, so deltas below 1e-4 are refused outright.
     """
 
     delta: float
-    theta: float
     threshold: float
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.delta) and 1e-4 <= self.delta < 1.0):
             raise DomainError(
                 f"delta must lie in [1e-4, 1), got {self.delta}")
-        if not (math.isfinite(self.theta) and 0.0 < self.theta < 1.0):
-            raise DomainError(f"theta must lie in (0, 1), got {self.theta}")
         if not (math.isfinite(self.threshold) and self.threshold >= 0.0):
             raise DomainError("threshold must be nonnegative")
 
     @classmethod
-    def for_entropy(cls, delta: float, theta: float = 0.9,
-                    entropy: float = 1.0) -> "Tolerance":
+    def for_entropy(cls, delta: float, entropy: float = 1.0) -> "Tolerance":
         """Build the tolerance for a system with pointer entropy H_S."""
         if not (math.isfinite(entropy) and entropy >= 0.0):
             raise DomainError("entropy must be nonnegative")
-        return cls(delta=delta, theta=theta,
-                   threshold=(1.0 - delta) * entropy)
+        return cls(delta=delta, threshold=(1.0 - delta) * entropy)
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .estimation import (AdequacyCell, IsotonicCurve, OnsetEstimate,
-                         _bootstrap_counts, _wilson_bounds, adequacy_cell,
-                         combine_onset_ci, isotonic_fit, onset_ci_inversion,
-                         onset_from_curve, redundancy_fi)
-from .model import CouplingSet, PointerEnsemble, Tolerance, holevo_biased
+                         _bootstrap_counts, adequacy_cell, combine_onset_ci,
+                         isotonic_fit, onset_ci_inversion, onset_from_curve,
+                         redundancy_fi)
+from .model import (CouplingSet, PointerEnsemble, Tolerance, holevo_biased,
+                    is_adequate)
 from .sampling import (DEFAULT_ENUMERATION_CAP, PROTOCOLS, FragmentSample,
                        enumerate_fragments, estimate_overlap_eta,
                        partition_disjoint, sample_random_fragments)
@@ -221,6 +222,8 @@ class RunConfig:
             raise ConfigError("overlap_pairs must be >= 1")
         if self.enumeration_cap < 1:
             raise ConfigError("enumeration_cap must be >= 1")
+        if "exhaustive" in self.protocols:
+            _check_enumerable(self)
         if not (0 <= self.master_seed <= _MASK64):
             raise ConfigError("master_seed must fit in 64 bits")
 
@@ -234,6 +237,16 @@ class RunConfig:
         seed = derive_cell_seed(self.master_seed, purpose=PURPOSE_COUPLINGS)
         return CouplingSet.exponential(self.n_sites, self.coupling_rate,
                                        self.g, seed)
+
+
+def _check_enumerable(config: RunConfig) -> None:
+    """Raise ConfigError unless every C(N, m) on the grid fits the cap."""
+    for m in config.m_grid:
+        count = math.comb(config.n_sites, m)
+        if count > config.enumeration_cap:
+            raise ConfigError(
+                f"m = {m} is not enumerable: C({config.n_sites}, {m}) = "
+                f"{count} exceeds enumeration_cap {config.enumeration_cap}")
 
 
 @dataclass(frozen=True)
@@ -298,20 +311,25 @@ def _sample_cell(config: RunConfig, t_index: int, m_index: int,
 def _tolerances(config: RunConfig) -> List[Tolerance]:
     """The adequacy tolerance of each configured delta, in config order."""
     entropy = PointerEnsemble(config.p0).entropy
-    return [Tolerance.for_entropy(d, config.theta, entropy)
-            for d in config.deltas]
+    return [Tolerance.for_entropy(d, entropy) for d in config.deltas]
 
 
-def _fragment_chi(config: RunConfig, couplings: CouplingSet, t: float,
-                  indices: np.ndarray) -> np.ndarray:
-    """Holevo information chi at time t of each fragment in ``indices``
-    (one row of site indices per fragment).
+def _fragment_cells(config: RunConfig, couplings: CouplingSet, t: float,
+                    sample: FragmentSample, tols: Sequence[Tolerance],
+                    alpha: float) -> Tuple[np.ndarray, List[AdequacyCell]]:
+    """Holevo information chi at time t of each fragment of ``sample``,
+    and per tolerance in ``tols`` the AdequacyCell of its adequacy flags.
 
     The log overlap is -g^2 t^2 times the fragment's coupling sum, as in
     model.log_overlap; the operation order below fixes the output bytes.
     """
-    sums = couplings.couplings[indices].sum(axis=1)
-    return holevo_biased(-(config.g ** 2) * (t * t) * sums, config.p0)
+    sums = couplings.couplings[sample.indices].sum(axis=1)
+    chi = holevo_biased(-(config.g ** 2) * (t * t) * sums, config.p0)
+    cells = [adequacy_cell(is_adequate(chi, tol), t=t, m=sample.m,
+                           delta=tol.delta, protocol=sample.protocol,
+                           alpha=alpha)
+             for tol in tols]
+    return chi, cells
 
 
 def cell_chi_values(config: RunConfig, couplings: CouplingSet,
@@ -324,8 +342,8 @@ def cell_chi_values(config: RunConfig, couplings: CouplingSet,
     -level distribution without storing it.
     """
     sample = _sample_cell(config, t_index, m_index, protocol)
-    return _fragment_chi(config, couplings, float(time_grid[t_index]),
-                         sample.indices)
+    return _fragment_cells(config, couplings, float(time_grid[t_index]),
+                           sample, (), config.alpha)[0]
 
 
 @dataclass
@@ -345,7 +363,7 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
     tols = _tolerances(config)
     proto_id = _PROTOCOL_IDS[protocol]
 
-    cells_by_delta: List[List[AdequacyCell]] = [[] for _ in tols]
+    cells_by_m: List[List[AdequacyCell]] = []
     eta_by_m: Dict[int, float] = {}
     overlaps: List[OverlapRecord] = []
     evaluations = 0
@@ -357,7 +375,8 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
     for m_index, m in enumerate(config.m_grid):
         try:
             sample = _sample_cell(config, t_index, m_index, protocol)
-            chi = _fragment_chi(config, couplings, t, sample.indices)
+            chi, cells = _fragment_cells(config, couplings, t, sample, tols,
+                                         config.alpha)
             evaluations += int(chi.size)
 
             if sample.n_fragments >= 2:
@@ -369,13 +388,10 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
                 overlaps.append(OverlapRecord(t=t, m=m, protocol=protocol,
                                               eta=stat.eta,
                                               pairs_used=stat.pairs_used))
-                eta_by_m[m] = stat.eta
-
-            for cells, tol in zip(cells_by_delta, tols):
-                flags = chi >= tol.threshold
-                cells.append(adequacy_cell(flags, t=t, m=m, delta=tol.delta,
-                                           protocol=protocol,
-                                           alpha=config.alpha))
+                # pairs that all saw one set (eta = 1, as at m = N) leave
+                # the onset uncorrected, like a single-fragment family
+                eta_by_m[m] = stat.eta if stat.eta < 1.0 else 0.0
+            cells_by_m.append(cells)
         except Exception as exc:  # aggregated, reported with coordinates
             errors.append((f"t={t}, m={m}", exc))
 
@@ -384,7 +400,7 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
     m_arr = np.asarray(config.m_grid, dtype=np.int64)
     # Onsets need every cell of the time point: none is computed once a
     # cell has failed.
-    for d_index, cells in enumerate([] if errors else cells_by_delta):
+    for d_index, cells in enumerate([] if errors else zip(*cells_by_m)):
         delta = config.deltas[d_index]
         try:
             n_arr = np.array([c.n for c in cells], dtype=float)
@@ -544,20 +560,16 @@ class OracleReport:
 
 
 def oracle_report(config: RunConfig) -> OracleReport:
-    """Cross-check sampled adequacy fractions against exact enumeration.
+    """Cross-check the sweep's fragment -> cell kernel against enumeration.
 
     Requires C(N, m) within the enumeration cap for every m on the grid.
-    Three representative times (quartile indices of the grid) are checked;
+    At three times (quartile indices of the grid) the kernel counts each
+    cell's random family and the exact family of all C(N, m) fragments;
     a cell passes when the exact fraction falls inside the sampled
-    (1 - ORACLE_BAND_ALPHA) Wilson band, and the report passes when at least
-    ORACLE_MIN_FRACTION of cells do.
+    (1 - ORACLE_BAND_ALPHA) Wilson band, and the report passes when at
+    least ORACLE_MIN_FRACTION of cells do.
     """
-    for m in config.m_grid:
-        count = math.comb(config.n_sites, m)
-        if count > config.enumeration_cap:
-            raise ConfigError(
-                f"oracle needs enumerable cells; C({config.n_sites}, {m}) "
-                f"= {count} exceeds cap {config.enumeration_cap}")
+    _check_enumerable(config)
     couplings = config.couplings()
     time_grid = build_time_grid(config.time_grid)
     n_t = time_grid.size
@@ -572,21 +584,17 @@ def oracle_report(config: RunConfig) -> OracleReport:
                                            config.enumeration_cap)
         for t_index in t_indices:
             t = float(time_grid[t_index])
-            chi = cell_chi_values(config, couplings, time_grid, t_index,
-                                  m_index, "random")
-            chi_exact = _fragment_chi(config, couplings, t,
-                                      exact_sample.indices)
-            cells = by_coords[(t_index, m_index)] = []
-            for tol in tols:
-                k = int(np.sum(chi >= tol.threshold))
-                n = int(chi.size)
-                lo, hi = _wilson_bounds(np.array([k]), np.array([n]),
-                                        ORACLE_BAND_ALPHA)
-                exact = float(np.mean(chi_exact >= tol.threshold))
-                cells.append(OracleCell(
-                    t=t, m=m, delta=tol.delta, phi_hat=k / n, phi_exact=exact,
-                    ci_low=float(lo[0]), ci_high=float(hi[0]),
-                    within=bool(lo[0] <= exact <= hi[0])))
+            sample = _sample_cell(config, t_index, m_index, "random")
+            _, sampled = _fragment_cells(config, couplings, t, sample, tols,
+                                         ORACLE_BAND_ALPHA)
+            _, exact = _fragment_cells(config, couplings, t, exact_sample,
+                                       tols, ORACLE_BAND_ALPHA)
+            by_coords[(t_index, m_index)] = [
+                OracleCell(t=t, m=m, delta=s.delta, phi_hat=s.p_hat,
+                           phi_exact=e.p_hat, ci_low=s.ci_low,
+                           ci_high=s.ci_high,
+                           within=s.ci_low <= e.p_hat <= s.ci_high)
+                for s, e in zip(sampled, exact)]
     out = [c for coords in sorted(by_coords) for c in by_coords[coords]]
 
     max_dev = max(abs(c.phi_hat - c.phi_exact) for c in out)

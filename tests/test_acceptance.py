@@ -184,7 +184,7 @@ def test_monotonicity_invariants():
             total = float(lam.couplings[members].sum())
             chi = holevo_biased(-(0.5 ** 2) * grid ** 2 * total, 0.5)
             for delta in (0.01, 0.05, 0.1):
-                tol = Tolerance.for_entropy(delta, 0.5, 1.0)
+                tol = Tolerance.for_entropy(delta, 1.0)
                 flags = chi >= tol.threshold
                 assert np.all(np.diff(flags.astype(int)) >= 0)
 

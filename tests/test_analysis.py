@@ -170,7 +170,7 @@ class TestScalingExponent:
     def test_constant_onset_has_no_scaling(self):
         times = np.arange(1, 11, dtype=float)
         traj = make_traj(times, [3] * 10, n_sites=30)
-        assert scaling_exponent(traj) is None
+        assert scaling_exponent(traj, m_cap=16) is None
 
     def test_too_few_points(self):
         times = np.arange(1, 4, dtype=float)

@@ -10,11 +10,14 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from qdfi import (ConfigError, OutputBundle, RunConfig, TimeGridSpec,
+from qdfi import (ConfigError, OnsetEstimate, OutputBundle,
+                  RedundancyTrajectory, RunConfig, TimeGridSpec,
                   parse_config_text, read_metadata, read_onset_table,
                   run_sweep, serialize_config, write_tables)
 from qdfi.cli import main
+from qdfi.sampling import PROTOCOLS
 
 FAST_CFG = """
 # compact but real run
@@ -29,6 +32,65 @@ bootstrap_B = 100
 overlap_pairs = 30
 master_seed = 5
 """
+
+
+def _open_unit(**kw):
+    """Floats strictly inside (0, 1)."""
+    return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, **kw)
+
+
+@st.composite
+def valid_configs(draw):
+    """RunConfigs with every key drawn from its valid range."""
+    n_sites = draw(st.integers(2, 20), label="N")
+    m_grid = sorted(draw(st.sets(st.integers(1, n_sites), min_size=1),
+                         label="m_grid"))
+    protocols = draw(st.lists(st.sampled_from(PROTOCOLS), min_size=1,
+                              max_size=3, unique=True), label="protocols")
+    # an exhaustive run needs every C(N, m) within the cap
+    least_cap = (max(math.comb(n_sites, m) for m in m_grid)
+                 if "exhaustive" in protocols else 1)
+    t_min, t_knee, t_max = draw(st.lists(
+        st.floats(1e-6, 1e3), min_size=3, max_size=3, unique=True),
+        label="times")
+    positive = st.floats(1e-3, 1e3)
+    return RunConfig(
+        n_sites=n_sites, g=draw(positive, label="g"),
+        coupling_rate=draw(positive, label="coupling_rate"),
+        p0=draw(_open_unit(), label="p0"),
+        deltas=draw(st.lists(st.floats(1e-4, 1.0, exclude_max=True),
+                             min_size=1, max_size=4, unique=True),
+                    label="deltas"),
+        theta=draw(_open_unit(), label="theta"), protocols=protocols,
+        n_fragments=draw(st.integers(1, 10 ** 6), label="n_fragments"),
+        m_grid=m_grid,
+        time_grid=TimeGridSpec(
+            *sorted((t_min, t_knee, t_max)),
+            n_dense=draw(st.integers(2, 200), label="n_dense"),
+            n_coarse=draw(st.integers(1, 200), label="n_coarse")),
+        alpha=draw(_open_unit(), label="alpha"),
+        bootstrap_replicates=draw(st.integers(1, 10 ** 6), label="B"),
+        bootstrap_budget=draw(st.integers(0, 10 ** 9), label="budget"),
+        overlap_pairs=draw(st.integers(1, 10 ** 6), label="pairs"),
+        enumeration_cap=draw(st.integers(least_cap, least_cap + 10 ** 6),
+                             label="cap"),
+        master_seed=draw(st.integers(0, 2 ** 64 - 1), label="seed"))
+
+
+@st.composite
+def onset_estimates(draw, t, delta):
+    """One onset at (t, delta): absent, or present with optional bounds."""
+    if not draw(st.booleans(), label="present"):
+        return OnsetEstimate(t=t, delta=delta, m_star=None, m_star_lo=None,
+                             m_star_hi=None, r=None, r_eff=None, eta=None,
+                             fi=None, fi_eff=None)
+    size = st.integers(1, 10 ** 6)
+    optional_size = st.none() | size
+    real = st.floats(allow_nan=False, allow_infinity=False)
+    return OnsetEstimate(
+        t=t, delta=delta, m_star=draw(size), m_star_lo=draw(optional_size),
+        m_star_hi=draw(optional_size), r=draw(real), r_eff=draw(real),
+        eta=draw(real), fi=draw(real), fi_eff=draw(real))
 
 
 @pytest.fixture()
@@ -101,6 +163,10 @@ class TestConfigParsing:
         cfg = RunConfig()
         assert parse_config_text(serialize_config(cfg)) == cfg
 
+    @given(valid_configs())
+    def test_round_trip_generated(self, cfg):
+        assert parse_config_text(serialize_config(cfg)) == cfg
+
 
 class TestTableWriting:
     def test_header_only_phi_for_empty_cells(self, tmp_path):
@@ -161,6 +227,27 @@ class TestTableWriting:
                 assert a.m_star == b.m_star
                 assert a.r == b.r
                 assert a.fi == b.fi
+
+    @given(st.data())
+    def test_onset_table_round_trip_generated(self, tmp_path_factory, data):
+        cfg = RunConfig(
+            n_sites=10,
+            deltas=data.draw(st.lists(st.floats(1e-4, 1.0, exclude_max=True),
+                                      min_size=1, max_size=3, unique=True),
+                             label="deltas"),
+            protocols=data.draw(st.lists(st.sampled_from(PROTOCOLS),
+                                         min_size=1, max_size=3, unique=True),
+                                label="protocols"),
+            theta=data.draw(_open_unit(), label="theta"))
+        times = sorted(data.draw(st.sets(st.floats(0.0, 1e3), min_size=1,
+                                         max_size=5), label="times"))
+        trajectories = [
+            RedundancyTrajectory(delta=delta, protocol=protocol, points=tuple(
+                data.draw(onset_estimates(t, delta)) for t in times))
+            for protocol in cfg.protocols for delta in cfg.deltas]
+        out = tmp_path_factory.mktemp("onsets")
+        write_tables(OutputBundle(config=cfg, trajectories=trajectories), out)
+        assert read_onset_table(out, cfg) == trajectories
 
     def test_theta_mismatch_detected(self, tmp_path):
         cfg = RunConfig(n_sites=10, n_fragments=50, m_grid=(1, 2),
@@ -237,6 +324,14 @@ class TestCliCommands:
         bad.write_text("N = -3\n", encoding="utf-8")
         assert main(["simulate", "--config", str(bad),
                      "--out", str(tmp_path / "o")]) == 1
+
+    def test_unenumerable_exhaustive_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "exhaustive.cfg"
+        cfg.write_text("N = 30\nprotocols = exhaustive\nm_grid = 15\n",
+                       encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "C(30, 15)" in capsys.readouterr().err
 
     def test_missing_run_dir_exits_1(self, tmp_path):
         assert main(["report", "--in", str(tmp_path / "ghost")]) == 1

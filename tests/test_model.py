@@ -194,11 +194,11 @@ class TestAdequacy:
 
 class TestOverlapCutoff:
     def test_full_information_needs_orthogonality(self):
-        tol = Tolerance(delta=0.5, theta=0.9, threshold=1.0)
+        tol = Tolerance(delta=0.5, threshold=1.0)
         assert abs(overlap_cutoff(tol)) < 1e-9
 
     def test_zero_threshold_admits_anything(self):
-        tol = Tolerance(delta=0.5, theta=0.9, threshold=0.0)
+        tol = Tolerance(delta=0.5, threshold=0.0)
         assert abs(overlap_cutoff(tol) - 1.0) < 1e-12
 
     def test_frozen_value(self):
@@ -222,7 +222,7 @@ class TestOverlapCutoff:
 class TestMeanField:
     def _unit_cut_tol(self):
         # threshold chosen so -ln c_delta = 1 exactly
-        return Tolerance(delta=0.05, theta=0.9, threshold=THRESH_CUT_INV_E)
+        return Tolerance(delta=0.05, threshold=THRESH_CUT_INV_E)
 
     def _flat_couplings(self, n):
         return CouplingSet(couplings=np.ones(n), g=0.5)
@@ -260,9 +260,9 @@ class TestMeanField:
     def test_degenerate_cutoff(self):
         lam = self._flat_couplings(10)
         with pytest.raises(DegenerateCutoffError):
-            mean_field_onset(1.0, Tolerance(0.5, 0.9, threshold=1.0), lam)
+            mean_field_onset(1.0, Tolerance(0.5, threshold=1.0), lam)
         with pytest.raises(DegenerateCutoffError):
-            mean_field_onset(1.0, Tolerance(0.5, 0.9, threshold=0.0), lam)
+            mean_field_onset(1.0, Tolerance(0.5, threshold=0.0), lam)
 
     def test_zero_time_rejected(self):
         with pytest.raises(DomainError):
@@ -292,7 +292,7 @@ class TestCapacity:
 
 class TestLandauer:
     def test_one_full_record(self):
-        tol = Tolerance(delta=1e-4, theta=0.9, threshold=1.0)
+        tol = Tolerance(delta=1e-4, threshold=1.0)
         assert landauer_min_heat(1.0, tol, kt_ln2=1.0) == 1.0
 
     def test_no_records_no_heat(self):
@@ -353,9 +353,9 @@ class TestPointerEnsemble:
 
 class TestTolerance:
     def test_threshold_formula(self):
-        tol = Tolerance.for_entropy(0.1, theta=0.8, entropy=0.9)
+        tol = Tolerance.for_entropy(0.1, entropy=0.9)
         assert abs(tol.threshold - 0.81) < 1e-15
-        assert tol.delta == 0.1 and tol.theta == 0.8
+        assert tol.delta == 0.1
 
     def test_delta_bounds(self):
         with pytest.raises(DomainError):
@@ -364,7 +364,3 @@ class TestTolerance:
             Tolerance.for_entropy(1.0)
         with pytest.raises(DomainError):
             Tolerance.for_entropy(1e-5)
-
-    def test_theta_bounds(self):
-        with pytest.raises(DomainError):
-            Tolerance(delta=0.05, theta=0.0, threshold=0.5)

@@ -24,3 +24,19 @@ def test_exports_are_bound_and_unique():
     assert len(qdfi.__all__) == len(set(qdfi.__all__))
     for name in qdfi.__all__:
         assert hasattr(qdfi, name), name
+
+
+def test_private_names_stay_in_their_module():
+    # the one exception: the bench times the bootstrap where qdfi.sweep
+    # binds it, so sweep imports estimation's private batch routine
+    crossings = set()
+    for path in Path(qdfi.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                crossings.update(
+                    (path.stem, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                    and not alias.name.endswith("__"))
+    assert crossings == {("sweep", "estimation", "_bootstrap_counts")}

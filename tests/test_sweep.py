@@ -106,6 +106,11 @@ class TestRunConfig:
         assert small_config().bootstrap_enabled
         assert not small_config(bootstrap_budget=10).bootstrap_enabled
 
+    def test_unenumerable_exhaustive_rejected(self):
+        with pytest.raises(ConfigError, match=r"m = 15 .*C\(30, 15\) = "
+                                              r"155117520"):
+            RunConfig(n_sites=30, protocols=("exhaustive",), m_grid=(15,))
+
 
 class TestSweepExactness:
     def test_exhaustive_matches_enumeration(self):
@@ -126,7 +131,7 @@ class TestSweepExactness:
             assert cell.n == math.comb(4, cell.m)
             sums = lam.couplings[sample.indices].sum(axis=1)
             chi = holevo_biased(-(cfg.g ** 2) * cell.t ** 2 * sums, cfg.p0)
-            tol = Tolerance.for_entropy(cell.delta, cfg.theta, entropy)
+            tol = Tolerance.for_entropy(cell.delta, entropy)
             exact = float(np.mean(chi >= tol.threshold))
             assert cell.p_hat == pytest.approx(exact, abs=1e-15)
 
@@ -139,7 +144,7 @@ class TestSweepExactness:
         chi = cell_chi_values(cfg, res.couplings, grid, t_index, m_index,
                               "random")
         for delta in cfg.deltas:
-            tol = Tolerance.for_entropy(delta, cfg.theta, entropy)
+            tol = Tolerance.for_entropy(delta, entropy)
             k = int(np.sum(chi >= tol.threshold))
             cell = next(c for c in res.cells
                         if c.t == grid[t_index] and c.m == cfg.m_grid[m_index]
@@ -225,9 +230,28 @@ class TestSweepStructure:
             s = float(lam.couplings[members].sum())
             chi = holevo_biased(-(cfg.g ** 2) * grid ** 2 * s, cfg.p0)
             for delta in cfg.deltas:
-                tol = Tolerance.for_entropy(delta, cfg.theta, entropy)
+                tol = Tolerance.for_entropy(delta, entropy)
                 flags = chi >= tol.threshold
                 assert np.all(np.diff(flags.astype(int)) >= 0)
+
+    def test_one_set_family_leaves_onset_uncorrected(self):
+        # at m = N every random fragment is the whole environment, so the
+        # sampled pairs measure eta = 1; the onset then corrects nothing,
+        # as random and disjoint families agree there
+        cfg = RunConfig(n_sites=10, n_fragments=100,
+                        deltas=(0.01, 0.05, 0.1),
+                        time_grid=TimeGridSpec(n_dense=30, n_coarse=10),
+                        bootstrap_replicates=20, overlap_pairs=20,
+                        master_seed=0)
+        res = run_sweep(cfg)
+        assert {o.eta for o in res.overlaps if o.m == 10} == {1.0}
+        at_n = [p for traj in res.trajectories for p in traj.points
+                if p.m_star == 10]
+        assert at_n
+        for p in at_n:
+            assert p.eta == 0.0
+            assert p.r_eff == p.r == 1.0
+            assert p.fi_eff == p.fi == 0.0
 
     def test_overlap_vanishes_for_disjoint(self):
         res = run_sweep(small_config(protocols=("random", "disjoint")))
