@@ -37,8 +37,9 @@ from .sweep import (ConfigError, OracleReport, OverlapRecord,
                     SweepResult, TimeGridSpec, build_time_grid,
                     cell_chi_values, derive_cell_seed, oracle_report,
                     run_sweep)
-from .io import (OutputBundle, parse_config, parse_config_text, read_metadata,
-                 read_onset_table, serialize_config, write_tables)
+from .io import (parse_config, parse_config_text, read_metadata,
+                 read_onset_table, serialize_config, write_analysis,
+                 write_tables)
 
 __all__ = [
     "__version__",
@@ -53,7 +54,6 @@ __all__ = [
     "MeanFieldPrediction",
     "OnsetEstimate",
     "OracleReport",
-    "OutputBundle",
     "OverlapRecord",
     "OverlapStat",
     "PointerEnsemble",
@@ -105,5 +105,6 @@ __all__ = [
     "serialize_config",
     "summary_table",
     "wilson_interval",
+    "write_analysis",
     "write_tables",
 ]

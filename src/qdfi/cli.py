@@ -26,7 +26,7 @@ import numpy as np
 from ._version import __version__
 from .analysis import (SlopeFit, fit_early_slope, scaling_exponent,
                        summary_table)
-from .io import (OutputBundle, parse_config, read_metadata, read_onset_table,
+from .io import (parse_config, read_metadata, read_onset_table, write_analysis,
                  write_csv, write_tables)
 from .sweep import (ConfigError, RunConfig, build_time_grid, cell_chi_values,
                     oracle_report, run_sweep)
@@ -88,6 +88,9 @@ def _build_parser() -> _Parser:
 
 def _parse_threads(text: str) -> int:
     if text == "auto":
+        # the CPUs this process may run on, which taskset can narrow
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         threads = int(text)
@@ -113,7 +116,7 @@ def _cmd_simulate(ns) -> int:
     threads = _parse_threads(ns.threads)
     started = time.perf_counter()
     result = run_sweep(config, threads=threads)
-    written = write_tables(OutputBundle.from_sweep(result), ns.out)
+    written = write_tables(result, ns.out)
     elapsed = time.perf_counter() - started
     # Timing goes to stdout only; output files must be rerun-identical.
     print(f"simulate: {len(result.cells)} cells, "
@@ -136,23 +139,20 @@ def _analysis_bundle(indir: str):
         fits[traj.delta] = fit_early_slope(traj)
         scalings.append((traj.delta, scaling_exponent(traj, m_cap=m_cap)))
     rows = summary_table(primary_trajs, fits)
-    return config, primary_trajs, fits, scalings, rows
+    return config, fits, scalings, rows
 
 
 def _cmd_analyze(ns) -> int:
-    config, _, fits, scalings, rows = _analysis_bundle(ns.indir)
-    bundle = OutputBundle(
-        config=config,
-        slope_fits=[(d, fits[d]) for d in config.deltas],
-        scalings=scalings, summaries=rows)
-    written = write_tables(bundle, ns.out)
+    config, fits, scalings, rows = _analysis_bundle(ns.indir)
+    written = write_analysis(config, [(d, fits[d]) for d in config.deltas],
+                             scalings, rows, ns.out)
     for name in sorted(written):
         print(f"  {written[name]}")
     return 0
 
 
 def _cmd_report(ns) -> int:
-    config, _, _, _, rows = _analysis_bundle(ns.indir)
+    config, _, _, rows = _analysis_bundle(ns.indir)
     def cell(v, spec="{:.6g}"):
         return "-" if v is None else spec.format(v)
     print(f"protocol: {config.protocols[0]}   theta = {config.theta}   "

@@ -100,18 +100,20 @@ class AdequacyCell:
     protocol: str
     n: int
     k: int
-    p_hat: float
     ci_low: float
     ci_high: float
     phi_iso: Optional[float] = None
+
+    @property
+    def p_hat(self) -> float:
+        """The raw adequate fraction k / n."""
+        return self.k / self.n
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise EstimationError("cell needs n >= 1 flags")
         if not 0 <= self.k <= self.n:
             raise EstimationError("cell count k out of range")
-        if abs(self.p_hat - self.k / self.n) > 1e-12:
-            raise EstimationError("p_hat inconsistent with k/n")
         if not (0.0 <= self.ci_low <= self.p_hat <= self.ci_high <= 1.0):
             raise EstimationError("confidence bounds must bracket p_hat "
                                   "within [0, 1]")
@@ -127,7 +129,7 @@ def adequacy_cell(flags, t: float, m: int, delta: float, protocol: str,
     k = int(arr.sum())
     lo, hi = wilson_interval(k, n, alpha)
     return AdequacyCell(t=t, m=m, delta=delta, protocol=protocol, n=n, k=k,
-                        p_hat=k / n, ci_low=lo, ci_high=hi)
+                        ci_low=lo, ci_high=hi)
 
 
 def isotonic_fit(values, weights=None) -> np.ndarray:

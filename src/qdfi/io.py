@@ -12,7 +12,6 @@ inputs give byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -21,17 +20,17 @@ import numpy as np
 
 from ._version import __version__
 from .analysis import ScalingFit, SlopeFit, SummaryRow
-from .estimation import AdequacyCell, OnsetEstimate
-from .sweep import (ConfigError, OverlapRecord, RedundancyTrajectory,
-                    RunConfig, SweepResult, TimeGridSpec)
+from .estimation import OnsetEstimate
+from .sweep import (ConfigError, RedundancyTrajectory, RunConfig,
+                    SweepResult, TimeGridSpec)
 
 __all__ = [
-    "OutputBundle",
     "parse_config",
     "parse_config_text",
     "serialize_config",
     "write_csv",
     "write_tables",
+    "write_analysis",
     "read_metadata",
     "read_onset_table",
     "METADATA_NAME",
@@ -153,29 +152,6 @@ def serialize_config(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class OutputBundle:
-    """Tables destined for one output directory; absent tables are skipped.
-
-    slope_fits and scalings pair each delta with a possibly-absent fit so
-    the written rows cover every configured delta.
-    """
-
-    config: RunConfig
-    cells: Optional[Sequence[AdequacyCell]] = None
-    trajectories: Optional[Sequence[RedundancyTrajectory]] = None
-    overlaps: Optional[Sequence[OverlapRecord]] = None
-    slope_fits: Optional[Sequence[Tuple[float, Optional[SlopeFit]]]] = None
-    scalings: Optional[Sequence[Tuple[float, Optional[ScalingFit]]]] = None
-    summaries: Optional[Sequence[SummaryRow]] = None
-
-    @classmethod
-    def from_sweep(cls, result: SweepResult) -> "OutputBundle":
-        return cls(config=result.config, cells=result.cells,
-                   trajectories=result.trajectories,
-                   overlaps=result.overlaps)
-
-
 def write_csv(path: Path, header: str,
               rows: Sequence[Sequence[object]]) -> None:
     """Write one header line and the formatted rows, LF-terminated."""
@@ -196,70 +172,75 @@ def _onset_rows(trajectories: Sequence[RedundancyTrajectory],
             for t, delta, protocol, p in entries]
 
 
-def write_tables(bundle: OutputBundle, out_dir) -> Dict[str, Path]:
-    """Write every present table plus run metadata; returns name -> path.
+def _write_run(config: RunConfig,
+               tables: Sequence[Tuple[str, str, Sequence[Sequence[object]]]],
+               out_dir) -> Dict[str, Path]:
+    """Write run metadata, then each (name, header, rows) as name.csv.
 
     run_metadata.txt echoes the full configuration (plus the package
     version as a comment) and parses back to the identical RunConfig.
-    Nothing that varies between reruns of one config (wall time, host,
-    worker count) is written, so reruns are byte-identical.
+    Returns name -> path for every file written, "metadata" included.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: Dict[str, Path] = {}
-
     meta = out / METADATA_NAME
     meta.write_text(
         f"# run metadata, version {__version__}\n"
         "# parses back to the generating configuration\n"
-        + serialize_config(bundle.config),
+        + serialize_config(config),
         encoding="utf-8", newline="")
-    written["metadata"] = meta
-
-    if bundle.cells is not None:
-        rows = [[c.t, c.m, c.delta, c.protocol, c.n, c.k, c.p_hat,
-                 c.phi_iso, c.ci_low, c.ci_high] for c in bundle.cells]
-        path = out / "phi.csv"
-        write_csv(path, PHI_HEADER, rows)
-        written["phi"] = path
-    if bundle.trajectories is not None:
-        path = out / "onset.csv"
-        write_csv(path, ONSET_HEADER,
-                  _onset_rows(bundle.trajectories, bundle.config.theta))
-        written["onset"] = path
-    if bundle.overlaps is not None:
-        rows = [[o.t, o.m, o.protocol, o.eta, o.pairs_used]
-                for o in bundle.overlaps]
-        path = out / "overlap.csv"
-        write_csv(path, OVERLAP_HEADER, rows)
-        written["overlap"] = path
-    if bundle.slope_fits is not None:
-        rows = []
-        for delta, fit in bundle.slope_fits:
-            if fit is None:
-                rows.append([delta, None, None, None, None, None, None,
-                             None])
-            else:
-                rows.append([delta, fit.kappa, fit.kappa_base2,
-                             fit.intercept, fit.r2, fit.t_start, fit.t_end,
-                             fit.n_points])
-        path = out / "slopes.csv"
-        write_csv(path, SLOPES_HEADER, rows)
-        written["slopes"] = path
-    if bundle.scalings is not None:
-        rows = [[delta, fit.exponent if fit else None,
-                 fit.n_points if fit else None]
-                for delta, fit in bundle.scalings]
-        path = out / "scaling.csv"
-        write_csv(path, SCALING_HEADER, rows)
-        written["scaling"] = path
-    if bundle.summaries is not None:
-        rows = [[s.delta, s.max_r, s.final_fi, s.kappa, s.r2, s.t_star]
-                for s in bundle.summaries]
-        path = out / "summary.csv"
-        write_csv(path, SUMMARY_HEADER, rows)
-        written["summary"] = path
+    written = {"metadata": meta}
+    for name, header, rows in tables:
+        path = out / f"{name}.csv"
+        write_csv(path, header, rows)
+        written[name] = path
     return written
+
+
+def write_tables(result: SweepResult, out_dir) -> Dict[str, Path]:
+    """Write simulate's output; returns name -> path.
+
+    The files are run_metadata.txt, phi.csv, onset.csv and overlap.csv.
+    Nothing that varies between reruns of one config (wall time, host,
+    worker count) is written, so reruns are byte-identical.
+    """
+    phi = [[c.t, c.m, c.delta, c.protocol, c.n, c.k, c.p_hat, c.phi_iso,
+            c.ci_low, c.ci_high] for c in result.cells]
+    overlap = [[o.t, o.m, o.protocol, o.eta, o.pairs_used]
+               for o in result.overlaps]
+    return _write_run(result.config, [
+        ("phi", PHI_HEADER, phi),
+        ("onset", ONSET_HEADER,
+         _onset_rows(result.trajectories, result.config.theta)),
+        ("overlap", OVERLAP_HEADER, overlap),
+    ], out_dir)
+
+
+def write_analysis(config: RunConfig,
+                   slope_fits: Sequence[Tuple[float, Optional[SlopeFit]]],
+                   scalings: Sequence[Tuple[float, Optional[ScalingFit]]],
+                   summaries: Sequence[SummaryRow],
+                   out_dir) -> Dict[str, Path]:
+    """Write analyze's output; returns name -> path.
+
+    The files are run_metadata.txt, slopes.csv, scaling.csv and
+    summary.csv.  slope_fits and scalings pair each delta with a
+    possibly-absent fit, so the written rows cover every configured delta.
+    """
+    slopes = [[delta, None, None, None, None, None, None, None]
+              if fit is None else
+              [delta, fit.kappa, fit.kappa_base2, fit.intercept, fit.r2,
+               fit.t_start, fit.t_end, fit.n_points]
+              for delta, fit in slope_fits]
+    scaling = [[delta, fit.exponent if fit else None,
+                fit.n_points if fit else None] for delta, fit in scalings]
+    summary = [[s.delta, s.max_r, s.final_fi, s.kappa, s.r2, s.t_star]
+               for s in summaries]
+    return _write_run(config, [
+        ("slopes", SLOPES_HEADER, slopes),
+        ("scaling", SCALING_HEADER, scaling),
+        ("summary", SUMMARY_HEADER, summary),
+    ], out_dir)
 
 
 def read_metadata(run_dir) -> RunConfig:

@@ -12,11 +12,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from qdfi import (ConfigError, OnsetEstimate, OutputBundle,
-                  RedundancyTrajectory, RunConfig, TimeGridSpec,
-                  parse_config_text, read_metadata, read_onset_table,
-                  run_sweep, serialize_config, write_tables)
-from qdfi.cli import main
+import qdfi.cli
+from qdfi import (ConfigError, OnsetEstimate, RedundancyTrajectory, RunConfig,
+                  RunStats, SweepResult, TimeGridSpec, parse_config_text,
+                  read_metadata, read_onset_table, run_sweep,
+                  serialize_config, write_tables)
+from qdfi.cli import _parse_threads, main
 from qdfi.sampling import PROTOCOLS
 
 FAST_CFG = """
@@ -91,6 +92,13 @@ def onset_estimates(draw, t, delta):
         t=t, delta=delta, m_star=draw(size), m_star_lo=draw(optional_size),
         m_star_hi=draw(optional_size), r=draw(real), r_eff=draw(real),
         eta=draw(real), fi=draw(real), fi_eff=draw(real))
+
+
+def _result_of(config, trajectories=()):
+    """A SweepResult holding only the given trajectories and no cells."""
+    return SweepResult(config=config, couplings=None, time_grid=None,
+                       cells=(), trajectories=tuple(trajectories),
+                       overlaps=(), stats=RunStats(0, 0, False))
 
 
 @pytest.fixture()
@@ -170,8 +178,7 @@ class TestConfigParsing:
 
 class TestTableWriting:
     def test_header_only_phi_for_empty_cells(self, tmp_path):
-        bundle = OutputBundle(config=RunConfig(), cells=[])
-        written = write_tables(bundle, tmp_path)
+        written = write_tables(_result_of(RunConfig()), tmp_path)
         lines = written["phi"].read_text().splitlines()
         assert lines == ["t,m,delta,protocol,n,k,phi_hat,phi_iso,"
                          "ci_low,ci_high"]
@@ -182,7 +189,7 @@ class TestTableWriting:
                         time_grid=TimeGridSpec(n_dense=5, n_coarse=5),
                         bootstrap_replicates=50, overlap_pairs=20)
         res = run_sweep(cfg)
-        written = write_tables(OutputBundle.from_sweep(res), tmp_path)
+        written = write_tables(res, tmp_path)
         assert set(written) == {"metadata", "phi", "onset", "overlap"}
         onset_lines = written["onset"].read_text().splitlines()
         assert onset_lines[0] == ("t,delta,protocol,theta,m_star,m_star_lo,"
@@ -198,7 +205,7 @@ class TestTableWriting:
                         bootstrap_replicates=40, overlap_pairs=10)
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         for d in (a_dir, b_dir):
-            write_tables(OutputBundle.from_sweep(run_sweep(cfg)), d)
+            write_tables(run_sweep(cfg), d)
         for name in ("run_metadata.txt", "phi.csv", "onset.csv",
                      "overlap.csv"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
@@ -209,7 +216,7 @@ class TestTableWriting:
                         time_grid=TimeGridSpec(n_dense=3, n_coarse=3),
                         bootstrap_replicates=30, overlap_pairs=15,
                         master_seed=8)
-        write_tables(OutputBundle.from_sweep(run_sweep(cfg)), tmp_path)
+        write_tables(run_sweep(cfg), tmp_path)
         assert read_metadata(tmp_path) == cfg
 
     def test_onset_table_round_trip(self, tmp_path):
@@ -217,7 +224,7 @@ class TestTableWriting:
                         time_grid=TimeGridSpec(n_dense=4, n_coarse=4),
                         bootstrap_replicates=30, overlap_pairs=15)
         res = run_sweep(cfg)
-        write_tables(OutputBundle.from_sweep(res), tmp_path)
+        write_tables(res, tmp_path)
         trajs = read_onset_table(tmp_path, cfg)
         assert len(trajs) == len(res.trajectories)
         for got, want in zip(trajs, res.trajectories):
@@ -246,14 +253,14 @@ class TestTableWriting:
                 data.draw(onset_estimates(t, delta)) for t in times))
             for protocol in cfg.protocols for delta in cfg.deltas]
         out = tmp_path_factory.mktemp("onsets")
-        write_tables(OutputBundle(config=cfg, trajectories=trajectories), out)
+        write_tables(_result_of(cfg, trajectories), out)
         assert read_onset_table(out, cfg) == trajectories
 
     def test_theta_mismatch_detected(self, tmp_path):
         cfg = RunConfig(n_sites=10, n_fragments=50, m_grid=(1, 2),
                         time_grid=TimeGridSpec(n_dense=3, n_coarse=2),
                         bootstrap_replicates=20, overlap_pairs=10)
-        write_tables(OutputBundle.from_sweep(run_sweep(cfg)), tmp_path)
+        write_tables(run_sweep(cfg), tmp_path)
         other = RunConfig(n_sites=10, theta=0.5, n_fragments=50,
                           m_grid=(1, 2),
                           time_grid=TimeGridSpec(n_dense=3, n_coarse=2),
@@ -267,6 +274,31 @@ class TestCliCommands:
         for name in ("run_metadata.txt", "phi.csv", "onset.csv",
                      "overlap.csv"):
             assert (fast_run_dir / name).is_file()
+
+    def test_simulate_reports_every_file_it_writes(self, tmp_path,
+                                                   fast_cfg_file,
+                                                   monkeypatch):
+        # bench/traced.py counts io rows and bytes from the name -> path
+        # dict that write_tables returns, so that dict must cover --out
+        returned = []
+
+        def recording(*args, **kwargs):
+            written = write_tables(*args, **kwargs)
+            returned.append(written)
+            return written
+
+        monkeypatch.setattr(qdfi.cli, "write_tables", recording)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(fast_cfg_file),
+                     "--out", str(out)]) == 0
+        assert len(returned) == 1
+        assert set(out.iterdir()) == set(returned[0].values())
+
+    def test_threads_auto_follows_affinity(self, monkeypatch):
+        monkeypatch.setattr(qdfi.cli.os, "sched_getaffinity",
+                            lambda pid: {0}, raising=False)
+        monkeypatch.setattr(qdfi.cli.os, "cpu_count", lambda: 2)
+        assert _parse_threads("auto") == 1
 
     def test_analyze_then_report(self, tmp_path, fast_run_dir, capsys):
         out = tmp_path / "an"

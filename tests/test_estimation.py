@@ -136,10 +136,10 @@ class TestAdequacyCell:
     def test_record_invariants_enforced(self):
         with pytest.raises(EstimationError):
             AdequacyCell(t=1.0, m=1, delta=0.05, protocol="random",
-                         n=10, k=11, p_hat=1.1, ci_low=0.0, ci_high=1.0)
+                         n=10, k=11, ci_low=0.0, ci_high=1.0)
         with pytest.raises(EstimationError):
             AdequacyCell(t=1.0, m=1, delta=0.05, protocol="random",
-                         n=10, k=5, p_hat=0.5, ci_low=0.6, ci_high=0.9)
+                         n=10, k=5, ci_low=0.6, ci_high=0.9)
 
 
 class TestIsotonicFit:

@@ -222,6 +222,21 @@ class TestRandomFragments:
         again = sample_random_fragments(n_sites, m, n, seed=seed)
         assert np.array_equal(again.indices, rows)
 
+    @given(st.data())
+    def test_samplers_cover_enumeration_at_small_n(self, data):
+        # 2000 rows reach every one of at most C(6, 3) = 20 subsets except
+        # with probability below 20 * (19/20)**2000 < 1e-40; the public
+        # sampler takes keys at every N <= 6, so redraw is called directly
+        n_sites = data.draw(st.integers(1, 6), label="N")
+        m = data.draw(st.integers(1, n_sites), label="m")
+        seed = data.draw(st.integers(0, 2 ** 64 - 1), label="seed")
+        members = set(_rows_as_tuples(enumerate_fragments(n_sites, m)))
+        by_keys = sample_random_fragments(n_sites, m, 2000, seed=seed)
+        by_redraw = _distinct_rows_by_redraw(sampling._rng(seed), n_sites,
+                                             m, 2000)
+        for rows in (by_keys.indices, by_redraw):
+            assert set(map(tuple, rows.tolist())) == members
+
     def test_errors(self):
         with pytest.raises(SamplingError):
             sample_random_fragments(10, 0, 5, seed=0)
