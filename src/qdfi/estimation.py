@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from statistics import NormalDist
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -62,28 +63,25 @@ def wilson_interval(successes: int, trials: int,
             f"successes must lie in [0, {trials}], got {successes}")
     if not 0.0 < alpha < 1.0:
         raise EstimationError(f"alpha must lie in (0, 1), got {alpha}")
-    lo, hi = _wilson_bounds(np.array([successes]), np.array([trials]), alpha)
-    return float(lo[0]), float(hi[0])
-
-
-def _wilson_bounds(k: np.ndarray, n: np.ndarray,
-                   alpha: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized Wilson bounds; no input validation."""
-    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    k = k.astype(float)
-    n = n.astype(float)
+    z = _normal_quantile(1.0 - alpha / 2.0)
+    k = float(successes)
+    n = float(trials)
     p = k / n
     z2 = z * z
     denom = 1.0 + z2 / n
     center = (p + z2 / (2.0 * n)) / denom
-    half = (z / denom) * np.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
-    lo = np.clip(center - half, 0.0, 1.0)
-    hi = np.clip(center + half, 0.0, 1.0)
+    half = (z / denom) * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
     # center - half cancels imperfectly at the degenerate counts; the
     # algebraic bounds there are exact
-    lo = np.where(k == 0, 0.0, lo)
-    hi = np.where(k == n, 1.0, hi)
+    lo = 0.0 if k == 0 else min(max(center - half, 0.0), 1.0)
+    hi = 1.0 if k == n else min(max(center + half, 0.0), 1.0)
     return lo, hi
+
+
+@lru_cache
+def _normal_quantile(q: float) -> float:
+    """Standard normal quantile, cached: a run uses one or two levels."""
+    return NormalDist().inv_cdf(q)
 
 
 @dataclass(frozen=True)
@@ -126,7 +124,7 @@ def adequacy_cell(flags, t: float, m: int, delta: float, protocol: str,
     if arr.ndim != 1 or arr.size < 1:
         raise EstimationError("flags must be a nonempty 1-d array")
     n = int(arr.size)
-    k = int(arr.sum())
+    k = int(np.count_nonzero(arr))
     lo, hi = wilson_interval(k, n, alpha)
     return AdequacyCell(t=t, m=m, delta=delta, protocol=protocol, n=n, k=k,
                         ci_low=lo, ci_high=hi)
@@ -265,6 +263,11 @@ def onset_ci_inversion(cells: Sequence[AdequacyCell],
     return m_lo, m_hi
 
 
+# Element cap of one bootstrap draw block: 2^18 int64 counts (2 MiB), a
+# single block for every B x len(m_grid) up to 1000 x 262.
+_BOOTSTRAP_BLOCK = 1 << 18
+
+
 def _batch_onset_indices(p: np.ndarray, weights: np.ndarray,
                          theta: float) -> np.ndarray:
     """Onset grid index after PAVA, for a whole batch at once; -1 = absent.
@@ -291,20 +294,35 @@ def _bootstrap_counts(m_values: np.ndarray, k: np.ndarray, n: np.ndarray,
 
     Resampling n Bernoulli flags with replacement is a Binomial(n, k/n)
     draw on the adequate count, which is how replicates are generated
-    here.  Replicates whose smoothed curve never reaches theta contribute
-    +inf, so an absent percentile reports an absent bound.
+    here.  Replicates whose smoothed curve never reaches theta count as
+    +inf, so an absent percentile reports an absent bound.  The 2.5 and
+    97.5 percentiles follow np.quantile's method="nearest".
+
+    A settled group (every k is 0 or n) redraws its observed counts in
+    every replicate, so both bounds are its own onset and nothing is
+    drawn.  Otherwise replicates are drawn in row blocks of at most
+    _BOOTSTRAP_BLOCK elements from the one generator, which gives the
+    same draws as a single (n_replicates, len(n)) call, and each block's
+    onsets are tallied in a histogram over the grid plus "absent".
     """
+    n_m = n.size
+    if np.all((k == 0) | (k == n)):
+        idx = int(_batch_onset_indices((k / n)[None, :], n, theta)[0])
+        onset = int(m_values[idx]) if idx >= 0 else None
+        return onset, onset
     rng = np.random.Generator(np.random.PCG64(seed))
+    n_int = n.astype(np.int64)
     p_hat = k / n
-    k_star = rng.binomial(n.astype(np.int64), p_hat,
-                          size=(n_replicates, n.size))
-    p_star = k_star / n
-    idx = _batch_onset_indices(p_star, n.astype(float), theta)
-    onsets = np.where(idx >= 0,
-                      m_values[np.maximum(idx, 0)].astype(float), np.inf)
-    lo_q, hi_q = np.quantile(onsets, [0.025, 0.975], method="nearest")
-    lo = int(lo_q) if math.isfinite(lo_q) else None
-    hi = int(hi_q) if math.isfinite(hi_q) else None
+    rows = max(1, _BOOTSTRAP_BLOCK // n_m)
+    hist = np.zeros(n_m + 1, dtype=np.int64)
+    for start in range(0, n_replicates, rows):
+        size = (min(rows, n_replicates - start), n_m)
+        p_star = rng.binomial(n_int, p_hat, size=size) / n
+        idx = _batch_onset_indices(p_star, n, theta)
+        hist += np.bincount(np.where(idx >= 0, idx, n_m), minlength=n_m + 1)
+    ranks = np.around((n_replicates - 1) * np.array([0.025, 0.975]))
+    bins = np.searchsorted(np.cumsum(hist), ranks, side="right")
+    lo, hi = (int(m_values[b]) if b < n_m else None for b in bins)
     return lo, hi
 
 

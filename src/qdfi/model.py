@@ -63,9 +63,12 @@ class DegenerateCutoffError(ValueError):
 def _as_prob(p, name: str) -> np.ndarray:
     """Validate probabilities up to _EDGE_TOL roundoff and clamp to [0, 1]."""
     arr = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
-    if np.any(arr < -_EDGE_TOL) or np.any(arr > 1.0 + _EDGE_TOL):
+    # min/max pass NaN through, so one range test clears every valid
+    # input; the scans below run only to name what failed
+    if arr.size and not (arr.min() >= -_EDGE_TOL
+                         and arr.max() <= 1.0 + _EDGE_TOL):
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"{name} must be finite")
         raise DomainError(f"{name} must lie in [0, 1] (got extremes "
                           f"[{arr.min()}, {arr.max()}])")
     return np.clip(arr, 0.0, 1.0)
@@ -84,7 +87,9 @@ def binary_entropy(p):
         binary_entropy(0.0) == 0.0
     """
     arr = _as_prob(p, "p")
-    inner = np.clip(arr, _LOG_CLIP, 1.0 - _LOG_CLIP)
+    # np.clip on NaN-free input with positive bounds, without its
+    # per-call dispatch
+    inner = np.minimum(np.maximum(arr, _LOG_CLIP), 1.0 - _LOG_CLIP)
     h = -(inner * np.log2(inner) + (1.0 - inner) * np.log2(1.0 - inner))
     h = np.where((arr <= 0.0) | (arr >= 1.0), 0.0, h)
     if np.ndim(p) == 0:
@@ -137,7 +142,8 @@ def log_overlap(couplings, g: float, t: float) -> float:
 
 def _overlap_from_log(log_c) -> np.ndarray:
     arr = np.asarray(log_c, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr > _EDGE_TOL):
+    # max passes NaN through, which fails the test as it should
+    if arr.size and not arr.max() <= _EDGE_TOL:
         raise DomainError("log overlap must be <= 0")
     # exp underflows to 0.0 for very negative arguments, which is the
     # correct limit (orthogonal conditional states).
@@ -272,7 +278,8 @@ def is_adequate(chi, tol: Tolerance):
     threshold counts.  Accepts scalars or arrays of chi values.
     """
     arr = np.asarray(chi, dtype=float)
-    if np.any(np.isnan(arr)):
+    # max passes NaN through: one reduction finds any NaN
+    if arr.size and np.isnan(arr.max()):
         raise DomainError("chi must not be NaN")
     out = arr >= tol.threshold
     if np.ndim(chi) == 0:

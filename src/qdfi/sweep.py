@@ -105,6 +105,16 @@ def derive_cell_seed(master_seed: int, t_index: int = 0, m_index: int = 0,
     return h
 
 
+def _integral(name: str, value) -> int:
+    """``value`` as an int; ConfigError unless it is a whole number."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TimeGridSpec:
     """Adaptive grid: n_dense geometric points on [t_min, t_knee] followed
@@ -117,6 +127,8 @@ class TimeGridSpec:
     n_coarse: int = 60
 
     def __post_init__(self) -> None:
+        for attr in ("n_dense", "n_coarse"):
+            object.__setattr__(self, attr, _integral(attr, getattr(self, attr)))
         if not (0.0 < self.t_min < self.t_knee < self.t_max):
             raise ConfigError(
                 f"need 0 < t_min < t_knee < t_max, got "
@@ -136,6 +148,15 @@ def build_time_grid(spec: TimeGridSpec) -> np.ndarray:
     if np.any(np.diff(grid) <= 0.0):
         raise ConfigError("time grid failed to be strictly increasing")
     return grid
+
+
+# Integer fields of RunConfig and their config-file keys.
+_INTEGER_KEYS = (("n_sites", "N"), ("n_fragments", "n_fragments"),
+                 ("bootstrap_replicates", "bootstrap_B"),
+                 ("bootstrap_budget", "bootstrap_budget"),
+                 ("overlap_pairs", "overlap_pairs"),
+                 ("enumeration_cap", "enumeration_cap"),
+                 ("master_seed", "master_seed"))
 
 
 @dataclass(frozen=True)
@@ -167,10 +188,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
         object.__setattr__(self, "protocols", tuple(self.protocols))
+        for attr, key in _INTEGER_KEYS:
+            object.__setattr__(self, attr, _integral(key, getattr(self, attr)))
         if not self.m_grid:
             grid = tuple(range(1, min(128, self.n_sites) + 1))
         else:
-            grid = tuple(int(m) for m in self.m_grid)
+            grid = tuple(_integral("m_grid entry", m) for m in self.m_grid)
         object.__setattr__(self, "m_grid", grid)
         self._validate()
 

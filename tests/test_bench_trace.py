@@ -3,9 +3,10 @@
 bench/traced.py wraps the layer entry points that qdfi.sweep and qdfi.cli
 bind and counts the work done through them; bench/run.py rejects a run
 whose counts differ from its closed-form expected_counts.  This runs one
-traced simulate on the toy-size protocols-n2000 workload (both sampling
-protocols, eta, bootstrap) and checks every count, so a change that moves
-or renames a wrapped call fails here rather than only in the benchmark.
+traced simulate on the toy-size smoke config of every workload (a single
+protocol, five deltas, and both sampling protocols with eta, all with
+bootstrap) and checks every count, so a change that moves or renames a
+wrapped call fails here rather than only in the benchmark.
 """
 
 import importlib.util
@@ -14,6 +15,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -28,12 +31,15 @@ def _bench_run_module():
     return module
 
 
-def test_traced_counts_match_expected(tmp_path):
-    run = _bench_run_module()
-    wl = run.WORKLOADS["protocols-n2000"]
-    cfg = run.workload_config(wl, wl.seed, smoke=True)
+RUN = _bench_run_module()
+
+
+@pytest.mark.parametrize("workload", sorted(RUN.WORKLOADS))
+def test_traced_counts_match_expected(tmp_path, workload):
+    wl = RUN.WORKLOADS[workload]
+    cfg = RUN.workload_config(wl, wl.seed, smoke=True)
     cfg_path = tmp_path / "config.txt"
-    run.write_config(cfg, cfg_path)
+    RUN.write_config(cfg, cfg_path)
 
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -44,6 +50,6 @@ def test_traced_counts_match_expected(tmp_path):
     trace = json.loads(proc.stdout.strip().splitlines()[-1])
 
     counts = trace["counts"]
-    for name, want in run.expected_counts(cfg).items():
+    for name, want in RUN.expected_counts(cfg).items():
         assert counts[name] == want, name
     assert counts["model.holevo_evals"] == trace["holevo_evaluations"]

@@ -8,15 +8,19 @@ the true optimum rather than against another PAVA.
 
 import itertools
 import math
+import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qdfi import (AdequacyCell, EstimationError, IsotonicCurve,
                   OnsetEstimate, adequacy_cell, bootstrap_onset,
                   combine_onset_ci, isotonic_fit, onset_ci_inversion,
                   onset_from_curve, redundancy_fi, wilson_interval)
-from qdfi.estimation import _batch_onset_indices
+from qdfi import estimation
+from qdfi.estimation import _batch_onset_indices, _bootstrap_counts
 
 # Wilson bounds evaluated independently with z = NormalDist().inv_cdf(0.975)
 WILSON_50_100 = (0.4038315303659957, 0.5961684696340044)
@@ -60,7 +64,47 @@ def brute_isotonic(y, w=None):
     return np.array(best_fit)
 
 
+def wilson_vector(k, n, alpha):
+    """Wilson bounds by the vector formula on 1-element arrays: the
+    operations, in order, that wilson_interval performs on floats."""
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    k = np.array([k]).astype(float)
+    n = np.array([n]).astype(float)
+    p = k / n
+    z2 = z * z
+    denom = 1.0 + z2 / n
+    center = (p + z2 / (2.0 * n)) / denom
+    half = (z / denom) * np.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
+    lo = np.where(k == 0, 0.0, np.clip(center - half, 0.0, 1.0))
+    hi = np.where(k == n, 1.0, np.clip(center + half, 0.0, 1.0))
+    return float(lo[0]), float(hi[0])
+
+
+def bootstrap_one_draw(m_values, k, n, theta, n_replicates, seed):
+    """The bootstrap spelled out: one (n_replicates, len(n)) binomial
+    draw, replicate onsets as floats with +inf for absent, and the bounds
+    from np.quantile(method="nearest").  Returns (bounds, onsets)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    k_star = rng.binomial(n.astype(np.int64), k / n,
+                          size=(n_replicates, n.size))
+    idx = _batch_onset_indices(k_star / n, n, theta)
+    onsets = np.where(idx >= 0, m_values[np.maximum(idx, 0)].astype(float),
+                      np.inf)
+    bounds = np.quantile(onsets, [0.025, 0.975], method="nearest")
+    return (tuple(int(b) if math.isfinite(b) else None for b in bounds),
+            onsets)
+
+
 class TestWilsonInterval:
+    @given(st.data())
+    def test_scalar_matches_vector_formula_bit_for_bit(self, data):
+        n = data.draw(st.integers(1, 10 ** 6), label="n")
+        k = data.draw(st.one_of(st.sampled_from([0, n]),
+                                st.integers(0, n)), label="k")
+        alpha = data.draw(st.floats(1e-12, 1.0, exclude_max=True),
+                          label="alpha")
+        assert wilson_interval(k, n, alpha) == wilson_vector(k, n, alpha)
+
     def test_frozen_balanced(self):
         lo, hi = wilson_interval(50, 100)
         assert abs(lo - WILSON_50_100[0]) < 1e-9
@@ -346,6 +390,83 @@ class TestBootstrapOnset:
                 hits = np.nonzero(iso >= theta)[0]
                 want = int(hits[0]) if hits.size else -1
                 assert got[row] == want
+
+    @given(st.data())
+    def test_settled_group_matches_one_draw(self, data):
+        # every k is 0 or n: each replicate redraws the observed counts
+        size = data.draw(st.integers(1, 12), label="len(m_grid)")
+        steps = data.draw(st.lists(st.integers(1, 5), min_size=size,
+                                   max_size=size), label="m steps")
+        n = data.draw(st.lists(st.integers(1, 2000), min_size=size,
+                               max_size=size), label="n")
+        full = data.draw(st.lists(st.booleans(), min_size=size,
+                                  max_size=size), label="k == n")
+        theta = data.draw(st.floats(0.0, 1.0, exclude_min=True,
+                                    exclude_max=True), label="theta")
+        n_replicates = data.draw(st.integers(1, 300), label="B")
+        seed = data.draw(st.integers(0, 2 ** 64 - 1), label="seed")
+        m_values = np.cumsum(steps).astype(np.int64)
+        n = np.asarray(n, dtype=float)
+        k = np.where(full, n, 0.0)
+        want, _ = bootstrap_one_draw(m_values, k, n, theta, n_replicates,
+                                     seed)
+        assert _bootstrap_counts(m_values, k, n, theta, n_replicates,
+                                 seed) == want
+
+    def test_blocks_draw_like_one_call(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        n = rng.integers(1, 1000, size=128)
+        p = rng.random(128)
+        p[::7] = 0.0
+        p[3::7] = 1.0
+        one = np.random.Generator(np.random.PCG64(5)).binomial(
+            n, p, size=(1000, 128))
+        m_values = np.arange(1, 129, dtype=np.int64)
+        k = np.round(n * p)
+        n = n.astype(float)
+        want, _ = bootstrap_one_draw(m_values, k, n, 0.6, 1000, 5)
+        for rows in (1, 300, 699):
+            gen = np.random.Generator(np.random.PCG64(5))
+            blocks = [gen.binomial(n.astype(np.int64), p,
+                                   size=(min(rows, 1000 - start), 128))
+                      for start in range(0, 1000, rows)]
+            assert np.array_equal(np.concatenate(blocks), one), rows
+            monkeypatch.setattr(estimation, "_BOOTSTRAP_BLOCK", rows * 128)
+            assert _bootstrap_counts(m_values, k, n, 0.6, 1000, 5) == want
+
+    def test_histogram_percentiles_match_quantile_nearest(self):
+        # about a third of the replicates never reach theta, so the absent
+        # bin takes part in the ranks
+        m_values = np.array([1, 2, 4, 8], dtype=np.int64)
+        n = np.array([8.0, 8.0, 8.0, 8.0])
+        k = np.array([2.0, 5.0, 6.0, 7.0])
+        bounds = set()
+        for n_replicates in range(1, 61):
+            want, onsets = bootstrap_one_draw(m_values, k, n, 0.8,
+                                              n_replicates, n_replicates)
+            assert _bootstrap_counts(m_values, k, n, 0.8, n_replicates,
+                                     n_replicates) == want, n_replicates
+            bounds.add(want)
+        assert np.isinf(onsets).any() and np.isfinite(onsets).any()
+        assert len({lo for lo, _ in bounds}) > 1
+        assert None in {hi for _, hi in bounds}
+
+    def test_memory_is_bounded(self):
+        # one (10^6, 128) draw would hold 1 GiB of counts alone; only one
+        # p = 1/2 column is drawn at random, the rest are 0 or n
+        m_values = np.arange(1, 129, dtype=np.int64)
+        n = np.ones(128)
+        n[64] = 2.0
+        k = np.where(m_values > 64, n, 0.0)
+        k[64] = 1.0
+        tracemalloc.start()
+        try:
+            lo, hi = _bootstrap_counts(m_values, k, n, 0.5, 10 ** 6, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (lo, hi) == (65, 66)
+        assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
     def test_deterministic(self):
         rng = np.random.default_rng(61)

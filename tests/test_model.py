@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qdfi import (CouplingSet, DegenerateCutoffError, DomainError,
                   PointerEnsemble, Tolerance, binary_entropy,
@@ -364,3 +365,81 @@ class TestTolerance:
             Tolerance.for_entropy(1.0)
         with pytest.raises(DomainError):
             Tolerance.for_entropy(1e-5)
+
+
+# Domain checks as they read when each was a full scan; the fast checks
+# in model must raise the same class with the same message.
+_EDGE_TOL = 1e-9
+
+
+def prob_error(p, name):
+    arr = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        return DomainError(f"{name} must be finite")
+    if np.any(arr < -_EDGE_TOL) or np.any(arr > 1.0 + _EDGE_TOL):
+        return DomainError(f"{name} must lie in [0, 1] (got extremes "
+                           f"[{arr.min()}, {arr.max()}])")
+    return None
+
+
+def log_overlap_error(log_c):
+    arr = np.asarray(log_c, dtype=float)
+    if np.any(np.isnan(arr)) or np.any(arr > _EDGE_TOL):
+        return DomainError("log overlap must be <= 0")
+    return None
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:   # compared by class and message
+        return exc
+    return None
+
+
+def same_error(got, want):
+    return (type(got), str(got)) == (type(want), str(want))
+
+
+_SPECIALS = [math.nan, math.inf, -math.inf, -0.5, 1.5, -2e-9, 1.0 + 2e-9,
+             -1e-9, 1.0 + 1e-9, -0.0, 0.0, 1.0]
+
+
+def _arrays(elements):
+    return st.lists(st.one_of(st.sampled_from(_SPECIALS), elements),
+                    max_size=12).map(lambda xs: np.array(xs, dtype=float))
+
+
+class TestDomainChecks:
+    @given(_arrays(st.floats(0.0, 1.0)))
+    def test_binary_entropy(self, arr):
+        want = prob_error(arr, "p")
+        assert same_error(raised(binary_entropy, arr), want)
+        if want is None:
+            # the entropy itself, with the clips spelled out
+            clamped = np.clip(arr, 0.0, 1.0)
+            inner = np.clip(clamped, 1e-15, 1.0 - 1e-15)
+            h = -(inner * np.log2(inner)
+                  + (1.0 - inner) * np.log2(1.0 - inner))
+            h = np.where((clamped <= 0.0) | (clamped >= 1.0), 0.0, h)
+            assert np.array_equal(binary_entropy(arr), h)
+
+    @given(_arrays(st.floats(-50.0, 0.0)),
+           st.one_of(st.sampled_from(_SPECIALS), st.floats(0.0, 1.0)))
+    def test_holevo_biased(self, log_c, p0):
+        want = prob_error(p0, "p0") or log_overlap_error(log_c)
+        assert same_error(raised(holevo_biased, log_c, p0), want)
+
+    @given(_arrays(st.floats(0.0, 1.0)))
+    def test_is_adequate(self, chi):
+        want = (DomainError("chi must not be NaN")
+                if np.any(np.isnan(chi)) else None)
+        assert same_error(raised(is_adequate, chi, Tolerance.for_entropy(
+            0.05)), want)
+
+    def test_empty_arrays_pass(self):
+        empty = np.array([])
+        assert binary_entropy(empty).shape == (0,)
+        assert holevo_biased(empty, 0.3).shape == (0,)
+        assert holevo_equiprobable(empty).shape == (0,)
+        assert is_adequate(empty, Tolerance.for_entropy(0.05)).shape == (0,)

@@ -98,6 +98,39 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(n_sites=10, m_grid=(5, 11))
 
+    def test_rejects_fractional_m_grid_entry(self):
+        # used to truncate silently to (1, 2, 4)
+        with pytest.raises(ConfigError, match=r"m_grid entry .* got 2\.7"):
+            RunConfig(n_sites=20, m_grid=(1, 2.7, 4.2))
+
+    def test_rejects_fractional_n_sites(self):
+        # used to escape as a bare TypeError from the default m grid
+        with pytest.raises(ConfigError, match=r"^N must be an integer"):
+            RunConfig(n_sites=20.5)
+
+    @pytest.mark.parametrize("attr, key", [
+        ("n_fragments", "n_fragments"), ("bootstrap_replicates", "bootstrap_B"),
+        ("bootstrap_budget", "bootstrap_budget"),
+        ("overlap_pairs", "overlap_pairs"),
+        ("enumeration_cap", "enumeration_cap"), ("master_seed", "master_seed")])
+    def test_rejects_fractional_counts(self, attr, key):
+        with pytest.raises(ConfigError, match=rf"^{key} must be an integer, "
+                                              r"got 100\.5"):
+            RunConfig(n_sites=20, **{attr: 100.5})
+
+    def test_rejects_fractional_time_grid_counts(self):
+        for key in ("n_dense", "n_coarse"):
+            with pytest.raises(ConfigError, match=rf"^{key} must be an "
+                                                  r"integer"):
+                TimeGridSpec(**{key: 40.5})
+
+    def test_whole_float_sizes_become_ints(self):
+        cfg = RunConfig(n_sites=20.0, n_fragments=np.int64(50),
+                        m_grid=(1.0, 3))
+        assert (cfg.n_sites, cfg.n_fragments, cfg.m_grid) == (20, 50, (1, 3))
+        assert all(type(v) is int for v in
+                   (cfg.n_sites, cfg.n_fragments, *cfg.m_grid))
+
     def test_rejects_unknown_protocol(self):
         with pytest.raises(ConfigError):
             RunConfig(protocols=("random", "psychic"))
