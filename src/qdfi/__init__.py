@@ -20,9 +20,8 @@ from .analysis import (ScalingFit, SlopeFit, SummaryRow, fit_early_slope,
                        onset_time, scaling_exponent, summary_table)
 from .estimation import (AdequacyCell, EstimationError, IsotonicCurve,
                          OnsetEstimate, RedundancyValues, adequacy_cell,
-                         bootstrap_onset, combine_onset_ci, isotonic_fit,
-                         onset_ci_inversion, onset_from_curve, redundancy_fi,
-                         wilson_interval)
+                         combine_onset_ci, isotonic_fit, onset_ci_inversion,
+                         onset_from_curve, redundancy_fi, wilson_interval)
 from .model import (CouplingSet, DegenerateCutoffError, DomainError,
                     MeanFieldPrediction, PointerEnsemble, Tolerance,
                     binary_entropy, binary_entropy_inverse, capacity_min_size,
@@ -72,7 +71,6 @@ __all__ = [
     "adequacy_cell",
     "binary_entropy",
     "binary_entropy_inverse",
-    "bootstrap_onset",
     "build_time_grid",
     "capacity_min_size",
     "cell_chi_values",

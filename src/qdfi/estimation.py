@@ -40,7 +40,6 @@ __all__ = [
     "onset_from_curve",
     "redundancy_fi",
     "onset_ci_inversion",
-    "bootstrap_onset",
     "combine_onset_ci",
 ]
 
@@ -292,6 +291,8 @@ def _bootstrap_counts(m_values: np.ndarray, k: np.ndarray, n: np.ndarray,
                       seed: int) -> Tuple[Optional[int], Optional[int]]:
     """Percentile bootstrap of the onset from per-m counts.
 
+    k and n are the adequate and total float counts of the cells on the
+    strictly increasing grid m_values, as the sweep passes them.
     Resampling n Bernoulli flags with replacement is a Binomial(n, k/n)
     draw on the adequate count, which is how replicates are generated
     here.  Replicates whose smoothed curve never reaches theta count as
@@ -324,41 +325,6 @@ def _bootstrap_counts(m_values: np.ndarray, k: np.ndarray, n: np.ndarray,
     bins = np.searchsorted(np.cumsum(hist), ranks, side="right")
     lo, hi = (int(m_values[b]) if b < n_m else None for b in bins)
     return lo, hi
-
-
-def bootstrap_onset(flags_by_m: Sequence[Tuple[int, np.ndarray]],
-                    theta: float, n_replicates: int = 1000,
-                    seed: int = 0) -> Tuple[Optional[int], Optional[int]]:
-    """2.5/97.5 percentile bounds on the onset from resampled flags.
-
-    flags_by_m pairs each m with its Bernoulli flag array, sorted by
-    strictly increasing m.  Each replicate resamples flags with
-    replacement within every m, refits the isotonic curve with the same
-    cell-size weights, and reads off the onset.  Deterministic in seed;
-    with n_replicates = 1 both bounds equal the single replicate onset.
-    """
-    if n_replicates < 1:
-        raise EstimationError("n_replicates must be >= 1")
-    if not 0.0 < theta < 1.0:
-        raise EstimationError(f"theta must lie in (0, 1), got {theta}")
-    if not flags_by_m:
-        raise EstimationError("flags_by_m must be nonempty")
-    ms = [m for m, _ in flags_by_m]
-    if any(b <= a for a, b in zip(ms, ms[1:])):
-        raise EstimationError("flags_by_m must be sorted by strictly "
-                              "increasing m")
-    k = []
-    n = []
-    for _, flags in flags_by_m:
-        arr = np.asarray(flags, dtype=bool)
-        if arr.ndim != 1 or arr.size < 1:
-            raise EstimationError("each flag array must be nonempty 1-d")
-        k.append(int(arr.sum()))
-        n.append(int(arr.size))
-    return _bootstrap_counts(np.asarray(ms, dtype=np.int64),
-                             np.asarray(k, dtype=float),
-                             np.asarray(n, dtype=float),
-                             theta, n_replicates, seed)
 
 
 def combine_onset_ci(

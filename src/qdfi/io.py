@@ -14,15 +14,15 @@ from __future__ import annotations
 
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._version import __version__
 from .analysis import ScalingFit, SlopeFit, SummaryRow
 from .estimation import OnsetEstimate
-from .sweep import (ConfigError, RedundancyTrajectory, RunConfig,
-                    SweepResult, TimeGridSpec)
+from .sweep import (CONFIG_KEYS, GRID_PREFIX, ConfigError,
+                    RedundancyTrajectory, RunConfig, SweepResult, TimeGridSpec)
 
 __all__ = [
     "parse_config",
@@ -48,40 +48,6 @@ SCALING_HEADER = "delta,exponent,n_points"
 SUMMARY_HEADER = "delta,max_R,final_FI,kappa,r2,t_star"
 
 
-def _list_of(item: Callable[[str], object]) -> Callable[[str], tuple]:
-    """Parser of a comma-separated list of ``item`` values; blanks skipped."""
-    def parse(text: str) -> tuple:
-        return tuple(item(p.strip()) for p in text.split(",") if p.strip())
-    return parse
-
-
-# key in the config file -> (RunConfig attribute path, value parser), in the
-# order serialize_config writes them; "time_grid." keys build the TimeGridSpec.
-_GRID = "time_grid."
-_CONFIG_KEYS: Dict[str, Tuple[str, Callable[[str], object]]] = {
-    "N": ("n_sites", int),
-    "g": ("g", float),
-    "coupling_rate": ("coupling_rate", float),
-    "p0": ("p0", float),
-    "deltas": ("deltas", _list_of(float)),
-    "theta": ("theta", float),
-    "protocols": ("protocols", _list_of(str)),
-    "n_fragments": ("n_fragments", int),
-    "m_grid": ("m_grid", _list_of(int)),
-    "t_min": (_GRID + "t_min", float),
-    "t_knee": (_GRID + "t_knee", float),
-    "t_max": (_GRID + "t_max", float),
-    "n_dense": (_GRID + "n_dense", int),
-    "n_coarse": (_GRID + "n_coarse", int),
-    "alpha": ("alpha", float),
-    "bootstrap_B": ("bootstrap_replicates", int),
-    "bootstrap_budget": ("bootstrap_budget", int),
-    "overlap_pairs": ("overlap_pairs", int),
-    "enumeration_cap": ("enumeration_cap", int),
-    "master_seed": ("master_seed", int),
-}
-
-
 def parse_config_text(text: str) -> RunConfig:
     """Parse config text; see parse_config."""
     main: Dict[str, object] = {}
@@ -100,16 +66,16 @@ def parse_config_text(text: str) -> RunConfig:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        attr, parse = _CONFIG_KEYS[key]
+        attr, parse = CONFIG_KEYS[key]
         try:
             parsed = parse(value)
         except ValueError as exc:
             raise ConfigError(
                 f"line {lineno}: bad value for {key!r}: {exc}") from None
-        if attr.startswith(_GRID):
-            grid[attr.removeprefix(_GRID)] = parsed
+        if attr.startswith(GRID_PREFIX):
+            grid[attr.removeprefix(GRID_PREFIX)] = parsed
         else:
             main[attr] = parsed
     if grid:
@@ -142,7 +108,7 @@ def _fmt(value) -> str:
 def serialize_config(config: RunConfig) -> str:
     """Render a RunConfig as config text that parses back identically."""
     lines = []
-    for key, (attr, _) in _CONFIG_KEYS.items():
+    for key, (attr, _) in CONFIG_KEYS.items():
         value = attrgetter(attr)(config)
         if isinstance(value, tuple):
             text = ", ".join(_fmt(v) for v in value)

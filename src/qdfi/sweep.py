@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -150,13 +150,43 @@ def build_time_grid(spec: TimeGridSpec) -> np.ndarray:
     return grid
 
 
-# Integer fields of RunConfig and their config-file keys.
-_INTEGER_KEYS = (("n_sites", "N"), ("n_fragments", "n_fragments"),
-                 ("bootstrap_replicates", "bootstrap_B"),
-                 ("bootstrap_budget", "bootstrap_budget"),
-                 ("overlap_pairs", "overlap_pairs"),
-                 ("enumeration_cap", "enumeration_cap"),
-                 ("master_seed", "master_seed"))
+def _list_of(item: Callable[[str], object]) -> Callable[[str], tuple]:
+    """Parser of a comma-separated list of ``item`` values; blanks skipped."""
+    def parse(text: str) -> tuple:
+        return tuple(item(p.strip()) for p in text.split(",") if p.strip())
+    return parse
+
+
+# key in the config file -> (RunConfig attribute path, value parser), in the
+# order io.serialize_config writes them; GRID_PREFIX keys build the
+# TimeGridSpec.
+GRID_PREFIX = "time_grid."
+CONFIG_KEYS: Dict[str, Tuple[str, Callable[[str], object]]] = {
+    "N": ("n_sites", int),
+    "g": ("g", float),
+    "coupling_rate": ("coupling_rate", float),
+    "p0": ("p0", float),
+    "deltas": ("deltas", _list_of(float)),
+    "theta": ("theta", float),
+    "protocols": ("protocols", _list_of(str)),
+    "n_fragments": ("n_fragments", int),
+    "m_grid": ("m_grid", _list_of(int)),
+    "t_min": (GRID_PREFIX + "t_min", float),
+    "t_knee": (GRID_PREFIX + "t_knee", float),
+    "t_max": (GRID_PREFIX + "t_max", float),
+    "n_dense": (GRID_PREFIX + "n_dense", int),
+    "n_coarse": (GRID_PREFIX + "n_coarse", int),
+    "alpha": ("alpha", float),
+    "bootstrap_B": ("bootstrap_replicates", int),
+    "bootstrap_budget": ("bootstrap_budget", int),
+    "overlap_pairs": ("overlap_pairs", int),
+    "enumeration_cap": ("enumeration_cap", int),
+    "master_seed": ("master_seed", int),
+}
+
+# (attribute, key) of each integer field of RunConfig itself.
+_INTEGER_KEYS = tuple((attr, key) for key, (attr, parse) in CONFIG_KEYS.items()
+                      if parse is int and not attr.startswith(GRID_PREFIX))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qdfi import (AdequacyCell, EstimationError, IsotonicCurve,
-                  OnsetEstimate, adequacy_cell, bootstrap_onset,
-                  combine_onset_ci, isotonic_fit, onset_ci_inversion,
-                  onset_from_curve, redundancy_fi, wilson_interval)
+                  OnsetEstimate, adequacy_cell, combine_onset_ci,
+                  isotonic_fit, onset_ci_inversion, onset_from_curve,
+                  redundancy_fi, wilson_interval)
 from qdfi import estimation
 from qdfi.estimation import _batch_onset_indices, _bootstrap_counts
 
@@ -345,17 +345,26 @@ class TestOnsetInversion:
             onset_ci_inversion(cells, 0.9)
 
 
+def counts_of(flags_by_m):
+    """(m_values, k, n) arrays, as the sweep passes them, from (m, flags)
+    pairs sorted by increasing m."""
+    m_values = np.array([m for m, _ in flags_by_m], dtype=np.int64)
+    k = np.array([np.count_nonzero(f) for _, f in flags_by_m], dtype=float)
+    n = np.array([f.size for _, f in flags_by_m], dtype=float)
+    return m_values, k, n
+
+
 class TestBootstrapOnset:
     def test_saturated_zero_width(self):
         flags_by_m = [(m, np.ones(400, dtype=bool)) for m in (1, 2, 3)]
-        lo, hi = bootstrap_onset(flags_by_m, 0.9, n_replicates=50, seed=0)
+        lo, hi = _bootstrap_counts(*counts_of(flags_by_m), 0.9, 50, 0)
         assert lo == 1 and hi == 1
 
     def test_single_replicate_degenerates(self):
         rng = np.random.default_rng(51)
         flags_by_m = [(m, rng.random(100) < p)
                       for m, p in [(1, 0.2), (2, 0.6), (3, 0.97)]]
-        lo, hi = bootstrap_onset(flags_by_m, 0.9, n_replicates=1, seed=3)
+        lo, hi = _bootstrap_counts(*counts_of(flags_by_m), 0.9, 1, 3)
         assert lo == hi
 
     def test_staircase_coverage(self):
@@ -369,8 +378,8 @@ class TestBootstrapOnset:
         for rep in range(trials):
             flags_by_m = [(m, rng.random(200) < p)
                           for m, p in zip(m_grid, true_p)]
-            lo, hi = bootstrap_onset(flags_by_m, 0.9, n_replicates=400,
-                                     seed=rep)
+            lo, hi = _bootstrap_counts(*counts_of(flags_by_m), 0.9, 400,
+                                       rep)
             covered += (lo is not None and hi is not None
                         and lo <= true_onset <= hi)
         assert covered / trials >= 0.93
@@ -472,16 +481,9 @@ class TestBootstrapOnset:
         rng = np.random.default_rng(61)
         flags_by_m = [(m, rng.random(150) < p)
                       for m, p in [(1, 0.3), (2, 0.7), (4, 0.95)]]
-        a = bootstrap_onset(flags_by_m, 0.9, n_replicates=200, seed=9)
-        b = bootstrap_onset(flags_by_m, 0.9, n_replicates=200, seed=9)
+        a = _bootstrap_counts(*counts_of(flags_by_m), 0.9, 200, 9)
+        b = _bootstrap_counts(*counts_of(flags_by_m), 0.9, 200, 9)
         assert a == b
-
-    def test_errors(self):
-        with pytest.raises(EstimationError):
-            bootstrap_onset([], 0.9)
-        with pytest.raises(EstimationError):
-            bootstrap_onset([(2, np.ones(3, dtype=bool)),
-                             (2, np.ones(3, dtype=bool))], 0.9)
 
 
 class TestCombineOnsetCi:
