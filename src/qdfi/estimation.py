@@ -60,9 +60,11 @@ def wilson_interval(successes: int, trials: int,
     if not 0 <= successes <= trials:
         raise EstimationError(
             f"successes must lie in [0, {trials}], got {successes}")
-    if not 0.0 < alpha < 1.0:
-        raise EstimationError(f"alpha must lie in (0, 1), got {alpha}")
-    z = _normal_quantile(1.0 - alpha / 2.0)
+    q = 1.0 - alpha / 2.0
+    # below 2**-53, q rounds to 1.0, which has no normal quantile
+    if not (0.0 < alpha < 1.0 and q < 1.0):
+        raise EstimationError(f"alpha must lie in (2**-53, 1), got {alpha}")
+    z = _normal_quantile(q)
     k = float(successes)
     n = float(trials)
     p = k / n

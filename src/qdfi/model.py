@@ -202,8 +202,9 @@ class CouplingSet:
             raise DomainError("couplings must be a nonempty 1-d array")
         if not np.all(np.isfinite(lam)) or np.any(lam < 0.0):
             raise DomainError("couplings must be finite and nonnegative")
-        if not math.isfinite(self.g):
-            raise DomainError("coupling scale g must be finite")
+        if not math.isfinite(self.g * self.g):
+            raise DomainError(f"coupling scale g must have a finite square, "
+                              f"got {self.g}")
         lam = lam.copy()
         lam.setflags(write=False)
         object.__setattr__(self, "couplings", lam)

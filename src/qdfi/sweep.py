@@ -230,8 +230,10 @@ class RunConfig:
     def _validate(self) -> None:
         if self.n_sites < 2:
             raise ConfigError(f"N must be >= 2, got {self.n_sites}")
-        if not (math.isfinite(self.g) and self.g > 0.0):
-            raise ConfigError(f"g must be positive, got {self.g}")
+        # the kernel squares g
+        if not (math.isfinite(self.g * self.g) and self.g > 0.0):
+            raise ConfigError(
+                f"g must be positive with a finite square, got {self.g}")
         if not (math.isfinite(self.coupling_rate) and self.coupling_rate > 0.0):
             raise ConfigError(
                 f"coupling_rate must be positive, got {self.coupling_rate}")
@@ -265,8 +267,10 @@ class RunConfig:
         if ms[0] < 1 or ms[-1] > self.n_sites:
             raise ConfigError(
                 f"m_grid must stay within [1, N = {self.n_sites}]")
-        if not (0.0 < self.alpha < 1.0):
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+        # the Wilson band needs 1 - alpha/2 < 1, which fails below 2**-53
+        if not (0.0 < self.alpha < 1.0 and 1.0 - self.alpha / 2.0 < 1.0):
+            raise ConfigError(
+                f"alpha must lie in (2**-53, 1), got {self.alpha}")
         if self.bootstrap_replicates < 1:
             raise ConfigError("bootstrap_B must be >= 1")
         if self.bootstrap_budget < 0:

@@ -19,6 +19,7 @@ from qdfi import (ConfigError, OnsetEstimate, RedundancyTrajectory, RunConfig,
                   serialize_config, write_tables)
 from qdfi.cli import _parse_threads, main
 from qdfi.sampling import PROTOCOLS
+from qdfi.sweep import CONFIG_KEYS
 
 FAST_CFG = """
 # compact but real run
@@ -69,7 +70,8 @@ def valid_configs(draw):
             *sorted((t_min, t_knee, t_max)),
             n_dense=draw(st.integers(2, 200), label="n_dense"),
             n_coarse=draw(st.integers(1, 200), label="n_coarse")),
-        alpha=draw(_open_unit(), label="alpha"),
+        alpha=draw(st.floats(2.0 ** -53, 1.0, exclude_min=True,
+                             exclude_max=True), label="alpha"),
         bootstrap_replicates=draw(st.integers(1, 10 ** 6), label="B"),
         bootstrap_budget=draw(st.integers(0, 10 ** 9), label="budget"),
         overlap_pairs=draw(st.integers(1, 10 ** 6), label="pairs"),
@@ -117,6 +119,18 @@ def fast_run_dir(tmp_path, fast_cfg_file):
 
 
 class TestConfigParsing:
+    def test_readme_table_lists_every_key(self):
+        # the first column of README's config table, in the order of the
+        # one key table that parses and serializes config files
+        readme = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        section = readme.split("\n## Config file\n", 1)[1].split("\n## ")[0]
+        rows = [line for line in section.splitlines()
+                if line.startswith("| ")][2:]   # past header and rule
+        keys = [key for row in rows
+                for key in row.split("|")[1].strip().split(", ")]
+        assert keys == list(CONFIG_KEYS)
+
     def test_empty_text_gives_defaults(self):
         cfg = parse_config_text("")
         assert cfg.n_sites == 50
@@ -364,6 +378,16 @@ class TestCliCommands:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 1
         assert "C(30, 15)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["alpha = 1e-17", "g = 1e200"])
+    def test_config_that_breaks_every_cell_exits_1(self, tmp_path, capsys,
+                                                   line):
+        # such configs used to validate, then fail in every cell (exit 2)
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(f"N = 12\n{line}\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert line.split(" = ")[0] + " must" in capsys.readouterr().err
 
     def test_missing_run_dir_exits_1(self, tmp_path):
         assert main(["report", "--in", str(tmp_path / "ghost")]) == 1

@@ -152,6 +152,10 @@ class TestWilsonInterval:
             wilson_interval(5, 4)
         with pytest.raises(EstimationError):
             wilson_interval(1, 10, alpha=0.0)
+        # 1 - alpha/2 rounds to 1.0: no normal quantile, so no band
+        for alpha in (1e-17, 2.0 ** -53):
+            with pytest.raises(EstimationError, match="alpha"):
+                wilson_interval(3, 10, alpha=alpha)
 
 
 class TestAdequacyCell:

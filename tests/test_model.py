@@ -331,6 +331,9 @@ class TestCouplingSet:
             CouplingSet.exponential(0, 1.0, 0.5, seed=0)
         with pytest.raises(DomainError):
             CouplingSet.exponential(5, -1.0, 0.5, seed=0)
+        # g^2 overflows: mean_field_onset would raise OverflowError
+        with pytest.raises(DomainError, match="finite square"):
+            CouplingSet.exponential(10, 1.0, 1e200, seed=1)
 
 
 class TestPointerEnsemble:

@@ -1,4 +1,5 @@
-"""Package surface: every public name the package imports is exported."""
+"""Package surface: every public name the package imports is exported,
+and every module uses what it imports."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,27 @@ def test_private_names_stay_in_their_module():
                     if alias.name.startswith("_")
                     and not alias.name.endswith("__"))
     assert crossings == {("sweep", "estimation", "_bootstrap_counts")}
+
+
+def test_module_imports_are_used():
+    # the unused-import rule of a linter: a name a module imports must
+    # occur in it as a name, an attribute base being one (np in np.sum)
+    unused = []
+    for path in sorted(Path(qdfi.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name).split(".")[0]
+                                for alias in node.names)
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported.update(alias.asname or alias.name
+                                for alias in node.names)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused.extend(f"{path.stem}: {name}"
+                      for name in sorted(imported - used))
+    assert not unused, f"imported but never used: {unused}"

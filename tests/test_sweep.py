@@ -139,6 +139,20 @@ class TestRunConfig:
         assert small_config().bootstrap_enabled
         assert not small_config(bootstrap_budget=10).bootstrap_enabled
 
+    def test_rejects_alpha_without_normal_quantile(self):
+        # 1 - alpha/2 rounds to 1.0, and every cell's Wilson band failed
+        for alpha in (1e-17, 2.0 ** -53):
+            with pytest.raises(ConfigError, match=r"^alpha must lie in"):
+                RunConfig(n_sites=12, alpha=alpha)
+        assert RunConfig(n_sites=12, alpha=2.0 ** -52).alpha == 2.0 ** -52
+
+    def test_rejects_g_whose_square_overflows(self):
+        # the cell kernel squares g, and every cell raised OverflowError
+        with pytest.raises(ConfigError, match=r"^g must be positive with a "
+                                              r"finite square"):
+            RunConfig(n_sites=12, g=1e200)
+        assert RunConfig(n_sites=12, g=1e154).g == 1e154
+
     def test_unenumerable_exhaustive_rejected(self):
         with pytest.raises(ConfigError, match=r"m = 15 .*C\(30, 15\) = "
                                               r"155117520"):
