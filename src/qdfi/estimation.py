@@ -281,11 +281,58 @@ def _batch_onset_indices(p: np.ndarray, weights: np.ndarray,
     d = weights[None, :] * (p - theta)
     c = np.concatenate([np.zeros((p.shape[0], 1)), np.cumsum(d, axis=1)],
                        axis=1)
+    return _first_clearing(c)
+
+
+def _first_clearing(c: np.ndarray) -> np.ndarray:
+    """Per row of running sums C[0..L], the first j < L with
+    min_{k>j} C[k] >= min_{i<=j} C[i]; -1 where there is none."""
     prefix_min = np.minimum.accumulate(c, axis=1)[:, :-1]
     suffix_min = np.minimum.accumulate(c[:, ::-1], axis=1)[:, ::-1][:, 1:]
     ok = suffix_min >= prefix_min
     hit = ok.any(axis=1)
     return np.where(hit, ok.argmax(axis=1), -1)
+
+
+def _window_onset_indices(k_star: np.ndarray, k: np.ndarray, n: np.ndarray,
+                          theta: float) -> np.ndarray:
+    """_batch_onset_indices(k_star / n, n, theta), index for index, with
+    the minimax run only over the informative window of the grid.
+
+    k_star holds replicate redraws of the observed counts k, so every
+    replicate is 0 in a column with k = 0 and n in a column with k = n.
+    Let the window be the columns between the leading run of k = 0 and
+    the trailing run of k = n.  The running sums C agree bit for bit
+    with the full route's, because the window's cumulative sum starts
+    from the shared C at its first column and adds in the same order.
+    Over the leading run C never rises, so the prefix minimum at a
+    window column is the window's own.  Over the trailing run C never
+    falls, so the suffix minimum at a window column is the window's own,
+    and every trailing column clears the test: the onset is the first
+    trailing column whenever nothing earlier does.  A leading column j
+    clears it only in the exact tie C[j] == C at the window start, and
+    then exactly when the window's first column does.
+    """
+    n_m = n.size
+    informative = np.flatnonzero(k != 0)
+    lo = int(informative[0]) if informative.size else n_m
+    unfilled = np.flatnonzero(k != n)
+    hi = int(unfilled[-1]) + 1 if unfilled.size else 0
+    # one row of running sums serves every replicate over the leading run
+    c_lead = np.concatenate([[0.0], np.cumsum(n[:lo] * (0.0 - theta))])
+    if hi > lo:
+        c = np.empty((k_star.shape[0], hi - lo + 1))
+        c[:, 0] = c_lead[-1]
+        c[:, 1:] = n[lo:hi] * (k_star[:, lo:hi] / n[lo:hi] - theta)
+        first = _first_clearing(np.cumsum(c, axis=1))
+        idx = np.where(first >= 0, lo + first, hi)
+    else:
+        idx = np.full(k_star.shape[0], hi)
+    ties = np.flatnonzero(c_lead[:-1] == c_lead[-1])
+    if ties.size:
+        idx[idx == lo] = ties[0]
+    idx[idx == n_m] = -1
+    return idx
 
 
 def _bootstrap_counts(m_values: np.ndarray, k: np.ndarray, n: np.ndarray,
@@ -307,6 +354,10 @@ def _bootstrap_counts(m_values: np.ndarray, k: np.ndarray, n: np.ndarray,
     _BOOTSTRAP_BLOCK elements from the one generator, which gives the
     same draws as a single (n_replicates, len(n)) call, and each block's
     onsets are tallied in a histogram over the grid plus "absent".
+    Leading columns with k = 0 and trailing columns with k = n redraw
+    their observed count in every replicate, so the onset search runs
+    only over the columns between them (_window_onset_indices), with
+    the same result as the full minimax.
     """
     n_m = n.size
     if np.all((k == 0) | (k == n)):
@@ -320,8 +371,8 @@ def _bootstrap_counts(m_values: np.ndarray, k: np.ndarray, n: np.ndarray,
     hist = np.zeros(n_m + 1, dtype=np.int64)
     for start in range(0, n_replicates, rows):
         size = (min(rows, n_replicates - start), n_m)
-        p_star = rng.binomial(n_int, p_hat, size=size) / n
-        idx = _batch_onset_indices(p_star, n, theta)
+        idx = _window_onset_indices(rng.binomial(n_int, p_hat, size=size),
+                                    k, n, theta)
         hist += np.bincount(np.where(idx >= 0, idx, n_m), minlength=n_m + 1)
     ranks = np.around((n_replicates - 1) * np.array([0.025, 0.975]))
     bins = np.searchsorted(np.cumsum(hist), ranks, side="right")

@@ -307,8 +307,9 @@ def mean_field_onset(t: float, tol: Tolerance,
 
     Returns the continuous onset size and the paired redundancy
     R = N / m*, so m_star_pred * r_pred = N by construction.  Raises
-    DegenerateCutoffError when c_delta is 0 or 1 and DomainError when the
-    denominator vanishes (t = 0, g = 0, or all-zero couplings).
+    DegenerateCutoffError when c_delta is 0 or 1, and DomainError when t
+    is not finite and positive, when g or the mean coupling is 0, or
+    when the denominator, m* or R overflows or underflows in float64.
     """
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"mean-field onset needs t > 0, got {t}")
@@ -316,12 +317,26 @@ def mean_field_onset(t: float, tol: Tolerance,
     if c_delta <= 0.0 or c_delta >= 1.0 - 1e-15:
         raise DegenerateCutoffError(
             f"cutoff c_delta = {c_delta} admits no mean-field inversion")
-    denom = couplings.coupling_mean * couplings.g ** 2 * t ** 2
-    if denom <= 0.0:
+    if couplings.coupling_mean <= 0.0 or couplings.g == 0.0:
         raise DomainError("mean coupling and g must be positive")
-    m_star = -math.log(c_delta) / denom
-    return MeanFieldPrediction(m_star_pred=m_star,
-                               r_pred=couplings.n_sites / m_star)
+    denom = _finite_positive(
+        couplings.coupling_mean * couplings.g ** 2 * (t * t),
+        "denominator lambda_bar g^2 t^2", t)
+    m_star = _finite_positive(-math.log(c_delta) / denom, "onset m*", t)
+    return MeanFieldPrediction(
+        m_star_pred=m_star,
+        r_pred=_finite_positive(couplings.n_sites / m_star,
+                                "redundancy N / m*", t))
+
+
+def _finite_positive(value: float, name: str, t: float) -> float:
+    """value itself when it lies in (0, inf); positive inputs reach 0 or
+    inf only by float64 underflow or overflow, which the error names."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"mean-field {name} "
+                          f"{'overflows' if value else 'underflows'} "
+                          f"float64 at t = {t}")
+    return value
 
 
 def capacity_min_size(tol: Tolerance, env_dim: int) -> int:

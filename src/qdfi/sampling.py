@@ -246,12 +246,22 @@ def estimate_overlap_eta(sample: FragmentSample, n_pairs: int,
     Pairs are uniformly drawn unordered pairs of distinct fragment
     positions (the fragments themselves may be equal sets, counting as
     overlap 1).  Requires at least two fragments in the family.
+
+    A disjoint family whose n*m sites are all distinct gives every pair
+    overlap 0, so the sampled mean is exactly 0.0 whatever pairs are
+    drawn: that family returns eta = 0.0 for n_pairs pairs without
+    drawing them.  A family labelled disjoint that does share sites is
+    sampled like any other.
     """
     if n_pairs < 1:
         raise SamplingError("n_pairs must be >= 1")
     n = sample.n_fragments
     if n < 2:
         raise SamplingError("overlap estimation needs >= 2 fragments")
+    if sample.protocol == "disjoint":
+        sites = np.sort(sample.indices, axis=None)
+        if not np.any(sites[1:] == sites[:-1]):
+            return OverlapStat(eta=0.0, pairs_used=n_pairs)
     rng = _rng(seed)
     first = rng.integers(0, n, size=n_pairs)
     # Offset in [1, n-1] makes the second position uniform over the

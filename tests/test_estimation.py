@@ -20,7 +20,8 @@ from qdfi import (AdequacyCell, EstimationError, IsotonicCurve,
                   isotonic_fit, onset_ci_inversion, onset_from_curve,
                   redundancy_fi, wilson_interval)
 from qdfi import estimation
-from qdfi.estimation import _batch_onset_indices, _bootstrap_counts
+from qdfi.estimation import (_batch_onset_indices, _bootstrap_counts,
+                             _window_onset_indices)
 
 # Wilson bounds evaluated independently with z = NormalDist().inv_cdf(0.975)
 WILSON_50_100 = (0.4038315303659957, 0.5961684696340044)
@@ -403,6 +404,52 @@ class TestBootstrapOnset:
                 hits = np.nonzero(iso >= theta)[0]
                 want = int(hits[0]) if hits.size else -1
                 assert got[row] == want
+
+    @given(st.data())
+    def test_window_onsets_match_full_minimax(self, data):
+        size = data.draw(st.integers(1, 10), label="len(m_grid)")
+        lead = data.draw(st.integers(0, size), label="leading k = 0")
+        trail = data.draw(st.integers(0, size - lead), label="trailing k = n")
+        # disjoint families have a different n at every m
+        if data.draw(st.booleans(), label="equal n"):
+            n = [data.draw(st.integers(1, 40), label="n")] * size
+        else:
+            n = data.draw(st.lists(st.integers(1, 40), min_size=size,
+                                   max_size=size), label="n")
+        n = np.asarray(n, dtype=float)
+        if lead and data.draw(st.booleans(), label="huge first n"):
+            # later leading steps vanish against 2^60 theta, so the
+            # running sums tie across the leading run
+            n[0] = 2.0 ** 60
+        settled = data.draw(st.booleans(), label="window settled")
+        k = np.array([data.draw(st.sampled_from([0, int(nj)]) if settled
+                                else st.integers(0, int(nj)), label="k")
+                      for nj in n], dtype=float)
+        k[:lead] = 0.0
+        k[size - trail:] = n[size - trail:]
+        theta = data.draw(st.one_of(
+            st.sampled_from([0.25, 0.5, 0.6, 0.75, 0.8, 0.9]),
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            label="theta")
+        rows = data.draw(st.sampled_from([1, 2, 7, 300]), label="rows")
+        seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+        k_star = np.random.Generator(np.random.PCG64(seed)).binomial(
+            n.astype(np.int64), k / n, size=(rows, size))
+        want = _batch_onset_indices(k_star / n, n, theta)
+        assert np.array_equal(_window_onset_indices(k_star, k, n, theta),
+                              want)
+
+    def test_window_onsets_keep_the_tie_behaviour(self):
+        # PAVA pools sizes 2 and 3 to exactly 0.75 (onset index 1), but the
+        # minimax route finds no onset; the window route must give what the
+        # minimax route gives, alone and between settled columns
+        n = np.array([2.0, 1.0, 3.0])
+        k = np.array([1.0, 1.0, 2.0])
+        assert _batch_onset_indices((k / n)[None, :], n, 0.75).tolist() == [-1]
+        for n, k in [(n, k), (np.r_[4.0, n, 5.0], np.r_[0.0, k, 5.0])]:
+            k_star = k.astype(np.int64)[None, :]
+            assert np.array_equal(_window_onset_indices(k_star, k, n, 0.75),
+                                  _batch_onset_indices(k_star / n, n, 0.75))
 
     @given(st.data())
     def test_settled_group_matches_one_draw(self, data):

@@ -270,6 +270,34 @@ class TestMeanField:
             mean_field_onset(0.0, self._unit_cut_tol(),
                              self._flat_couplings(10))
 
+    @pytest.mark.parametrize("couplings", [
+        CouplingSet(couplings=np.zeros(10), g=0.5),
+        CouplingSet(couplings=np.ones(10), g=0.0),
+    ])
+    def test_zero_coupling_rejected(self, couplings):
+        with pytest.raises(DomainError, match="must be positive"):
+            mean_field_onset(1.0, self._unit_cut_tol(), couplings)
+
+    @pytest.mark.parametrize("t, what", [
+        (10.0, "denominator .* overflows"),
+        (1e200, "denominator .* overflows"),
+        (1e-200, "denominator .* underflows"),
+    ])
+    def test_float_range_named(self, t, what):
+        # g * g = 1e308 is finite, so the coupling set validates
+        couplings = CouplingSet.exponential(10, 1.0, 1e154, 1)
+        with pytest.raises(DomainError, match=what):
+            mean_field_onset(t, Tolerance.for_entropy(0.05), couplings)
+
+    def test_onset_and_redundancy_range_named(self):
+        with pytest.raises(DomainError, match="m\\* overflows"):
+            mean_field_onset(1e-155, Tolerance.for_entropy(0.05),
+                             CouplingSet(couplings=np.ones(10), g=1.0))
+        # -ln c_delta is about 4.5e-12, so m* is subnormal and N / m* inf
+        with pytest.raises(DomainError, match="N / m\\* overflows"):
+            mean_field_onset(1.0, Tolerance(0.5, threshold=1e-10),
+                             CouplingSet(couplings=np.ones(10), g=1e154))
+
 
 class TestCapacity:
     # delta=1e-4 is the smallest admissible tolerance and stands in for

@@ -1,7 +1,9 @@
 """Package surface: every public name the package imports is exported,
-and every module uses what it imports."""
+every module uses what it imports, and the package needs nothing at run
+time beyond the standard library and numpy."""
 
 import ast
+import sys
 from pathlib import Path
 
 import qdfi
@@ -65,3 +67,22 @@ def test_module_imports_are_used():
         unused.extend(f"{path.stem}: {name}"
                       for name in sorted(imported - used))
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_runtime_imports_are_stdlib_or_numpy():
+    # scipy, hypothesis and pytest-benchmark are installed for tests and
+    # benches only; the package itself may not import them
+    allowed = set(sys.stdlib_module_names) | {"numpy", "qdfi"}
+    outside = []
+    for path in sorted(Path(qdfi.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside.extend(f"{path.stem}: {name}" for name in names
+                           if name.split(".")[0] not in allowed)
+    assert not outside, f"runtime imports beyond stdlib and numpy: {outside}"

@@ -311,6 +311,43 @@ class TestOverlapEta:
         assert stat.eta == 0.0
         assert stat.pairs_used == 50
 
+    @pytest.mark.parametrize("n_sites, m", [(2, 1), (24, 5), (300, 7),
+                                            (2000, 1), (2000, 30),
+                                            (150000, 128)])
+    def test_disjoint_family_draws_no_pairs(self, monkeypatch, n_sites, m):
+        # floor(N/m) blocks, capped at 400, share no site: eta is 0 for
+        # any pairs, so none are drawn
+        s = partition_disjoint(n_sites, m, seed=5)
+
+        def no_draws(seed):
+            raise AssertionError("pairs drawn for a disjoint family")
+
+        monkeypatch.setattr(sampling, "_rng", no_draws)
+        stat = estimate_overlap_eta(s, 200, seed=1)
+        assert stat.eta == 0.0
+        assert stat.pairs_used == 200
+
+    def test_mislabelled_disjoint_family_is_sampled(self):
+        idx = sample_random_fragments(12, 4, 30, seed=2).indices
+        assert np.unique(idx).size < idx.size
+        labelled = estimate_overlap_eta(
+            FragmentSample(indices=idx, protocol="disjoint", m=4), 200, seed=6)
+        sampled = estimate_overlap_eta(
+            FragmentSample(indices=idx, protocol="random", m=4), 200, seed=6)
+        assert labelled == sampled
+        assert labelled.eta > 0.0
+
+    @pytest.mark.parametrize("protocol", ["random", "disjoint"])
+    def test_argument_errors_come_first(self, protocol):
+        one = FragmentSample(indices=np.array([[0, 1, 2]]),
+                             protocol=protocol, m=3)
+        two = FragmentSample(indices=np.array([[0, 1], [2, 3]]),
+                             protocol=protocol, m=2)
+        with pytest.raises(SamplingError, match="needs >= 2 fragments"):
+            estimate_overlap_eta(one, 10, seed=0)
+        with pytest.raises(SamplingError, match="n_pairs must be >= 1"):
+            estimate_overlap_eta(two, 0, seed=0)
+
     def test_identical_fragments_full_overlap(self):
         idx = np.tile(np.array([2, 5, 9]), (4, 1))
         s = FragmentSample(indices=idx, protocol="random", m=3)
