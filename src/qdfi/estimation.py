@@ -275,8 +275,9 @@ def _batch_onset_indices(p: np.ndarray, weights: np.ndarray,
 
     Uses the minimax form of the isotonic fit: with cumulative sums
     C[j] = sum_{l<j} w_l (p_l - theta), the fitted value at j clears theta
-    iff min_{k>j} C[k] >= min_{i<=j} C[i].  This avoids running PAVA per
-    replicate and is exercised against the direct route in the tests.
+    iff min_{k>j} C[k] >= min_{i<=j} C[i].  The sweep runs
+    _window_onset_indices instead; this full-grid route is the reference
+    the tests hold both it and PAVA to.
     """
     d = weights[None, :] * (p - theta)
     c = np.concatenate([np.zeros((p.shape[0], 1)), np.cumsum(d, axis=1)],
@@ -361,7 +362,7 @@ def _bootstrap_counts(m_values: np.ndarray, k: np.ndarray, n: np.ndarray,
     """
     n_m = n.size
     if np.all((k == 0) | (k == n)):
-        idx = int(_batch_onset_indices((k / n)[None, :], n, theta)[0])
+        idx = int(_window_onset_indices(k[None, :], k, n, theta)[0])
         onset = int(m_values[idx]) if idx >= 0 else None
         return onset, onset
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -45,7 +45,7 @@ PROTOCOLS = ("random", "disjoint", "exhaustive")
 # uniformly so the family stays exchangeable.
 DEFAULT_BLOCK_CAP = 400
 # Exhaustive enumeration refuses to materialize more subsets than this.
-DEFAULT_ENUMERATION_CAP = 200_000
+ENUMERATION_CAP = 200_000
 # The key-ranking sampler holds at most this many float64 keys at a time
 # (8 MiB, plus as many int64 ranks from argpartition).
 _KEY_CHUNK = 1 << 20
@@ -218,19 +218,18 @@ def partition_disjoint(n_sites: int, m: int, seed: int) -> FragmentSample:
     return FragmentSample(indices=rows, protocol="disjoint", m=m)
 
 
-def enumerate_fragments(n_sites: int, m: int,
-                        cap: int = DEFAULT_ENUMERATION_CAP) -> FragmentSample:
+def enumerate_fragments(n_sites: int, m: int) -> FragmentSample:
     """All C(N, m) fragments in lexicographic order.
 
-    Refuses to enumerate past ``cap`` subsets; the error names the exact
-    count so callers can report it.
+    Refuses to enumerate past ENUMERATION_CAP subsets; the error names the
+    exact count so callers can report it.
     """
     _check_sizes(n_sites, m)
     count = math.comb(n_sites, m)
-    if count > cap:
+    if count > ENUMERATION_CAP:
         raise SamplingError(
             f"C({n_sites}, {m}) = {count} subsets exceed the enumeration "
-            f"cap of {cap}")
+            f"cap of {ENUMERATION_CAP}")
     flat = np.fromiter(
         itertools.chain.from_iterable(
             itertools.combinations(range(n_sites), m)),

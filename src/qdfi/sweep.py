@@ -6,7 +6,7 @@ before the knee where onsets move fast, linear after), and for every
 information of each fragment, and flags adequacy for every delta at once.
 Per (t, delta) the adequate fractions are isotonically smoothed along m,
 the onset is extracted, and confidence bounds from Wilson-band inversion
-and (budget permitting) bootstrap are combined.
+and bootstrap are combined.
 
 Determinism contract: every random decision derives its seed from the
 master seed and the cell coordinates through an avalanche mixer, and
@@ -18,6 +18,7 @@ coordinates and finished payloads.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -30,7 +31,7 @@ from .estimation import (AdequacyCell, IsotonicCurve, OnsetEstimate,
                          redundancy_fi)
 from .model import (CouplingSet, PointerEnsemble, Tolerance, holevo_biased,
                     is_adequate)
-from .sampling import (DEFAULT_ENUMERATION_CAP, PROTOCOLS, FragmentSample,
+from .sampling import (ENUMERATION_CAP, PROTOCOLS, FragmentSample,
                        enumerate_fragments, estimate_overlap_eta,
                        partition_disjoint, sample_random_fragments)
 
@@ -115,6 +116,16 @@ def _integral(name: str, value) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float; ConfigError unless it is a real number."""
+    try:
+        if isinstance(value, numbers.Real):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TimeGridSpec:
     """Adaptive grid: n_dense geometric points on [t_min, t_knee] followed
@@ -127,8 +138,8 @@ class TimeGridSpec:
     n_coarse: int = 60
 
     def __post_init__(self) -> None:
-        for attr in ("n_dense", "n_coarse"):
-            object.__setattr__(self, attr, _integral(attr, getattr(self, attr)))
+        for attr, key, check in _GRID_SCALARS:
+            object.__setattr__(self, attr, check(key, getattr(self, attr)))
         if not (0.0 < self.t_min < self.t_knee < self.t_max):
             raise ConfigError(
                 f"need 0 < t_min < t_knee < t_max, got "
@@ -178,15 +189,19 @@ CONFIG_KEYS: Dict[str, Tuple[str, Callable[[str], object]]] = {
     "n_coarse": (GRID_PREFIX + "n_coarse", int),
     "alpha": ("alpha", float),
     "bootstrap_B": ("bootstrap_replicates", int),
-    "bootstrap_budget": ("bootstrap_budget", int),
     "overlap_pairs": ("overlap_pairs", int),
-    "enumeration_cap": ("enumeration_cap", int),
     "master_seed": ("master_seed", int),
 }
 
-# (attribute, key) of each integer field of RunConfig itself.
-_INTEGER_KEYS = tuple((attr, key) for key, (attr, parse) in CONFIG_KEYS.items()
-                      if parse is int and not attr.startswith(GRID_PREFIX))
+# (attribute, key, check) of each int or float field of TimeGridSpec and
+# of RunConfig itself; the check makes whole numbers ints and real numbers
+# floats, and raises ConfigError naming the key for anything else.
+_CHECKS = {int: _integral, float: _real}
+_GRID_SCALARS, _RUN_SCALARS = (
+    tuple((attr.removeprefix(GRID_PREFIX), key, _CHECKS[parse])
+          for key, (attr, parse) in CONFIG_KEYS.items()
+          if parse in _CHECKS and attr.startswith(GRID_PREFIX) == grid)
+    for grid in (True, False))
 
 
 @dataclass(frozen=True)
@@ -210,16 +225,15 @@ class RunConfig:
     time_grid: TimeGridSpec = TimeGridSpec()
     alpha: float = 0.05
     bootstrap_replicates: int = 1000
-    bootstrap_budget: int = 1_000_000
     overlap_pairs: int = 200
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
+        object.__setattr__(self, "deltas", tuple(
+            _real("deltas entry", d) for d in self.deltas))
         object.__setattr__(self, "protocols", tuple(self.protocols))
-        for attr, key in _INTEGER_KEYS:
-            object.__setattr__(self, attr, _integral(key, getattr(self, attr)))
+        for attr, key, check in _RUN_SCALARS:
+            object.__setattr__(self, attr, check(key, getattr(self, attr)))
         if not self.m_grid:
             grid = tuple(range(1, min(128, self.n_sites) + 1))
         else:
@@ -273,21 +287,12 @@ class RunConfig:
                 f"alpha must lie in (2**-53, 1), got {self.alpha}")
         if self.bootstrap_replicates < 1:
             raise ConfigError("bootstrap_B must be >= 1")
-        if self.bootstrap_budget < 0:
-            raise ConfigError("bootstrap_budget must be >= 0")
         if self.overlap_pairs < 1:
             raise ConfigError("overlap_pairs must be >= 1")
-        if self.enumeration_cap < 1:
-            raise ConfigError("enumeration_cap must be >= 1")
         if "exhaustive" in self.protocols:
             _check_enumerable(self)
         if not (0 <= self.master_seed <= _MASK64):
             raise ConfigError("master_seed must fit in 64 bits")
-
-    @property
-    def bootstrap_enabled(self) -> bool:
-        """Bootstrap runs when per-replicate flag volume fits the budget."""
-        return self.n_fragments * len(self.m_grid) <= self.bootstrap_budget
 
     def couplings(self) -> CouplingSet:
         """The run's quenched couplings, drawn from the master seed."""
@@ -300,10 +305,10 @@ def _check_enumerable(config: RunConfig) -> None:
     """Raise ConfigError unless every C(N, m) on the grid fits the cap."""
     for m in config.m_grid:
         count = math.comb(config.n_sites, m)
-        if count > config.enumeration_cap:
+        if count > ENUMERATION_CAP:
             raise ConfigError(
                 f"m = {m} is not enumerable: C({config.n_sites}, {m}) = "
-                f"{count} exceeds enumeration_cap {config.enumeration_cap}")
+                f"{count} exceeds the enumeration cap {ENUMERATION_CAP}")
 
 
 @dataclass(frozen=True)
@@ -337,7 +342,6 @@ class RunStats:
 
     holevo_evaluations: int
     fi_soft_violations: int
-    bootstrap_ran: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,7 +366,7 @@ def _sample_cell(config: RunConfig, t_index: int, m_index: int,
                                        config.n_fragments, seed)
     if protocol == "disjoint":
         return partition_disjoint(config.n_sites, m, seed)
-    return enumerate_fragments(config.n_sites, m, config.enumeration_cap)
+    return enumerate_fragments(config.n_sites, m)
 
 
 def _tolerances(config: RunConfig) -> List[Tolerance]:
@@ -465,15 +469,12 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
             cells = [replace(c, phi_iso=float(v)) for c, v in zip(cells, iso)]
             m_star = onset_from_curve(IsotonicCurve(m_arr, iso), config.theta)
             m_lo, m_hi = onset_ci_inversion(cells, config.theta)
-            if config.bootstrap_enabled:
-                boot_seed = derive_cell_seed(config.master_seed, t_index, 0,
-                                             d_index, proto_id,
-                                             PURPOSE_BOOTSTRAP)
-                boot = _bootstrap_counts(
-                    m_arr, np.array([c.k for c in cells], dtype=float),
-                    n_arr, config.theta, config.bootstrap_replicates,
-                    boot_seed)
-                m_lo, m_hi = combine_onset_ci((m_lo, m_hi), boot)
+            boot_seed = derive_cell_seed(config.master_seed, t_index, 0,
+                                         d_index, proto_id, PURPOSE_BOOTSTRAP)
+            boot = _bootstrap_counts(
+                m_arr, np.array([c.k for c in cells], dtype=float), n_arr,
+                config.theta, config.bootstrap_replicates, boot_seed)
+            m_lo, m_hi = combine_onset_ci((m_lo, m_hi), boot)
 
             eta = r = r_eff = fi = fi_eff = None
             if m_star is not None:
@@ -586,8 +587,7 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     overlaps.sort(key=lambda o: (o.t, o.m, o.protocol))
     stats = RunStats(
         holevo_evaluations=evaluations,
-        fi_soft_violations=_fi_soft_violations(trajectories),
-        bootstrap_ran=config.bootstrap_enabled)
+        fi_soft_violations=_fi_soft_violations(trajectories))
     return SweepResult(config=config, couplings=couplings,
                        time_grid=time_grid, cells=tuple(cells),
                        trajectories=tuple(trajectories),
@@ -637,8 +637,7 @@ def oracle_report(config: RunConfig) -> OracleReport:
     # report cells in (t, m, delta) order.
     by_coords: Dict[Tuple[int, int], List[OracleCell]] = {}
     for m_index, m in enumerate(config.m_grid):
-        exact_sample = enumerate_fragments(config.n_sites, m,
-                                           config.enumeration_cap)
+        exact_sample = enumerate_fragments(config.n_sites, m)
         for t_index in t_indices:
             t = float(time_grid[t_index])
             sample = _sample_cell(config, t_index, m_index, "random")

@@ -5,7 +5,6 @@ can be checked without spawning interpreters; the one subprocess test
 lives in the acceptance suite.
 """
 
-import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -44,14 +43,13 @@ def _open_unit(**kw):
 @st.composite
 def valid_configs(draw):
     """RunConfigs with every key drawn from its valid range."""
+    # N <= 20 keeps every C(N, m) of an exhaustive run within
+    # ENUMERATION_CAP: the largest, C(20, 10), is 184756
     n_sites = draw(st.integers(2, 20), label="N")
     m_grid = sorted(draw(st.sets(st.integers(1, n_sites), min_size=1),
                          label="m_grid"))
     protocols = draw(st.lists(st.sampled_from(PROTOCOLS), min_size=1,
                               max_size=3, unique=True), label="protocols")
-    # an exhaustive run needs every C(N, m) within the cap
-    least_cap = (max(math.comb(n_sites, m) for m in m_grid)
-                 if "exhaustive" in protocols else 1)
     t_min, t_knee, t_max = draw(st.lists(
         st.floats(1e-6, 1e3), min_size=3, max_size=3, unique=True),
         label="times")
@@ -73,10 +71,7 @@ def valid_configs(draw):
         alpha=draw(st.floats(2.0 ** -53, 1.0, exclude_min=True,
                              exclude_max=True), label="alpha"),
         bootstrap_replicates=draw(st.integers(1, 10 ** 6), label="B"),
-        bootstrap_budget=draw(st.integers(0, 10 ** 9), label="budget"),
         overlap_pairs=draw(st.integers(1, 10 ** 6), label="pairs"),
-        enumeration_cap=draw(st.integers(least_cap, least_cap + 10 ** 6),
-                             label="cap"),
         master_seed=draw(st.integers(0, 2 ** 64 - 1), label="seed"))
 
 
@@ -100,7 +95,7 @@ def _result_of(config, trajectories=()):
     """A SweepResult holding only the given trajectories and no cells."""
     return SweepResult(config=config, couplings=None, time_grid=None,
                        cells=(), trajectories=tuple(trajectories),
-                       overlaps=(), stats=RunStats(0, 0, False))
+                       overlaps=(), stats=RunStats(0, 0))
 
 
 @pytest.fixture()
@@ -157,6 +152,15 @@ class TestConfigParsing:
             parse_config_text("N = 10\nwibble = 3\n")
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("line", ["bootstrap_budget = 10",
+                                      "enumeration_cap = 5"])
+    def test_removed_keys_rejected_with_line(self, line):
+        # the bootstrap always runs and the enumeration cap is a constant
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"^line 2: unknown key "
+                                              rf"'{key}'"):
+            parse_config_text(f"N = 10\n{line}\n")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("N = 10\nN = 11\n")
@@ -172,8 +176,7 @@ class TestConfigParsing:
                         n_fragments=123, m_grid=(1, 3, 9),
                         time_grid=TimeGridSpec(0.02, 0.9, 5.0, 7, 9),
                         alpha=0.1, bootstrap_replicates=77,
-                        bootstrap_budget=5000, overlap_pairs=13,
-                        enumeration_cap=4321, master_seed=99)
+                        overlap_pairs=13, master_seed=99)
         # every field off its default, so no key can round-trip by luck
         default = RunConfig()
         for obj, ref in ((cfg, default), (cfg.time_grid, default.time_grid)):

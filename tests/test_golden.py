@@ -4,10 +4,10 @@ Each case runs ``qdfi simulate`` in-process on a small config and hashes
 everything written to ``--out``: the SHA-256 of the sorted file names,
 each followed by that file's bytes.  The cases between them cover the
 random, disjoint and exhaustive protocols, p0 on both sides of 1/2,
-non-default g and coupling_rate, bootstrap on and off, and both random
-samplers (slot redraw while 8m <= N, key ranking above).  One run is
-also carried through ``analyze`` and every ``plot-data`` figure, and the
-enumerable config pins the exact numbers of ``oracle_report``.
+non-default g and coupling_rate, and both random samplers (slot redraw
+while 8m <= N, key ranking above).  One run is also carried through
+``analyze`` and every ``plot-data`` figure, and the enumerable config
+pins the exact numbers of ``oracle_report``.
 
 A change that alters any digest changes what the program writes; it is
 not a refactor, and it updates these values in a change of its own that
@@ -57,9 +57,9 @@ CONFIGS = {
         overlap_pairs = 25
         master_seed = 3
     """,
-    # random and disjoint, bootstrap off; the key-ranking sampler runs
-    # from m = 9 at N = 64, so for m = 12, 16, 24, 32 on this grid
-    "no-bootstrap-keys-n64": """
+    # random and disjoint; the key-ranking sampler runs from m = 9 at
+    # N = 64, so for m = 12, 16, 24, 32 on this grid
+    "keys-n64": """
         N = 64
         coupling_rate = 2.0
         deltas = 0.01, 0.1
@@ -69,7 +69,6 @@ CONFIGS = {
         n_dense = 5
         n_coarse = 4
         bootstrap_B = 30
-        bootstrap_budget = 10
         overlap_pairs = 20
         master_seed = 21
     """,
@@ -93,7 +92,7 @@ SIMULATE_DIGESTS = {
         "3871960b346f4f234cdf83ec72461a5e1cd7d99e79715f859dbd81f545d16a84",
     "protocols-p03-n300":
         "8d6c815c35664b5996fb7e88b0f3e662b02061c1a5799f7436168ace21dd5fd5",
-    "no-bootstrap-keys-n64":
+    "keys-n64":
         "333ceb188c952a72d8ec0d14633184aed2f8363f68ef58fdb8ad3906abbb36c8",
     "exhaustive-p07-n12":
         "29bd4443f2e41bb88059a68e9ac8105d2d2633526a6b44152470b6c44caa6144",

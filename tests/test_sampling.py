@@ -294,7 +294,7 @@ class TestEnumerateFragments:
 
     def test_cap_exceeded_names_the_count(self):
         with pytest.raises(SamplingError) as err:
-            enumerate_fragments(30, 15, cap=200_000)
+            enumerate_fragments(30, 15)
         assert str(math.comb(30, 15)) in str(err.value)
 
     def test_count_matches_binomial(self):

@@ -110,13 +110,28 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("attr, key", [
         ("n_fragments", "n_fragments"), ("bootstrap_replicates", "bootstrap_B"),
-        ("bootstrap_budget", "bootstrap_budget"),
-        ("overlap_pairs", "overlap_pairs"),
-        ("enumeration_cap", "enumeration_cap"), ("master_seed", "master_seed")])
+        ("overlap_pairs", "overlap_pairs"), ("master_seed", "master_seed")])
     def test_rejects_fractional_counts(self, attr, key):
         with pytest.raises(ConfigError, match=rf"^{key} must be an integer, "
                                               r"got 100\.5"):
             RunConfig(n_sites=20, **{attr: 100.5})
+
+    @pytest.mark.parametrize("make, key", [
+        (lambda: RunConfig(deltas="0.1"), "deltas entry"),
+        (lambda: RunConfig(deltas=(0.1, "x")), "deltas entry"),
+        (lambda: RunConfig(alpha="0.1"), "alpha"),
+        (lambda: RunConfig(theta=None), "theta"),
+        (lambda: RunConfig(g="0.5"), "g"),
+        (lambda: RunConfig(coupling_rate=[1.0]), "coupling_rate"),
+        (lambda: RunConfig(p0=1e400j), "p0"),
+        (lambda: TimeGridSpec(t_min="0.01"), "t_min"),
+        (lambda: TimeGridSpec(t_knee=None), "t_knee"),
+        (lambda: TimeGridSpec(t_max=10 ** 400), "t_max")])
+    def test_rejects_non_real_floats(self, make, key):
+        # used to escape as a bare ValueError, TypeError or OverflowError
+        with pytest.raises(ConfigError, match=rf"^{key} must be a real "
+                                              r"number, got "):
+            make()
 
     def test_rejects_fractional_time_grid_counts(self):
         for key in ("n_dense", "n_coarse"):
@@ -134,10 +149,6 @@ class TestRunConfig:
     def test_rejects_unknown_protocol(self):
         with pytest.raises(ConfigError):
             RunConfig(protocols=("random", "psychic"))
-
-    def test_bootstrap_budget_gate(self):
-        assert small_config().bootstrap_enabled
-        assert not small_config(bootstrap_budget=10).bootstrap_enabled
 
     def test_rejects_alpha_without_normal_quantile(self):
         # 1 - alpha/2 rounds to 1.0, and every cell's Wilson band failed
@@ -359,19 +370,23 @@ class TestDeterminism:
         b = run_sweep(small_config(master_seed=2))
         assert a.cells != b.cells
 
-    def test_bootstrap_budget_changes_only_cis(self):
-        on = run_sweep(small_config())
-        off = run_sweep(small_config(bootstrap_budget=0))
-        assert on.stats.bootstrap_ran and not off.stats.bootstrap_ran
-        assert on.cells == off.cells
-        for ta, tb in zip(on.trajectories, off.trajectories):
-            for pa, pb in zip(ta.points, tb.points):
-                assert pa.m_star == pb.m_star
-                if pa.m_star is not None:
-                    # inversion still bounds the onset from below when
-                    # the bootstrap is skipped
-                    assert pb.m_star_lo is not None
-                    assert pb.m_star_lo <= pb.m_star
+    def test_bootstrap_runs_for_every_onset_group(self, monkeypatch):
+        # n_fragments x len(m_grid) = 1.04e6 flags, past the former 10^6
+        # budget that skipped the bootstrap
+        calls = []
+        real = qdfi.sweep._bootstrap_counts
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(qdfi.sweep, "_bootstrap_counts", counted)
+        cfg = small_config(n_fragments=130_000, deltas=(0.01, 0.1),
+                           protocols=("random", "disjoint"),
+                           time_grid=TimeGridSpec(n_dense=2, n_coarse=1),
+                           bootstrap_replicates=20)
+        run_sweep(cfg)
+        assert len(calls) == 3 * len(cfg.deltas) * len(cfg.protocols)
 
 
 class TestOracleReport:
@@ -439,7 +454,6 @@ class TestCellErrors:
 
         monkeypatch.setattr(qdfi.sweep, name, broken)
         cfg = self._config()
-        assert cfg.bootstrap_enabled
         t0 = float(build_time_grid(cfg.time_grid)[0])
         with pytest.raises(SweepCellError) as err:
             run_sweep(cfg, threads=threads)
