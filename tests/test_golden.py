@@ -89,19 +89,19 @@ CONFIGS = {
 
 SIMULATE_DIGESTS = {
     "random-bootstrap-n40":
-        "3871960b346f4f234cdf83ec72461a5e1cd7d99e79715f859dbd81f545d16a84",
+        "2c1df87890344024b32b47b83fbe3e64551d77bd43d1ffc7ff2d8ca6c1e34b53",
     "protocols-p03-n300":
-        "8d6c815c35664b5996fb7e88b0f3e662b02061c1a5799f7436168ace21dd5fd5",
+        "db2ed66b5b8a7090e53d473a8e661e4bbb4d3525d100816334d2edfd9beb734f",
     "keys-n64":
-        "333ceb188c952a72d8ec0d14633184aed2f8363f68ef58fdb8ad3906abbb36c8",
+        "9cc321408ab4890e47ef5c8e1c4ff87c47719c648d99279ce463d90bd63387f7",
     "exhaustive-p07-n12":
-        "29bd4443f2e41bb88059a68e9ac8105d2d2633526a6b44152470b6c44caa6144",
+        "84ff77b2211c11bda69b9f4186680fc30467ce161fe84b1dc840f1818f4c821e",
 }
 
 # analyze and the five plot-data figures, from the protocols-p03-n300 run
 ANALYSIS_RUN = "protocols-p03-n300"
 ANALYZE_DIGEST = (
-    "c88af9f326ca38cdee1ad3339387be9fbd76dbcbcec6c224156031d018b2b5c4")
+    "f6d47138b73c79be3b6f4cfd9d4a104e24853f1a4b7dc3af39220f43aca1aa90")
 PLOT_DATA_DIGEST = (
     "105afa968940076b5beb4896245df7e41fafb6f39d8f581b8dad44040f35cea6")
 
