@@ -8,15 +8,18 @@ to each check.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from conftest import criterion
 from test_estimation import brute_isotonic
 
+import qdfi
 from qdfi import (CouplingSet, RunConfig, TimeGridSpec, Tolerance,
                   build_time_grid, fit_early_slope, holevo_biased,
                   isotonic_fit, oracle_report, run_sweep, scaling_exponent,
@@ -332,6 +335,10 @@ def test_thread_count_determinism(tmp_path):
             "overlap_pairs = 20\n"
             "master_seed = 9\n",
             encoding="utf-8")
+        # the subprocesses import the package this process imported, from
+        # an install or from a checkout's src
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(qdfi.__file__).parents[1]))
         outputs = {}
         for threads in (1, 8):
             out = tmp_path / f"run-t{threads}"
@@ -341,7 +348,7 @@ def test_thread_count_determinism(tmp_path):
                  "sys.exit(main(sys.argv[1:]))",
                  "simulate", "--config", str(cfg_path),
                  "--out", str(out), "--threads", str(threads)],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
             outputs[threads] = {
                 p.name: p.read_bytes() for p in sorted(out.iterdir())}

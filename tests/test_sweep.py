@@ -126,7 +126,10 @@ class TestRunConfig:
         (lambda: RunConfig(p0=1e400j), "p0"),
         (lambda: TimeGridSpec(t_min="0.01"), "t_min"),
         (lambda: TimeGridSpec(t_knee=None), "t_knee"),
-        (lambda: TimeGridSpec(t_max=10 ** 400), "t_max")])
+        (lambda: TimeGridSpec(t_max=10 ** 400), "t_max")],
+        ids=["deltas-str", "deltas-str-entry", "alpha-str", "theta-none",
+             "g-str", "coupling_rate-list", "p0-complex", "t_min-str",
+             "t_knee-none", "t_max-overflow"])
     def test_rejects_non_real_floats(self, make, key):
         # used to escape as a bare ValueError, TypeError or OverflowError
         with pytest.raises(ConfigError, match=rf"^{key} must be a real "
