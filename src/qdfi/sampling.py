@@ -11,8 +11,12 @@ Three protocols produce the fragment sets whose adequacy gets counted:
 Random m-subsets come from one of two exact samplers, chosen by the
 share m/N: while 8m <= N, draw m indices per row and redraw only the
 slots that repeat a site until no row has a repeat; beyond that, rank N
-uniform keys per row.  Key ranking draws its keys in chunks of bounded
-size, so memory stays O(n_fragments * m) beyond a fixed chunk.
+uniform keys per row.  Slot redraw finds repeats with one compare over
+the flattened rows and works on a shrinking copy of the rows that still
+repeat; key ranking draws its keys in chunks of bounded size, so memory
+stays O(n_fragments * m) beyond a fixed chunk.  The overlap estimate
+gathers both fragments of every pair in one step and counts shared sites
+in the sorted merged rows.
 
 Fragments are stored as rows of a 2-d index array, each row sorted
 strictly increasing.  All draws run through numpy PCG64 generators seeded
@@ -128,25 +132,44 @@ def _distinct_rows_by_redraw(rng: np.random.Generator, n_sites: int,
     by exactly the row's missing count per round, so the row stops at the
     first m distinct values of that stream: an exactly uniform m-subset
     by label symmetry.  Rows whose first draw repeats nothing are the
-    plain sorted draw.
+    plain sorted draw, and with m = 1 the draw is returned as it is.
+
+    Each round gathers the rows that still repeat into a compact block,
+    redraws, sorts and writes them back.  Redrawn slots are filled in
+    row-major order, as one draw over the rows in ascending order, so
+    the PCG64 stream fixes every row.
     """
     idx = rng.integers(0, n_sites, size=(n_rows, m), dtype=np.int64)
+    if m == 1:
+        return idx
     idx.sort(axis=1)
-    repeat = idx[:, 1:] == idx[:, :-1]
-    active = np.flatnonzero(repeat.any(axis=1))
-    repeat = repeat[active]
-    while active.size:
-        rows = idx[active]
-        at_row, at_slot = np.nonzero(repeat)
-        rows[at_row, at_slot + 1] = rng.integers(0, n_sites, size=at_row.size,
-                                                 dtype=np.int64)
-        rows.sort(axis=1)
-        idx[active] = rows
-        repeat = rows[:, 1:] == rows[:, :-1]
-        still = repeat.any(axis=1)
-        active = active[still]
-        repeat = repeat[still]
+    slots = _repeated_slots(idx)
+    active = np.arange(n_rows)
+    while slots.size:
+        # the repeating rows among ``active``, and each slot's row among them
+        row = slots // m
+        first = np.empty(row.size, dtype=bool)
+        first[0] = True
+        np.not_equal(row[1:], row[:-1], out=first[1:])
+        rows, local = row[first], np.cumsum(first) - 1
+        active = active[rows]
+        work = idx[active]
+        flat = work.reshape(-1)
+        flat[local * m + slots % m] = rng.integers(0, n_sites, size=slots.size,
+                                                   dtype=np.int64)
+        work.sort(axis=1)
+        idx[active] = work
+        slots = _repeated_slots(work)
     return idx
+
+
+def _repeated_slots(rows: np.ndarray) -> np.ndarray:
+    """Flat positions, ascending, of the slots of sorted ``rows`` equal to
+    their left neighbour in the same row."""
+    flat = rows.reshape(-1)
+    at = np.flatnonzero(flat[1:] == flat[:-1]) + 1
+    # a row's first slot compared with the last slot of the row before
+    return at[at % rows.shape[1] != 0]
 
 
 def _distinct_rows_by_keys(rng: np.random.Generator, n_sites: int,
@@ -266,10 +289,12 @@ def estimate_overlap_eta(sample: FragmentSample, n_pairs: int,
     # Offset in [1, n-1] makes the second position uniform over the
     # remaining fragments, so no rejection loop is needed.
     second = (first + 1 + rng.integers(0, n - 1, size=n_pairs)) % n
-    a = sample.indices[first]
-    b = sample.indices[second]
-    merged = np.sort(np.concatenate([a, b], axis=1), axis=1)
-    inter = (merged[:, 1:] == merged[:, :-1]).sum(axis=1)
+    # both rows of each pair side by side, from one gather; a site shared
+    # by the pair is the only way a sorted merged row repeats a value
+    merged = sample.indices[np.stack((first, second), 1)].reshape(
+        n_pairs, 2 * sample.m)
+    merged.sort(axis=1)
+    inter = np.count_nonzero(merged[:, 1:] == merged[:, :-1], axis=1)
     union = 2 * sample.m - inter
     eta = float(np.mean(inter / union))
     # Guard against accumulated roundoff pushing past the closed interval.

@@ -2,8 +2,14 @@
 
 One run draws couplings once, walks an adaptive time grid (geometric
 before the knee where onsets move fast, linear after), and for every
-(protocol, t, m) cell samples a fragment family, evaluates the Holevo
-information of each fragment, and flags adequacy for every delta at once.
+(protocol, t, m) cell samples a fragment family and keeps only each
+fragment's coupling sum, written into one buffer per (protocol, t).
+The Holevo information and the adequacy flags of every delta are then
+evaluated over blocks of consecutive families of at most _CHI_BLOCK
+fragments (a larger family is a block of its own), and each cell counts
+its own slice.  Blocking changes how many calls do the work, not the
+work: every fragment still gets one chi and one flag per delta per
+(t, m) cell, and every output byte is as with one call per cell.
 Per (t, delta) the adequate fractions are isotonically smoothed along m,
 the onset is extracted, and confidence bounds from Wilson-band inversion
 and bootstrap are combined.
@@ -21,7 +27,7 @@ import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,9 +37,10 @@ from .estimation import (AdequacyCell, IsotonicCurve, OnsetEstimate,
                          redundancy_fi)
 from .model import (CouplingSet, PointerEnsemble, Tolerance, holevo_biased,
                     is_adequate)
-from .sampling import (ENUMERATION_CAP, PROTOCOLS, FragmentSample,
-                       enumerate_fragments, estimate_overlap_eta,
-                       partition_disjoint, sample_random_fragments)
+from .sampling import (DEFAULT_BLOCK_CAP, ENUMERATION_CAP, PROTOCOLS,
+                       FragmentSample, enumerate_fragments,
+                       estimate_overlap_eta, partition_disjoint,
+                       sample_random_fragments)
 
 __all__ = [
     "ConfigError",
@@ -78,6 +85,12 @@ _MASK64 = (1 << 64) - 1
 # of cells must fall inside for the check to pass.
 ORACLE_BAND_ALPHA = 0.01
 ORACLE_MIN_FRACTION = 0.98
+
+# Fragments per Holevo pass: the sweep evaluates chi and the adequacy
+# flags of consecutive families of a time point together, up to this many
+# fragments (64 KiB per float64 temporary), so that the fixed cost of each
+# call is shared; a larger family is evaluated alone.
+_CHI_BLOCK = 2 ** 13
 
 
 def _splitmix(z: int) -> int:
@@ -124,6 +137,17 @@ def _real(name: str, value) -> float:
     except OverflowError:
         pass
     raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
+def _entries(name: str, value) -> tuple:
+    """The entries of a list field as a tuple; ConfigError naming the
+    field for a bare string or a value that cannot be iterated."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be a sequence, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -230,14 +254,15 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "deltas", tuple(
-            _real("deltas entry", d) for d in self.deltas))
-        object.__setattr__(self, "protocols", tuple(self.protocols))
+            _real("deltas entry", d) for d in _entries("deltas", self.deltas)))
+        object.__setattr__(self, "protocols",
+                           _entries("protocols", self.protocols))
         for attr, key, check in _RUN_SCALARS:
             object.__setattr__(self, attr, check(key, getattr(self, attr)))
-        if not self.m_grid:
+        grid = tuple(_integral("m_grid entry", m)
+                     for m in _entries("m_grid", self.m_grid))
+        if not grid:
             grid = tuple(range(1, min(128, self.n_sites) + 1))
-        else:
-            grid = tuple(_integral("m_grid entry", m) for m in self.m_grid)
         object.__setattr__(self, "m_grid", grid)
         self._validate()
 
@@ -375,21 +400,63 @@ def _tolerances(config: RunConfig) -> List[Tolerance]:
     return [Tolerance.for_entropy(d, entropy) for d in config.deltas]
 
 
-def _fragment_cells(config: RunConfig, couplings: CouplingSet, t: float,
-                    sample: FragmentSample, tols: Sequence[Tolerance],
-                    alpha: float) -> Tuple[np.ndarray, List[AdequacyCell]]:
-    """Holevo information chi at time t of each fragment of ``sample``,
-    and per tolerance in ``tols`` the AdequacyCell of its adequacy flags.
+def _family_size(config: RunConfig, m: int, protocol: str) -> int:
+    """Fragments in the family that _sample_cell draws for size m."""
+    if protocol == "random":
+        return config.n_fragments
+    if protocol == "disjoint":
+        return min(config.n_sites // m, DEFAULT_BLOCK_CAP)
+    return math.comb(config.n_sites, m)
 
-    The log overlap is -g^2 t^2 times the fragment's coupling sum, as in
+
+def _coupling_sums(couplings: CouplingSet, sample: FragmentSample,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Each fragment's coupling sum, written to ``out`` when given."""
+    return np.sum(couplings.couplings[sample.indices], axis=1, out=out)
+
+
+def _fragment_cells(config: RunConfig, t: float, sums: np.ndarray,
+                    families: Sequence[Tuple[int, int]], protocol: str,
+                    tols: Sequence[Tolerance], alpha: float
+                    ) -> Tuple[np.ndarray,
+                               List[Union[List[AdequacyCell], Exception]]]:
+    """Holevo information chi at time t of a block of fragment families,
+    and per family one AdequacyCell per tolerance in ``tols``.
+
+    ``sums`` holds the fragments' coupling sums, family after family;
+    ``families`` gives each family's (m, stop), ``stop`` being the end of
+    its fragments in ``sums``.  chi and each tolerance's flags are taken
+    once for the whole block, and each family's cells from its slice.
+    The log overlap is -g^2 t^2 times the coupling sum, as in
     model.log_overlap; the operation order below fixes the output bytes.
+    An exception from a family's cells takes the place of its cell list,
+    so that it names that family alone.
     """
-    sums = couplings.couplings[sample.indices].sum(axis=1)
     chi = holevo_biased(-(config.g ** 2) * (t * t) * sums, config.p0)
-    cells = [adequacy_cell(is_adequate(chi, tol), t=t, m=sample.m,
-                           delta=tol.delta, protocol=sample.protocol,
-                           alpha=alpha)
-             for tol in tols]
+    flags = [is_adequate(chi, tol) for tol in tols]
+    out: List[Union[List[AdequacyCell], Exception]] = []
+    start = 0
+    for m, stop in families:
+        try:
+            out.append([adequacy_cell(f[start:stop], t=t, m=m,
+                                      delta=tol.delta, protocol=protocol,
+                                      alpha=alpha)
+                        for f, tol in zip(flags, tols)])
+        except Exception as exc:  # reported by the caller, with its cell
+            out.append(exc)
+        start = stop
+    return chi, out
+
+
+def _family_cells(config: RunConfig, couplings: CouplingSet, t: float,
+                  sample: FragmentSample, tols: Sequence[Tolerance],
+                  alpha: float) -> Tuple[np.ndarray, List[AdequacyCell]]:
+    """_fragment_cells on a block of the one family ``sample``."""
+    chi, (cells,) = _fragment_cells(
+        config, t, _coupling_sums(couplings, sample),
+        [(sample.m, sample.n_fragments)], sample.protocol, tols, alpha)
+    if isinstance(cells, Exception):
+        raise cells
     return chi, cells
 
 
@@ -403,8 +470,8 @@ def cell_chi_values(config: RunConfig, couplings: CouplingSet,
     -level distribution without storing it.
     """
     sample = _sample_cell(config, t_index, m_index, protocol)
-    return _fragment_cells(config, couplings, float(time_grid[t_index]),
-                           sample, (), config.alpha)[0]
+    return _family_cells(config, couplings, float(time_grid[t_index]),
+                         sample, (), config.alpha)[0]
 
 
 @dataclass
@@ -424,10 +491,15 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
     tols = _tolerances(config)
     proto_id = _PROTOCOL_IDS[protocol]
 
-    cells_by_m: List[List[AdequacyCell]] = []
+    # The coupling sums of every family of the time point, one family
+    # after the other; a family's index block is dropped once summed and
+    # its pairs drawn.
+    sums = np.empty(sum(_family_size(config, m, protocol)
+                        for m in config.m_grid))
+    families: List[Tuple[int, int]] = []   # (m, stop) in ``sums``
+    filled = 0
     eta_by_m: Dict[int, float] = {}
     overlaps: List[OverlapRecord] = []
-    evaluations = 0
     # (coordinates, exception) of every failed step; everything done for
     # one cell or one onset sits in a try, so each failure is reported
     # with its coordinates.
@@ -436,11 +508,10 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
     for m_index, m in enumerate(config.m_grid):
         try:
             sample = _sample_cell(config, t_index, m_index, protocol)
-            chi, cells = _fragment_cells(config, couplings, t, sample, tols,
-                                         config.alpha)
-            evaluations += int(chi.size)
+            n = sample.n_fragments
+            _coupling_sums(couplings, sample, out=sums[filled:filled + n])
 
-            if sample.n_fragments >= 2:
+            if n >= 2:
                 pair_seed = derive_cell_seed(config.master_seed, t_index,
                                              m_index, 0, proto_id,
                                              PURPOSE_PAIRS)
@@ -452,9 +523,37 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
                 # pairs that all saw one set (eta = 1, as at m = N) leave
                 # the onset uncorrected, like a single-fragment family
                 eta_by_m[m] = stat.eta if stat.eta < 1.0 else 0.0
-            cells_by_m.append(cells)
+            del sample  # only its sums go on; free the index block now
+            filled += n
+            families.append((m, filled))
         except Exception as exc:  # aggregated, reported with coordinates
             errors.append((f"t={t}, m={m}", exc))
+
+    # One Holevo pass per block of consecutive families: a block holds at
+    # most _CHI_BLOCK fragments, or one larger family alone.
+    cells_by_m: List[List[AdequacyCell]] = []
+    evaluations = 0
+    first = start = 0
+    for last, (_, stop) in enumerate(families, start=1):
+        if last < len(families) and families[last][1] - start <= _CHI_BLOCK:
+            continue
+        block = families[first:last]
+        try:
+            chi, cells = _fragment_cells(
+                config, t, sums[start:stop],
+                [(m, end - start) for m, end in block], protocol, tols,
+                config.alpha)
+        except Exception as exc:  # aggregated, reported with coordinates
+            errors.extend((f"t={t}, m={m}", exc) for m, _ in block)
+        else:
+            evaluations += int(chi.size)
+            for (m, _), got in zip(block, cells):
+                if isinstance(got, Exception):
+                    errors.append((f"t={t}, m={m}", got))
+                else:
+                    cells_by_m.append(got)
+        first, start = last, stop
+    del sums  # the onsets need counts only; free its memory for them
 
     out_cells: List[AdequacyCell] = []
     onsets: List[OnsetEstimate] = []
@@ -641,10 +740,10 @@ def oracle_report(config: RunConfig) -> OracleReport:
         for t_index in t_indices:
             t = float(time_grid[t_index])
             sample = _sample_cell(config, t_index, m_index, "random")
-            _, sampled = _fragment_cells(config, couplings, t, sample, tols,
-                                         ORACLE_BAND_ALPHA)
-            _, exact = _fragment_cells(config, couplings, t, exact_sample,
-                                       tols, ORACLE_BAND_ALPHA)
+            _, sampled = _family_cells(config, couplings, t, sample, tols,
+                                       ORACLE_BAND_ALPHA)
+            _, exact = _family_cells(config, couplings, t, exact_sample,
+                                     tols, ORACLE_BAND_ALPHA)
             by_coords[(t_index, m_index)] = [
                 OracleCell(t=t, m=m, delta=s.delta, phi_hat=s.p_hat,
                            phi_exact=e.p_hat, ci_low=s.ci_low,

@@ -31,6 +31,57 @@ def _rows_as_tuples(sample):
     return [tuple(r) for r in sample.indices]
 
 
+def reference_redraw(rng, n_sites, m, n_rows):
+    """Slot redraw with a 2-d repeat mask and a write-back every round:
+    the sampler's first form, kept to pin its PCG64 stream."""
+    idx = rng.integers(0, n_sites, size=(n_rows, m), dtype=np.int64)
+    idx.sort(axis=1)
+    repeat = idx[:, 1:] == idx[:, :-1]
+    active = np.flatnonzero(repeat.any(axis=1))
+    repeat = repeat[active]
+    while active.size:
+        rows = idx[active]
+        at_row, at_slot = np.nonzero(repeat)
+        rows[at_row, at_slot + 1] = rng.integers(0, n_sites, size=at_row.size,
+                                                 dtype=np.int64)
+        rows.sort(axis=1)
+        idx[active] = rows
+        repeat = rows[:, 1:] == rows[:, :-1]
+        still = repeat.any(axis=1)
+        active = active[still]
+        repeat = repeat[still]
+    return idx
+
+
+def reference_eta(sample, n_pairs, seed):
+    """Sampled mean Jaccard overlap from two gathers, a concatenate and a
+    sorted copy: the overlap kernel's first form."""
+    n = sample.n_fragments
+    rng = sampling._rng(seed)
+    first = rng.integers(0, n, size=n_pairs)
+    second = (first + 1 + rng.integers(0, n - 1, size=n_pairs)) % n
+    a = sample.indices[first]
+    b = sample.indices[second]
+    merged = np.sort(np.concatenate([a, b], axis=1), axis=1)
+    inter = (merged[:, 1:] == merged[:, :-1]).sum(axis=1)
+    union = 2 * sample.m - inter
+    eta = float(np.mean(inter / union))
+    return min(max(eta, 0.0), 1.0)
+
+
+def _draw_random_shape(data):
+    """(N, m, n, seed) with N <= 2000 and n <= 400, on either side of
+    8m <= N; m = 1 is drawn on the redraw side whenever N >= 8."""
+    n_sites = data.draw(st.integers(1, 2000), label="N")
+    if n_sites >= 8 and data.draw(st.booleans(), label="redraw"):
+        m = data.draw(st.just(1) | st.integers(1, n_sites // 8), label="m")
+    else:
+        m = data.draw(st.integers(n_sites // 8 + 1, n_sites), label="m")
+    n = data.draw(st.integers(1, 400), label="n")
+    seed = data.draw(st.integers(0, 2 ** 64 - 1), label="seed")
+    return n_sites, m, n, seed
+
+
 class TestFragmentSampleValidation:
     def test_accepts_sorted_rows(self):
         s = FragmentSample(indices=np.array([[0, 2], [1, 3]]),
@@ -244,6 +295,39 @@ class TestRandomFragments:
             sample_random_fragments(10, 11, 5, seed=0)
         with pytest.raises(SamplingError):
             sample_random_fragments(10, 2, 0, seed=0)
+
+
+class TestStreamIdentity:
+    """The samplers' kernels against their first forms: same arrays,
+    same floats, for any seed."""
+
+    @given(st.data())
+    def test_random_fragments_match_reference(self, data):
+        n_sites, m, n, seed = _draw_random_shape(data)
+        got = sample_random_fragments(n_sites, m, n, seed=seed).indices
+        if _redraw_is_cheaper(n_sites, m):
+            want = reference_redraw(sampling._rng(seed), n_sites, m, n)
+        else:
+            want = _distinct_rows_by_keys(sampling._rng(seed), n_sites, m, n)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_redraw_matches_reference_at_m_1(self):
+        for seed in range(20):
+            got = _distinct_rows_by_redraw(sampling._rng(seed), 1024, 1, 400)
+            want = reference_redraw(sampling._rng(seed), 1024, 1, 400)
+            assert np.array_equal(got, want)
+
+    @given(st.data())
+    def test_overlap_eta_matches_reference(self, data):
+        n_sites, m, n, seed = _draw_random_shape(data)
+        n = max(n, 2)
+        sample = sample_random_fragments(n_sites, m, n, seed=seed)
+        pairs = data.draw(st.integers(1, 400), label="pairs")
+        pair_seed = data.draw(st.integers(0, 2 ** 64 - 1), label="pair seed")
+        stat = estimate_overlap_eta(sample, pairs, pair_seed)
+        assert stat.eta == reference_eta(sample, pairs, pair_seed)
+        assert stat.pairs_used == pairs
 
 
 class TestDisjointPartition:

@@ -1,6 +1,7 @@
 """Engine tests: seeds, time grid, sweep correctness, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,7 +118,6 @@ class TestRunConfig:
             RunConfig(n_sites=20, **{attr: 100.5})
 
     @pytest.mark.parametrize("make, key", [
-        (lambda: RunConfig(deltas="0.1"), "deltas entry"),
         (lambda: RunConfig(deltas=(0.1, "x")), "deltas entry"),
         (lambda: RunConfig(alpha="0.1"), "alpha"),
         (lambda: RunConfig(theta=None), "theta"),
@@ -127,7 +127,7 @@ class TestRunConfig:
         (lambda: TimeGridSpec(t_min="0.01"), "t_min"),
         (lambda: TimeGridSpec(t_knee=None), "t_knee"),
         (lambda: TimeGridSpec(t_max=10 ** 400), "t_max")],
-        ids=["deltas-str", "deltas-str-entry", "alpha-str", "theta-none",
+        ids=["deltas-str-entry", "alpha-str", "theta-none",
              "g-str", "coupling_rate-list", "p0-complex", "t_min-str",
              "t_knee-none", "t_max-overflow"])
     def test_rejects_non_real_floats(self, make, key):
@@ -135,6 +135,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=rf"^{key} must be a real "
                                               r"number, got "):
             make()
+
+    @pytest.mark.parametrize("key, value", [
+        ("deltas", 0.1), ("m_grid", 5), ("protocols", "random"),
+        ("deltas", "0.1")],
+        ids=["deltas-float", "m_grid-int", "protocols-str", "deltas-str"])
+    def test_list_fields_reject_scalars_and_strings(self, key, value):
+        # used to raise a bare TypeError, or to check the string's first
+        # character as an entry ("unknown protocol 'r'", "got '0'")
+        with pytest.raises(ConfigError, match=rf"^{key} must be a sequence, "
+                                              rf"got {value!r}$"):
+            RunConfig(n_sites=12, **{key: value})
 
     def test_rejects_fractional_time_grid_counts(self):
         for key in ("n_dense", "n_coarse"):
@@ -322,6 +333,90 @@ class TestSweepStructure:
             assert 0.0 <= o.eta <= 1.0
             if o.protocol == "disjoint":
                 assert o.eta == 0.0
+
+
+class TestChiBlocks:
+    """The sweep takes chi over blocks of consecutive families."""
+
+    @staticmethod
+    def _config():
+        # N = 16: exhaustive families of C(16, 7..9) > _CHI_BLOCK fragments
+        # go alone, random families of 3000 pair up, and disjoint ones of
+        # 1..16 blocks share a block with their neighbours
+        return RunConfig(n_sites=16, n_fragments=3000,
+                         m_grid=tuple(range(1, 17)),
+                         protocols=("random", "disjoint", "exhaustive"),
+                         time_grid=TimeGridSpec(n_dense=2, n_coarse=1),
+                         bootstrap_replicates=20, overlap_pairs=20,
+                         master_seed=8)
+
+    @staticmethod
+    def _record_holevo(monkeypatch):
+        calls = []
+        real = qdfi.sweep.holevo_biased
+
+        def recorded(log_c, p0):
+            out = real(log_c, p0)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(qdfi.sweep, "holevo_biased", recorded)
+        return calls
+
+    def test_block_chi_equals_cell_chi_values(self, monkeypatch):
+        cfg = self._config()
+        couplings = cfg.couplings()
+        grid = build_time_grid(cfg.time_grid)
+        calls = self._record_holevo(monkeypatch)
+        for protocol in cfg.protocols:
+            for t_index in range(grid.size):
+                calls.clear()
+                qdfi.sweep._compute_time_point(cfg, couplings, grid,
+                                               protocol, t_index)
+                blocks = np.concatenate(calls)
+                cells = np.concatenate([
+                    cell_chi_values(cfg, couplings, grid, t_index, m_index,
+                                    protocol)
+                    for m_index in range(len(cfg.m_grid))])
+                assert blocks.tobytes() == cells.tobytes(), (protocol,
+                                                             t_index)
+
+    def test_blocks_are_bounded_and_count_every_fragment(self, monkeypatch):
+        cfg = self._config()
+        calls = self._record_holevo(monkeypatch)
+        result = run_sweep(cfg)
+        sizes = [chi.size for chi in calls]
+        family_sizes = {cfg.n_fragments}
+        family_sizes.update(min(16 // m, 400) for m in cfg.m_grid)
+        family_sizes.update(math.comb(16, m) for m in cfg.m_grid)
+        for size in sizes:
+            assert (size <= qdfi.sweep._CHI_BLOCK
+                    or size in family_sizes), size
+        assert max(sizes) > qdfi.sweep._CHI_BLOCK
+        # some blocks hold several families: fewer calls than cells
+        n_cells = (len(cfg.protocols) * result.time_grid.size
+                   * len(cfg.m_grid))
+        assert len(sizes) < n_cells
+        assert sum(sizes) == result.stats.holevo_evaluations
+
+    def test_time_point_memory_is_bounded(self):
+        # the large-n150k bench shape at the time point whose bootstrap
+        # does the most work; holding every family's index block instead
+        # of its coupling sums would take about 66 MB
+        cfg = RunConfig(n_sites=150_000, n_fragments=1000,
+                        deltas=(0.0025, 0.005, 0.01, 0.02, 0.05), theta=0.5,
+                        m_grid=tuple(range(1, 129)),
+                        time_grid=TimeGridSpec(n_dense=10, n_coarse=4),
+                        master_seed=29)
+        couplings = cfg.couplings()
+        grid = build_time_grid(cfg.time_grid)
+        tracemalloc.start()
+        try:
+            qdfi.sweep._compute_time_point(cfg, couplings, grid, "random", 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 class TestDeterminism:
