@@ -1,18 +1,18 @@
 """Sweep orchestration: quenched couplings, adaptive time grid, cell loop.
 
-One run draws couplings once, walks an adaptive time grid (geometric
-before the knee where onsets move fast, linear after), and for every
-(protocol, t, m) cell samples a fragment family and keeps only each
-fragment's coupling sum, written into one buffer per (protocol, t).
-The Holevo information and the adequacy flags of every delta are then
-evaluated over blocks of consecutive families of at most _CHI_BLOCK
-fragments (a larger family is a block of its own), and each cell counts
-its own slice.  Blocking changes how many calls do the work, not the
-work: every fragment still gets one chi and one flag per delta per
-(t, m) cell, and every output byte is as with one call per cell.
-Per (t, delta) the adequate fractions are isotonically smoothed along m,
-the onset is extracted, and confidence bounds from Wilson-band inversion
-and bootstrap are combined.
+One run draws couplings once and walks an adaptive time grid (geometric
+before the knee where onsets move fast, linear after).  Each (protocol,
+t) work unit runs in three phases.  Per m, it samples the fragment
+family, keeps only each fragment's coupling sum and estimates the pair
+overlap.  Per block of consecutive families of at most _CHI_BLOCK
+fragments (a larger family is a block of its own), one Holevo pass
+gives every fragment's chi and adequacy flag per delta, and each
+(t, m, delta) cell counts its slice: blocking changes how many calls do
+the work, not the work or any output byte.  Per delta, the adequate
+fractions are isotonically smoothed along m, the onset is extracted,
+and the Wilson-inversion and bootstrap bounds are combined.  A failed
+chi pass names every (t, m) of its block, a failed cell its own (t, m)
+and a failed onset its (t, delta).
 
 Determinism contract: every random decision derives its seed from the
 master seed and the cell coordinates through an avalanche mixer, and
@@ -26,8 +26,10 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -37,10 +39,9 @@ from .estimation import (AdequacyCell, IsotonicCurve, OnsetEstimate,
                          redundancy_fi)
 from .model import (CouplingSet, PointerEnsemble, Tolerance, holevo_biased,
                     is_adequate)
-from .sampling import (DEFAULT_BLOCK_CAP, ENUMERATION_CAP, PROTOCOLS,
-                       FragmentSample, enumerate_fragments,
-                       estimate_overlap_eta, partition_disjoint,
-                       sample_random_fragments)
+from .sampling import (ENUMERATION_CAP, PROTOCOLS, FragmentSample,
+                       enumerate_fragments, estimate_overlap_eta,
+                       partition_disjoint, sample_random_fragments)
 
 __all__ = [
     "ConfigError",
@@ -164,6 +165,9 @@ class TimeGridSpec:
     def __post_init__(self) -> None:
         for attr, key, check in _GRID_SCALARS:
             object.__setattr__(self, attr, check(key, getattr(self, attr)))
+        for key in ("t_min", "t_knee", "t_max"):
+            if not math.isfinite(value := getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if not (0.0 < self.t_min < self.t_knee < self.t_max):
             raise ConfigError(
                 f"need 0 < t_min < t_knee < t_max, got "
@@ -180,7 +184,7 @@ def build_time_grid(spec: TimeGridSpec) -> np.ndarray:
     steps = np.arange(1, spec.n_coarse + 1, dtype=float) / spec.n_coarse
     coarse = spec.t_knee + (spec.t_max - spec.t_knee) * steps
     grid = np.concatenate([dense, coarse])
-    if np.any(np.diff(grid) <= 0.0):
+    if not np.all(np.diff(grid) > 0.0):
         raise ConfigError("time grid failed to be strictly increasing")
     return grid
 
@@ -273,9 +277,11 @@ class RunConfig:
         if not (math.isfinite(self.g * self.g) and self.g > 0.0):
             raise ConfigError(
                 f"g must be positive with a finite square, got {self.g}")
-        if not (math.isfinite(self.coupling_rate) and self.coupling_rate > 0.0):
-            raise ConfigError(
-                f"coupling_rate must be positive, got {self.coupling_rate}")
+        # the couplings are drawn with scale 1 / coupling_rate
+        if not (0.0 < self.coupling_rate < math.inf
+                and math.isfinite(1.0 / self.coupling_rate)):
+            raise ConfigError(f"coupling_rate must be positive with a finite "
+                              f"reciprocal, got {self.coupling_rate}")
         if not (0.0 < self.p0 < 1.0):
             raise ConfigError(f"p0 must lie in (0, 1), got {self.p0}")
         if not self.deltas:
@@ -400,64 +406,51 @@ def _tolerances(config: RunConfig) -> List[Tolerance]:
     return [Tolerance.for_entropy(d, entropy) for d in config.deltas]
 
 
-def _family_size(config: RunConfig, m: int, protocol: str) -> int:
-    """Fragments in the family that _sample_cell draws for size m."""
-    if protocol == "random":
-        return config.n_fragments
-    if protocol == "disjoint":
-        return min(config.n_sites // m, DEFAULT_BLOCK_CAP)
-    return math.comb(config.n_sites, m)
+def _coupling_sums(couplings: CouplingSet,
+                   sample: FragmentSample) -> np.ndarray:
+    """Each fragment's coupling sum."""
+    return np.sum(couplings.couplings[sample.indices], axis=1)
 
 
-def _coupling_sums(couplings: CouplingSet, sample: FragmentSample,
-                   out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Each fragment's coupling sum, written to ``out`` when given."""
-    return np.sum(couplings.couplings[sample.indices], axis=1, out=out)
-
-
-def _fragment_cells(config: RunConfig, t: float, sums: np.ndarray,
-                    families: Sequence[Tuple[int, int]], protocol: str,
-                    tols: Sequence[Tolerance], alpha: float
-                    ) -> Tuple[np.ndarray,
-                               List[Union[List[AdequacyCell], Exception]]]:
-    """Holevo information chi at time t of a block of fragment families,
-    and per family one AdequacyCell per tolerance in ``tols``.
-
-    ``sums`` holds the fragments' coupling sums, family after family;
-    ``families`` gives each family's (m, stop), ``stop`` being the end of
-    its fragments in ``sums``.  chi and each tolerance's flags are taken
-    once for the whole block, and each family's cells from its slice.
-    The log overlap is -g^2 t^2 times the coupling sum, as in
-    model.log_overlap; the operation order below fixes the output bytes.
-    An exception from a family's cells takes the place of its cell list,
-    so that it names that family alone.
-    """
+def _adequacy(config: RunConfig, t: float, sums: np.ndarray,
+              tols: Sequence[Tolerance]) -> Tuple[np.ndarray, list]:
+    """Holevo information chi at time t of fragments with coupling sums
+    ``sums`` and their adequacy flags per tolerance.  The log overlap is
+    -g^2 t^2 times the sum (model.log_overlap); this order fixes the bytes."""
     chi = holevo_biased(-(config.g ** 2) * (t * t) * sums, config.p0)
-    flags = [is_adequate(chi, tol) for tol in tols]
-    out: List[Union[List[AdequacyCell], Exception]] = []
-    start = 0
-    for m, stop in families:
-        try:
-            out.append([adequacy_cell(f[start:stop], t=t, m=m,
-                                      delta=tol.delta, protocol=protocol,
-                                      alpha=alpha)
-                        for f, tol in zip(flags, tols)])
-        except Exception as exc:  # reported by the caller, with its cell
-            out.append(exc)
-        start = stop
-    return chi, out
+    return chi, [is_adequate(chi, tol) for tol in tols]
 
 
-def _family_cells(config: RunConfig, couplings: CouplingSet, t: float,
-                  sample: FragmentSample, tols: Sequence[Tolerance],
-                  alpha: float) -> Tuple[np.ndarray, List[AdequacyCell]]:
-    """_fragment_cells on a block of the one family ``sample``."""
-    chi, (cells,) = _fragment_cells(
-        config, t, _coupling_sums(couplings, sample),
-        [(sample.m, sample.n_fragments)], sample.protocol, tols, alpha)
-    if isinstance(cells, Exception):
-        raise cells
-    return chi, cells
+def _cells(flags: Sequence[np.ndarray], start: int, stop: int, t: float,
+           m: int, protocol: str, tols: Sequence[Tolerance],
+           alpha: float) -> List[AdequacyCell]:
+    """One AdequacyCell per tolerance from flags[start:stop] (size m)."""
+    return [adequacy_cell(f[start:stop], t=t, m=m, delta=tol.delta,
+                          protocol=protocol, alpha=alpha)
+            for f, tol in zip(flags, tols)]
+
+
+def _blocks(families: List[Tuple[int, np.ndarray]]) -> Iterator[list]:
+    """Consecutive (m, sums) families grouped into blocks of at most
+    _CHI_BLOCK fragments; a larger family is a block of its own."""
+    block, size = [], 0
+    for m, sums in families:
+        if block and size + sums.size > _CHI_BLOCK:
+            yield block
+            block, size = [], 0
+        block.append((m, sums))
+        size += sums.size
+    if block:
+        yield block
+
+
+@contextmanager
+def _reported(errors: List[Tuple[tuple, Exception]], *where: tuple):
+    """Record the body's exception once per coordinate in ``where``."""
+    try:
+        yield
+    except Exception as exc:  # aggregated, reported with coordinates
+        errors.extend((w, exc) for w in where)
 
 
 def cell_chi_values(config: RunConfig, couplings: CouplingSet,
@@ -470,8 +463,8 @@ def cell_chi_values(config: RunConfig, couplings: CouplingSet,
     -level distribution without storing it.
     """
     sample = _sample_cell(config, t_index, m_index, protocol)
-    return _family_cells(config, couplings, float(time_grid[t_index]),
-                         sample, (), config.alpha)[0]
+    return _adequacy(config, float(time_grid[t_index]),
+                     _coupling_sums(couplings, sample), ())[0]
 
 
 @dataclass
@@ -490,28 +483,19 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
     t = float(time_grid[t_index])
     tols = _tolerances(config)
     proto_id = _PROTOCOL_IDS[protocol]
+    # (("m", m) or ("delta", delta), exception) of each failed step at t
+    errors: List[Tuple[tuple, Exception]] = []
 
-    # The coupling sums of every family of the time point, one family
-    # after the other; a family's index block is dropped once summed and
-    # its pairs drawn.
-    sums = np.empty(sum(_family_size(config, m, protocol)
-                        for m in config.m_grid))
-    families: List[Tuple[int, int]] = []   # (m, stop) in ``sums``
-    filled = 0
+    # Per m: each family's coupling sums and overlap estimate; its index
+    # block is dropped before the next draw.
+    families: List[Tuple[int, np.ndarray]] = []
     eta_by_m: Dict[int, float] = {}
     overlaps: List[OverlapRecord] = []
-    # (coordinates, exception) of every failed step; everything done for
-    # one cell or one onset sits in a try, so each failure is reported
-    # with its coordinates.
-    errors: List[Tuple[str, Exception]] = []
-
     for m_index, m in enumerate(config.m_grid):
-        try:
+        with _reported(errors, ("m", m)):
             sample = _sample_cell(config, t_index, m_index, protocol)
-            n = sample.n_fragments
-            _coupling_sums(couplings, sample, out=sums[filled:filled + n])
-
-            if n >= 2:
+            sums = _coupling_sums(couplings, sample)
+            if sample.n_fragments >= 2:
                 pair_seed = derive_cell_seed(config.master_seed, t_index,
                                              m_index, 0, proto_id,
                                              PURPOSE_PAIRS)
@@ -523,46 +507,35 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
                 # pairs that all saw one set (eta = 1, as at m = N) leave
                 # the onset uncorrected, like a single-fragment family
                 eta_by_m[m] = stat.eta if stat.eta < 1.0 else 0.0
-            del sample  # only its sums go on; free the index block now
-            filled += n
-            families.append((m, filled))
-        except Exception as exc:  # aggregated, reported with coordinates
-            errors.append((f"t={t}, m={m}", exc))
+            del sample
+            families.append((m, sums))
 
-    # One Holevo pass per block of consecutive families: a block holds at
-    # most _CHI_BLOCK fragments, or one larger family alone.
+    # Per block: one Holevo pass, then each family's cells from its slice;
+    # a chi failure names every (t, m) of the block, a cell failure one.
     cells_by_m: List[List[AdequacyCell]] = []
     evaluations = 0
-    first = start = 0
-    for last, (_, stop) in enumerate(families, start=1):
-        if last < len(families) and families[last][1] - start <= _CHI_BLOCK:
-            continue
-        block = families[first:last]
-        try:
-            chi, cells = _fragment_cells(
-                config, t, sums[start:stop],
-                [(m, end - start) for m, end in block], protocol, tols,
-                config.alpha)
-        except Exception as exc:  # aggregated, reported with coordinates
-            errors.extend((f"t={t}, m={m}", exc) for m, _ in block)
-        else:
+    for block in _blocks(families):
+        with _reported(errors, *(("m", m) for m, _ in block)):
+            chi, flags = _adequacy(
+                config, t, np.concatenate([s for _, s in block]), tols)
             evaluations += int(chi.size)
-            for (m, _), got in zip(block, cells):
-                if isinstance(got, Exception):
-                    errors.append((f"t={t}, m={m}", got))
-                else:
-                    cells_by_m.append(got)
-        first, start = last, stop
-    del sums  # the onsets need counts only; free its memory for them
+            start = 0
+            for m, sums in block:
+                with _reported(errors, ("m", m)):
+                    cells_by_m.append(_cells(
+                        flags, start, start + sums.size, t, m, protocol,
+                        tols, config.alpha))
+                start += sums.size
+    del families  # the onsets need counts only; free the sums for them
 
     out_cells: List[AdequacyCell] = []
     onsets: List[OnsetEstimate] = []
     m_arr = np.asarray(config.m_grid, dtype=np.int64)
-    # Onsets need every cell of the time point: none is computed once a
-    # cell has failed.
+    # Per delta: onsets need every cell of the time point, so none is
+    # computed once a cell has failed.
     for d_index, cells in enumerate([] if errors else zip(*cells_by_m)):
         delta = config.deltas[d_index]
-        try:
+        with _reported(errors, ("delta", delta)):
             n_arr = np.array([c.n for c in cells], dtype=float)
             iso = isotonic_fit(np.array([c.p_hat for c in cells]), n_arr)
             cells = [replace(c, phi_iso=float(v)) for c, v in zip(cells, iso)]
@@ -586,13 +559,11 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
                 m_star_hi=m_hi, r=r, r_eff=r_eff, eta=eta, fi=fi,
                 fi_eff=fi_eff))
             out_cells.extend(cells)
-        except Exception as exc:  # aggregated, reported with coordinates
-            errors.append((f"t={t}, delta={delta}", exc))
 
     if errors:
         raise SweepCellError("cell failures: " + "; ".join(
-            f"({where}, {protocol}): {type(exc).__name__}: {exc}"
-            for where, exc in errors)) from errors[0][1]
+            f"(t={t}, {key}={value}, {protocol}): {type(exc).__name__}: {exc}"
+            for (key, value), exc in errors)) from errors[0][1]
     return _TimePayload(cells=out_cells, onsets=onsets, overlaps=overlaps,
                         holevo_evaluations=evaluations)
 
@@ -732,6 +703,12 @@ def oracle_report(config: RunConfig) -> OracleReport:
     t_indices = sorted({n_t // 4, n_t // 2, (3 * n_t) // 4})
     tols = _tolerances(config)
 
+    def family_cells(t: float, sample: FragmentSample) -> List[AdequacyCell]:
+        _, flags = _adequacy(config, t, _coupling_sums(couplings, sample),
+                             tols)
+        return _cells(flags, 0, sample.n_fragments, t, sample.m,
+                      sample.protocol, tols, ORACLE_BAND_ALPHA)
+
     # The exact family depends on m only: enumerate it once per m, then
     # report cells in (t, m, delta) order.
     by_coords: Dict[Tuple[int, int], List[OracleCell]] = {}
@@ -739,11 +716,9 @@ def oracle_report(config: RunConfig) -> OracleReport:
         exact_sample = enumerate_fragments(config.n_sites, m)
         for t_index in t_indices:
             t = float(time_grid[t_index])
-            sample = _sample_cell(config, t_index, m_index, "random")
-            _, sampled = _family_cells(config, couplings, t, sample, tols,
-                                       ORACLE_BAND_ALPHA)
-            _, exact = _family_cells(config, couplings, t, exact_sample,
-                                     tols, ORACLE_BAND_ALPHA)
+            sampled = family_cells(
+                t, _sample_cell(config, t_index, m_index, "random"))
+            exact = family_cells(t, exact_sample)
             by_coords[(t_index, m_index)] = [
                 OracleCell(t=t, m=m, delta=s.delta, phi_hat=s.p_hat,
                            phi_exact=e.p_hat, ci_low=s.ci_low,

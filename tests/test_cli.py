@@ -382,10 +382,14 @@ class TestCliCommands:
                      "--out", str(tmp_path / "o")]) == 1
         assert "C(30, 15)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["alpha = 1e-17", "g = 1e200"])
+    @pytest.mark.parametrize("line", ["alpha = 1e-17", "g = 1e200",
+                                      "coupling_rate = 1e-310",
+                                      "t_max = inf"])
     def test_config_that_breaks_every_cell_exits_1(self, tmp_path, capsys,
                                                    line):
-        # such configs used to validate, then fail in every cell (exit 2)
+        # such configs used to validate, then fail at run time: in every
+        # cell (exit 2), on infinite couplings (exit 2) or, for t_max = inf,
+        # on the trajectory times once the whole sweep had run
         cfg = tmp_path / "edge.cfg"
         cfg.write_text(f"N = 12\n{line}\n", encoding="utf-8")
         assert main(["simulate", "--config", str(cfg),

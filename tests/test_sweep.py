@@ -79,6 +79,20 @@ class TestTimeGrid:
         with pytest.raises(ConfigError):
             TimeGridSpec(n_coarse=0)
 
+    @pytest.mark.parametrize("key", ["t_min", "t_knee", "t_max"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_anchors(self, key, value):
+        # t_max = inf used to run the whole sweep and then fail on the
+        # trajectory times, or, with n_coarse = 1, write t = inf rows
+        with pytest.raises(ConfigError, match=rf"^{key} must be finite"):
+            RunConfig(n_sites=12, time_grid=TimeGridSpec(**{key: value}))
+
+    def test_grid_check_catches_nan(self):
+        spec = TimeGridSpec()
+        object.__setattr__(spec, "t_max", math.nan)  # past the spec's check
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            build_time_grid(spec)
+
 
 class TestRunConfig:
     def test_default_m_grid_fills_in(self):
@@ -177,6 +191,16 @@ class TestRunConfig:
                                               r"finite square"):
             RunConfig(n_sites=12, g=1e200)
         assert RunConfig(n_sites=12, g=1e154).g == 1e154
+
+    def test_rejects_coupling_rate_whose_reciprocal_overflows(self):
+        # the couplings are drawn with scale 1 / coupling_rate, and every
+        # run raised DomainError: couplings must be finite
+        with pytest.raises(ConfigError, match=r"^coupling_rate must be "
+                                              r"positive with a finite "
+                                              r"reciprocal"):
+            RunConfig(n_sites=12, coupling_rate=1e-310)
+        assert RunConfig(n_sites=12, coupling_rate=1e-300).coupling_rate \
+            == 1e-300
 
     def test_unenumerable_exhaustive_rejected(self):
         with pytest.raises(ConfigError, match=r"m = 15 .*C\(30, 15\) = "
@@ -542,6 +566,37 @@ class TestCellErrors:
         assert message.count("ValueError: no cell") == 1
         assert "m=2, random" in message
         assert "m=1," not in message and "m=3," not in message
+
+    @pytest.mark.parametrize("name", ["sample_random_fragments",
+                                      "estimate_overlap_eta"])
+    def test_family_failure_names_only_its_cell(self, monkeypatch, name):
+        real = getattr(qdfi.sweep, name)
+        real_fit = qdfi.sweep.isotonic_fit
+        fits = []
+
+        def broken_at_m2(*args):
+            m = args[1] if name == "sample_random_fragments" else args[0].m
+            if m == 2:
+                raise ValueError(f"{name} broke")
+            return real(*args)
+
+        def fit(*args):
+            fits.append(args)
+            return real_fit(*args)
+
+        monkeypatch.setattr(qdfi.sweep, name, broken_at_m2)
+        monkeypatch.setattr(qdfi.sweep, "isotonic_fit", fit)
+        cfg = self._config()
+        t0 = float(build_time_grid(cfg.time_grid)[0])
+        with pytest.raises(SweepCellError) as err:
+            run_sweep(cfg)
+        message = str(err.value)
+        assert message.count(f"{name} broke") == 1
+        assert (f"(t={t0}, m=2, random): ValueError: {name} broke"
+                in message)
+        assert "m=1," not in message and "m=3," not in message
+        assert "delta=" not in message and not fits  # no onset computed
+        assert isinstance(err.value.__cause__, ValueError)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("name", ["isotonic_fit", "_bootstrap_counts"])
