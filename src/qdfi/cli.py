@@ -111,9 +111,22 @@ def _load_config(path: Optional[str]) -> RunConfig:
     return parse_config(p)
 
 
+def _out_dir(path: str) -> Path:
+    """Create the output directory before any work is done; ConfigError
+    naming --out when it cannot be, as for the path of an existing file."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path} is not a usable directory: "
+                          f"{exc.strerror}") from None
+    return out
+
+
 def _cmd_simulate(ns) -> int:
     config = _load_config(ns.config)
     threads = _parse_threads(ns.threads)
+    _out_dir(ns.out)
     started = time.perf_counter()
     result = run_sweep(config, threads=threads)
     written = write_tables(result, ns.out)
@@ -143,6 +156,7 @@ def _analysis_bundle(indir: str):
 
 
 def _cmd_analyze(ns) -> int:
+    _out_dir(ns.out)
     config, fits, scalings, rows = _analysis_bundle(ns.indir)
     written = write_analysis(config, [(d, fits[d]) for d in config.deltas],
                              scalings, rows, ns.out)
@@ -168,8 +182,7 @@ def _cmd_report(ns) -> int:
 
 def _cmd_plot_data(ns) -> int:
     config = read_metadata(ns.indir)
-    out_dir = Path(ns.out) if ns.out else Path(ns.indir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(ns.out) if ns.out else Path(ns.indir)
     path = out_dir / f"fig_{ns.figure}.csv"
     n = config.n_sites
     primary = config.protocols[0]

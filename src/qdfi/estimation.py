@@ -297,22 +297,23 @@ def _first_clearing(c: np.ndarray) -> np.ndarray:
 
 def _window_onset_indices(k_star: np.ndarray, k: np.ndarray, n: np.ndarray,
                           theta: float) -> np.ndarray:
-    """_batch_onset_indices(k_star / n, n, theta), index for index, with
+    """_batch_onset_indices(k_full / n, n, theta), index for index, with
     the minimax run only over the informative window of the grid.
 
-    k_star holds replicate redraws of the observed counts k, so every
+    k_full holds replicate redraws of the observed counts k, so every
     replicate is 0 in a column with k = 0 and n in a column with k = n.
-    Let the window be the columns between the leading run of k = 0 and
-    the trailing run of k = n.  The running sums C agree bit for bit
-    with the full route's, because the window's cumulative sum starts
-    from the shared C at its first column and adds in the same order.
-    Over the leading run C never rises, so the prefix minimum at a
-    window column is the window's own.  Over the trailing run C never
-    falls, so the suffix minimum at a window column is the window's own,
-    and every trailing column clears the test: the onset is the first
-    trailing column whenever nothing earlier does.  A leading column j
-    clears it only in the exact tie C[j] == C at the window start, and
-    then exactly when the window's first column does.
+    k_star is k_full from the first column with k != 0 on: the leading
+    k = 0 columns are not drawn.  Let the window be the columns between
+    that leading run and the trailing run of k = n.  The running sums C
+    agree bit for bit with the full route's, because the window's
+    cumulative sum starts from the shared C at its first column and adds
+    in the same order.  Over the leading run C never rises, so the
+    prefix minimum at a window column is the window's own.  Over the
+    trailing run C never falls, so the suffix minimum at a window column
+    is the window's own, and every trailing column clears the test: the
+    onset is the first trailing column whenever nothing earlier does.  A
+    leading column j clears it only in the exact tie C[j] == C at the
+    window start, and then exactly when the window's first column does.
     """
     n_m = n.size
     informative = np.flatnonzero(k != 0)
@@ -324,7 +325,7 @@ def _window_onset_indices(k_star: np.ndarray, k: np.ndarray, n: np.ndarray,
     if hi > lo:
         c = np.empty((k_star.shape[0], hi - lo + 1))
         c[:, 0] = c_lead[-1]
-        c[:, 1:] = n[lo:hi] * (k_star[:, lo:hi] / n[lo:hi] - theta)
+        c[:, 1:] = n[lo:hi] * (k_star[:, :hi - lo] / n[lo:hi] - theta)
         first = _first_clearing(np.cumsum(c, axis=1))
         idx = np.where(first >= 0, lo + first, hi)
     else:
@@ -358,20 +359,25 @@ def _bootstrap_counts(m_values: np.ndarray, k: np.ndarray, n: np.ndarray,
     Leading columns with k = 0 and trailing columns with k = n redraw
     their observed count in every replicate, so the onset search runs
     only over the columns between them (_window_onset_indices), with
-    the same result as the full minimax.
+    the same result as the full minimax.  The leading k = 0 columns are
+    not drawn at all: numpy's binomial returns 0 at p = 0 without
+    consuming a variate, so the later columns' draws are the same.
     """
     n_m = n.size
+    # first column with k != 0; 0 when every k is 0, where the window
+    # is empty and no column is read
+    lead = int(np.argmax(k != 0))
     if np.all((k == 0) | (k == n)):
-        idx = int(_window_onset_indices(k[None, :], k, n, theta)[0])
+        idx = int(_window_onset_indices(k[None, lead:], k, n, theta)[0])
         onset = int(m_values[idx]) if idx >= 0 else None
         return onset, onset
     rng = np.random.Generator(np.random.PCG64(seed))
-    n_int = n.astype(np.int64)
-    p_hat = k / n
+    n_int = n[lead:].astype(np.int64)
+    p_hat = k[lead:] / n[lead:]
     rows = max(1, _BOOTSTRAP_BLOCK // n_m)
     hist = np.zeros(n_m + 1, dtype=np.int64)
     for start in range(0, n_replicates, rows):
-        size = (min(rows, n_replicates - start), n_m)
+        size = (min(rows, n_replicates - start), n_m - lead)
         idx = _window_onset_indices(rng.binomial(n_int, p_hat, size=size),
                                     k, n, theta)
         hist += np.bincount(np.where(idx >= 0, idx, n_m), minlength=n_m + 1)

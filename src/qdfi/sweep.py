@@ -18,14 +18,17 @@ Determinism contract: every random decision derives its seed from the
 master seed and the cell coordinates through an avalanche mixer, and
 results are assembled in canonical order, so output is byte-identical
 for any thread count.  Workers therefore communicate nothing but cell
-coordinates and finished payloads.
+coordinates and finished payloads.  One thread runs every work unit in
+the calling process, which never imports the process-pool modules
+(concurrent.futures, multiprocessing); run_sweep imports them only when
+it starts a pool.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
@@ -86,6 +89,11 @@ _MASK64 = (1 << 64) - 1
 # of cells must fall inside for the check to pass.
 ORACLE_BAND_ALPHA = 0.01
 ORACLE_MIN_FRACTION = 0.98
+
+# An upper bound on numpy's Exp(1) variates: the ziggurat's tail returns
+# r - log1p(-u) with r = 7.697 and u <= 1 - 2**-53, at most 44.434; the
+# margin covers the rounding of a sum of up to N couplings.
+_EXP_VARIATE_MAX = 44.5
 
 # Fragments per Holevo pass: the sweep evaluates chi and the adequacy
 # flags of consecutive families of a time point together, up to this many
@@ -277,11 +285,14 @@ class RunConfig:
         if not (math.isfinite(self.g * self.g) and self.g > 0.0):
             raise ConfigError(
                 f"g must be positive with a finite square, got {self.g}")
-        # the couplings are drawn with scale 1 / coupling_rate
-        if not (0.0 < self.coupling_rate < math.inf
-                and math.isfinite(1.0 / self.coupling_rate)):
-            raise ConfigError(f"coupling_rate must be positive with a finite "
-                              f"reciprocal, got {self.coupling_rate}")
+        # the couplings are drawn with scale 1 / coupling_rate, so none of
+        # them, and no sum of up to N of them, may overflow
+        min_rate = self.n_sites * _EXP_VARIATE_MAX / sys.float_info.max
+        if not (min_rate <= self.coupling_rate < math.inf):
+            raise ConfigError(
+                f"coupling_rate must be positive with a finite reciprocal "
+                f"and at least N * {_EXP_VARIATE_MAX} / float max = "
+                f"{min_rate:.4g}, got {self.coupling_rate}")
         if not (0.0 < self.p0 < 1.0):
             raise ConfigError(f"p0 must lie in (0, 1), got {self.p0}")
         if not self.deltas:
@@ -613,10 +624,13 @@ def _fi_soft_violations(
 def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     """Execute the full counting pipeline for one configuration.
 
-    threads > 1 fans the (protocol, t) work units over a process pool of
-    at most one worker per unit; the result is identical for any thread
-    count because all randomness is derived per cell and assembly order
-    is canonical.
+    threads = 1 runs the (protocol, t) work units in this process and
+    imports no process-pool module.  threads > 1 imports
+    concurrent.futures just before it starts a pool of min(threads,
+    units) worker processes, each of which receives the config, couplings
+    and time grid once.  The result is identical for any thread count
+    because all randomness is derived per cell and assembly order is
+    canonical.
     """
     if threads < 1:
         raise ConfigError("threads must be >= 1")
@@ -630,6 +644,8 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
         payloads = [_compute_time_point(config, couplings, time_grid, p, i)
                     for p, i in tasks]
     else:
+        # imported here, so a one-worker run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(
                 max_workers=min(threads, len(tasks)),
                 initializer=_worker_init,

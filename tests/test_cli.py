@@ -384,17 +384,41 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("line", ["alpha = 1e-17", "g = 1e200",
                                       "coupling_rate = 1e-310",
+                                      "coupling_rate = 1e-308",
                                       "t_max = inf"])
     def test_config_that_breaks_every_cell_exits_1(self, tmp_path, capsys,
                                                    line):
         # such configs used to validate, then fail at run time: in every
-        # cell (exit 2), on infinite couplings (exit 2) or, for t_max = inf,
-        # on the trajectory times once the whole sweep had run
+        # cell (exit 2), on infinite couplings (exit 2; at 1e-308 the
+        # reciprocal is finite, but an Exp(1) variate above 1.8 is not once
+        # scaled by it) or, for t_max = inf, on the trajectory times once
+        # the whole sweep had run
         cfg = tmp_path / "edge.cfg"
         cfg.write_text(f"N = 12\n{line}\n", encoding="utf-8")
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 1
         assert line.split(" = ")[0] + " must" in capsys.readouterr().err
+
+    def test_out_naming_a_file_exits_1_before_any_work(
+            self, tmp_path, fast_cfg_file, fast_run_dir, capsys,
+            monkeypatch):
+        # simulate used to run the whole sweep before failing with
+        # FileExistsError, and all three commands exited 2
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+
+        def sweep(*args, **kwargs):
+            raise AssertionError("simulate ran the sweep")
+
+        monkeypatch.setattr(qdfi.cli, "run_sweep", sweep)
+        for argv in (["simulate", "--config", str(fast_cfg_file)],
+                     ["analyze", "--in", str(fast_run_dir)],
+                     ["plot-data", "--in", str(fast_run_dir),
+                      "--figure", "fi"]):
+            capsys.readouterr()
+            assert main(argv + ["--out", str(taken)]) == 1, argv[0]
+            assert f"config error: --out {taken}" in capsys.readouterr().err
+        assert taken.read_text(encoding="utf-8") == ""
 
     def test_missing_run_dir_exits_1(self, tmp_path):
         assert main(["report", "--in", str(tmp_path / "ghost")]) == 1

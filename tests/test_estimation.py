@@ -436,7 +436,9 @@ class TestBootstrapOnset:
         k_star = np.random.Generator(np.random.PCG64(seed)).binomial(
             n.astype(np.int64), k / n, size=(rows, size))
         want = _batch_onset_indices(k_star / n, n, theta)
-        assert np.array_equal(_window_onset_indices(k_star, k, n, theta),
+        # the leading k = 0 columns are not passed
+        drawn = k_star[:, int(np.argmax(k != 0)):]
+        assert np.array_equal(_window_onset_indices(drawn, k, n, theta),
                               want)
 
     def test_window_onsets_keep_the_tie_behaviour(self):
@@ -446,10 +448,12 @@ class TestBootstrapOnset:
         n = np.array([2.0, 1.0, 3.0])
         k = np.array([1.0, 1.0, 2.0])
         assert _batch_onset_indices((k / n)[None, :], n, 0.75).tolist() == [-1]
-        for n, k in [(n, k), (np.r_[4.0, n, 5.0], np.r_[0.0, k, 5.0])]:
+        for n, k, lead in [(n, k, 0),
+                           (np.r_[4.0, n, 5.0], np.r_[0.0, k, 5.0], 1)]:
             k_star = k.astype(np.int64)[None, :]
-            assert np.array_equal(_window_onset_indices(k_star, k, n, 0.75),
-                                  _batch_onset_indices(k_star / n, n, 0.75))
+            assert np.array_equal(
+                _window_onset_indices(k_star[:, lead:], k, n, 0.75),
+                _batch_onset_indices(k_star / n, n, 0.75))
 
     @given(st.data())
     def test_settled_group_matches_one_draw(self, data):
@@ -493,6 +497,50 @@ class TestBootstrapOnset:
             assert np.array_equal(np.concatenate(blocks), one), rows
             monkeypatch.setattr(estimation, "_BOOTSTRAP_BLOCK", rows * 128)
             assert _bootstrap_counts(m_values, k, n, 0.6, 1000, 5) == want
+
+    @given(st.data())
+    def test_draw_from_first_informative_column_keeps_the_stream(self, data):
+        # numpy's binomial consumes no variate at p = 0, so dropping the
+        # leading k = 0 columns leaves every later draw, and the generator
+        # state after the block, as the full block has them
+        size = data.draw(st.integers(2, 40), label="len(m_grid)")
+        lead = data.draw(st.integers(1, size - 1), label="leading k = 0")
+        n = np.asarray(data.draw(st.lists(st.integers(1, 3000), min_size=size,
+                                          max_size=size), label="n"))
+        p = np.asarray(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0])
+                                          | st.floats(0.0, 1.0),
+                                          min_size=size, max_size=size),
+                                 label="p"))
+        p[:lead] = 0.0
+        rows = data.draw(st.integers(1, 300), label="rows")
+        seed = data.draw(st.integers(0, 2 ** 64 - 1), label="seed")
+        full = np.random.Generator(np.random.PCG64(seed))
+        window = np.random.Generator(np.random.PCG64(seed))
+        want = full.binomial(n, p, size=(rows, size))
+        got = window.binomial(n[lead:], p[lead:], size=(rows, size - lead))
+        assert not want[:, :lead].any()
+        assert np.array_equal(got, want[:, lead:])
+        assert window.bit_generator.state == full.bit_generator.state
+
+    @given(st.data())
+    def test_leading_zero_columns_bootstrap_like_one_draw(self, data):
+        size = data.draw(st.integers(2, 12), label="len(m_grid)")
+        lead = data.draw(st.integers(1, size - 1), label="leading k = 0")
+        n = np.asarray(data.draw(st.lists(st.integers(1, 500), min_size=size,
+                                          max_size=size), label="n"),
+                       dtype=float)
+        k = np.array([data.draw(st.integers(0, int(nj)), label="k")
+                      for nj in n], dtype=float)
+        k[:lead] = 0.0
+        theta = data.draw(st.floats(0.0, 1.0, exclude_min=True,
+                                    exclude_max=True), label="theta")
+        n_replicates = data.draw(st.integers(1, 200), label="B")
+        seed = data.draw(st.integers(0, 2 ** 64 - 1), label="seed")
+        m_values = np.arange(1, size + 1, dtype=np.int64)
+        want, _ = bootstrap_one_draw(m_values, k, n, theta, n_replicates,
+                                     seed)
+        assert _bootstrap_counts(m_values, k, n, theta, n_replicates,
+                                 seed) == want
 
     def test_histogram_percentiles_match_quantile_nearest(self):
         # about a third of the replicates never reach theta, so the absent

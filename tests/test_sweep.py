@@ -1,7 +1,12 @@
 """Engine tests: seeds, time grid, sweep correctness, determinism."""
 
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +206,25 @@ class TestRunConfig:
             RunConfig(n_sites=12, coupling_rate=1e-310)
         assert RunConfig(n_sites=12, coupling_rate=1e-300).coupling_rate \
             == 1e-300
+
+    def test_coupling_rate_bound_keeps_every_coupling_sum_finite(self):
+        # numpy's largest Exp(1) variate is the ziggurat's r plus
+        # -log1p(-u) at the largest u below 1.  At N = 12 a rate of 1e-308
+        # lies below the bound: its reciprocal is finite, but it could draw
+        # an infinite coupling, and the run failed with DomainError
+        largest = 7.69711747013104972 - math.log1p(-(1.0 - 2.0 ** -53))
+        rate = 12 * qdfi.sweep._EXP_VARIATE_MAX / sys.float_info.max
+        for low in (1e-308, math.nextafter(rate, 0.0)):
+            with pytest.raises(ConfigError, match=r"^coupling_rate must be "
+                                                  r".* at least N \* "):
+                RunConfig(n_sites=12, coupling_rate=low)
+        assert math.isfinite(12 * (largest / rate))
+        # the whole run at the bound; g is small enough that the log
+        # overlaps stay finite too
+        result = run_sweep(small_config(
+            coupling_rate=rate, g=1e-150,
+            time_grid=TimeGridSpec(n_dense=2, n_coarse=1)))
+        assert math.isfinite(float(np.sum(result.couplings.couplings)))
 
     def test_unenumerable_exhaustive_rejected(self):
         with pytest.raises(ConfigError, match=r"m = 15 .*C\(30, 15\) = "
@@ -479,13 +503,39 @@ class TestDeterminism:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(qdfi.sweep, "ProcessPoolExecutor", SerialPool)
+        # run_sweep imports the pool class from concurrent.futures when it
+        # starts a pool, so the recorder replaces it there
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
         monkeypatch.setattr(qdfi.sweep, "_WORKER", {})
         # one protocol on the smallest valid time grid: three tasks
         cfg = small_config(time_grid=TimeGridSpec(n_dense=2, n_coarse=1))
         pooled = run_sweep(cfg, threads=64)
         assert seen == [3]
         assert pooled.cells == run_sweep(cfg).cells
+
+    def test_one_thread_never_imports_the_process_pool(self, tmp_path):
+        # a fresh interpreter, since this one may have loaded the pool
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("N = 12\nn_fragments = 100\nm_grid = 1, 2, 3, 4\n"
+                       "n_dense = 4\nn_coarse = 3\nbootstrap_B = 50\n"
+                       "overlap_pairs = 20\n", encoding="utf-8")
+        run, ana = tmp_path / "run", tmp_path / "ana"
+        script = (
+            "import sys\n"
+            "from qdfi.cli import main\n"
+            f"assert main(['simulate', '--config', {str(cfg)!r}, "
+            f"'--out', {str(run)!r}, '--threads', '1']) == 0\n"
+            f"assert main(['analyze', '--in', {str(run)!r}, "
+            f"'--out', {str(ana)!r}]) == 0\n"
+            "print(sorted(m for m in ('multiprocessing', "
+            "'concurrent.futures.process') if m in sys.modules))\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(qdfi.sweep.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_master_seed_matters(self):
         a = run_sweep(small_config(master_seed=1))
