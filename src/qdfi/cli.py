@@ -134,6 +134,7 @@ def _cmd_simulate(ns) -> int:
     # Timing goes to stdout only; output files must be rerun-identical.
     print(f"simulate: {len(result.cells)} cells, "
           f"{result.stats.holevo_evaluations} holevo evaluations, "
+          f"{result.stats.fi_soft_violations} soft FI violations, "
           f"{elapsed:.1f}s")
     for name in sorted(written):
         print(f"  {written[name]}")

@@ -10,8 +10,9 @@ flags.  This module turns those into:
 * the onset size m* = min{m : smoothed fraction >= theta} and the derived
   redundancy R = N/m*, functional information FI = log2 R, and the
   overlap-corrected variants,
-* onset confidence bounds by two routes, Wilson-band inversion and a
-  percentile bootstrap, combined by keeping the tighter interval.
+* onset confidence bounds at level 1 - alpha by two routes, Wilson-band
+  inversion and a percentile bootstrap, combined by keeping the tighter
+  interval.
 
 Absent onsets (threshold never crossed on the m grid) are first-class:
 they are returned as None and serialized as empty fields, never as a
@@ -338,7 +339,7 @@ def _window_onset_indices(k_star: np.ndarray, k: np.ndarray, n: np.ndarray,
 
 
 def _bootstrap_counts(m_values: np.ndarray, k: np.ndarray, n: np.ndarray,
-                      theta: float, n_replicates: int,
+                      theta: float, alpha: float, n_replicates: int,
                       seed: int) -> Tuple[Optional[int], Optional[int]]:
     """Percentile bootstrap of the onset from per-m counts.
 
@@ -347,8 +348,10 @@ def _bootstrap_counts(m_values: np.ndarray, k: np.ndarray, n: np.ndarray,
     Resampling n Bernoulli flags with replacement is a Binomial(n, k/n)
     draw on the adequate count, which is how replicates are generated
     here.  Replicates whose smoothed curve never reaches theta count as
-    +inf, so an absent percentile reports an absent bound.  The 2.5 and
-    97.5 percentiles follow np.quantile's method="nearest".
+    +inf, so an absent percentile reports an absent bound.  The bounds
+    are the alpha/2 and 1 - alpha/2 quantiles, the level of the Wilson
+    band that onset_ci_inversion inverts, and follow np.quantile's
+    method="nearest".
 
     A settled group (every k is 0 or n) redraws its observed counts in
     every replicate, so both bounds are its own onset and nothing is
@@ -381,7 +384,8 @@ def _bootstrap_counts(m_values: np.ndarray, k: np.ndarray, n: np.ndarray,
         idx = _window_onset_indices(rng.binomial(n_int, p_hat, size=size),
                                     k, n, theta)
         hist += np.bincount(np.where(idx >= 0, idx, n_m), minlength=n_m + 1)
-    ranks = np.around((n_replicates - 1) * np.array([0.025, 0.975]))
+    ranks = np.around((n_replicates - 1)
+                      * np.array([alpha / 2.0, 1.0 - alpha / 2.0]))
     bins = np.searchsorted(np.cumsum(hist), ranks, side="right")
     lo, hi = (int(m_values[b]) if b < n_m else None for b in bins)
     return lo, hi

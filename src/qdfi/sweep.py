@@ -281,10 +281,6 @@ class RunConfig:
     def _validate(self) -> None:
         if self.n_sites < 2:
             raise ConfigError(f"N must be >= 2, got {self.n_sites}")
-        # the kernel squares g
-        if not (math.isfinite(self.g * self.g) and self.g > 0.0):
-            raise ConfigError(
-                f"g must be positive with a finite square, got {self.g}")
         # the couplings are drawn with scale 1 / coupling_rate, so none of
         # them, and no sum of up to N of them, may overflow
         min_rate = self.n_sites * _EXP_VARIATE_MAX / sys.float_info.max
@@ -293,6 +289,19 @@ class RunConfig:
                 f"coupling_rate must be positive with a finite reciprocal "
                 f"and at least N * {_EXP_VARIATE_MAX} / float max = "
                 f"{min_rate:.4g}, got {self.coupling_rate}")
+        # the log overlap is -g^2 t^2 times a coupling sum; its bound is
+        # taken in the sweep's product order, and _EXP_VARIATE_MAX's margin
+        # over the largest variate (0.15%) covers the rounding of the sum,
+        # of t_max on the grid and of the products
+        t_max = self.time_grid.t_max
+        log_overlap_max = ((self.g * self.g) * (t_max * t_max)
+                           * (self.n_sites * _EXP_VARIATE_MAX
+                              / self.coupling_rate))
+        if not (math.isfinite(log_overlap_max) and self.g > 0.0):
+            raise ConfigError(
+                f"g must be positive with a finite square and a finite "
+                f"g^2 * t_max^2 * N * {_EXP_VARIATE_MAX} / coupling_rate, "
+                f"got {self.g}")
         if not (0.0 < self.p0 < 1.0):
             raise ConfigError(f"p0 must lie in (0, 1), got {self.p0}")
         if not self.deltas:
@@ -331,8 +340,12 @@ class RunConfig:
             raise ConfigError("bootstrap_B must be >= 1")
         if self.overlap_pairs < 1:
             raise ConfigError("overlap_pairs must be >= 1")
-        if "exhaustive" in self.protocols:
-            _check_enumerable(self)
+        for m in self.m_grid if "exhaustive" in self.protocols else ():
+            count = math.comb(self.n_sites, m)
+            if count > ENUMERATION_CAP:
+                raise ConfigError(
+                    f"m = {m} is not enumerable: C({self.n_sites}, {m}) = "
+                    f"{count} exceeds the enumeration cap {ENUMERATION_CAP}")
         if not (0 <= self.master_seed <= _MASK64):
             raise ConfigError("master_seed must fit in 64 bits")
 
@@ -341,16 +354,6 @@ class RunConfig:
         seed = derive_cell_seed(self.master_seed, purpose=PURPOSE_COUPLINGS)
         return CouplingSet.exponential(self.n_sites, self.coupling_rate,
                                        self.g, seed)
-
-
-def _check_enumerable(config: RunConfig) -> None:
-    """Raise ConfigError unless every C(N, m) on the grid fits the cap."""
-    for m in config.m_grid:
-        count = math.comb(config.n_sites, m)
-        if count > ENUMERATION_CAP:
-            raise ConfigError(
-                f"m = {m} is not enumerable: C({config.n_sites}, {m}) = "
-                f"{count} exceeds the enumeration cap {ENUMERATION_CAP}")
 
 
 @dataclass(frozen=True)
@@ -411,12 +414,6 @@ def _sample_cell(config: RunConfig, t_index: int, m_index: int,
     return enumerate_fragments(config.n_sites, m)
 
 
-def _tolerances(config: RunConfig) -> List[Tolerance]:
-    """The adequacy tolerance of each configured delta, in config order."""
-    entropy = PointerEnsemble(config.p0).entropy
-    return [Tolerance.for_entropy(d, entropy) for d in config.deltas]
-
-
 def _coupling_sums(couplings: CouplingSet,
                    sample: FragmentSample) -> np.ndarray:
     """Each fragment's coupling sum."""
@@ -430,15 +427,6 @@ def _adequacy(config: RunConfig, t: float, sums: np.ndarray,
     -g^2 t^2 times the sum (model.log_overlap); this order fixes the bytes."""
     chi = holevo_biased(-(config.g ** 2) * (t * t) * sums, config.p0)
     return chi, [is_adequate(chi, tol) for tol in tols]
-
-
-def _cells(flags: Sequence[np.ndarray], start: int, stop: int, t: float,
-           m: int, protocol: str, tols: Sequence[Tolerance],
-           alpha: float) -> List[AdequacyCell]:
-    """One AdequacyCell per tolerance from flags[start:stop] (size m)."""
-    return [adequacy_cell(f[start:stop], t=t, m=m, delta=tol.delta,
-                          protocol=protocol, alpha=alpha)
-            for f, tol in zip(flags, tols)]
 
 
 def _blocks(families: List[Tuple[int, np.ndarray]]) -> Iterator[list]:
@@ -492,7 +480,8 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
                         time_grid: np.ndarray, protocol: str,
                         t_index: int) -> _TimePayload:
     t = float(time_grid[t_index])
-    tols = _tolerances(config)
+    entropy = PointerEnsemble(config.p0).entropy
+    tols = [Tolerance.for_entropy(d, entropy) for d in config.deltas]
     proto_id = _PROTOCOL_IDS[protocol]
     # (("m", m) or ("delta", delta), exception) of each failed step at t
     errors: List[Tuple[tuple, Exception]] = []
@@ -532,11 +521,14 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
             evaluations += int(chi.size)
             start = 0
             for m, sums in block:
+                stop = start + sums.size
                 with _reported(errors, ("m", m)):
-                    cells_by_m.append(_cells(
-                        flags, start, start + sums.size, t, m, protocol,
-                        tols, config.alpha))
-                start += sums.size
+                    cells_by_m.append([
+                        adequacy_cell(f[start:stop], t=t, m=m,
+                                      delta=tol.delta, protocol=protocol,
+                                      alpha=config.alpha)
+                        for f, tol in zip(flags, tols)])
+                start = stop
     del families  # the onsets need counts only; free the sums for them
 
     out_cells: List[AdequacyCell] = []
@@ -556,7 +548,8 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
                                          d_index, proto_id, PURPOSE_BOOTSTRAP)
             boot = _bootstrap_counts(
                 m_arr, np.array([c.k for c in cells], dtype=float), n_arr,
-                config.theta, config.bootstrap_replicates, boot_seed)
+                config.theta, config.alpha, config.bootstrap_replicates,
+                boot_seed)
             m_lo, m_hi = combine_onset_ci((m_lo, m_hi), boot)
 
             eta = r = r_eff = fi = fi_eff = None
@@ -703,45 +696,35 @@ class OracleReport:
 
 
 def oracle_report(config: RunConfig) -> OracleReport:
-    """Cross-check the sweep's fragment -> cell kernel against enumeration.
+    """Cross-check sampled adequacy against exact enumeration.
 
-    Requires C(N, m) within the enumeration cap for every m on the grid.
-    At three times (quartile indices of the grid) the kernel counts each
-    cell's random family and the exact family of all C(N, m) fragments;
-    a cell passes when the exact fraction falls inside the sampled
-    (1 - ORACLE_BAND_ALPHA) Wilson band, and the report passes when at
-    least ORACLE_MIN_FRACTION of cells do.
+    At three times (quartile indices of the grid) runs simulate's own
+    (protocol, t) work unit, _compute_time_point, for the random protocol
+    and for the exhaustive family of all C(N, m) fragments, with the
+    Wilson band at ORACLE_BAND_ALPHA; the config with those protocols
+    must validate, so every C(N, m) on the grid must fit the enumeration
+    cap.  Both units list their cells delta by delta over the m grid, so
+    they pair in order.  A cell passes when the exact fraction falls
+    inside the sampled (1 - ORACLE_BAND_ALPHA) Wilson band, and the
+    report passes when at least ORACLE_MIN_FRACTION of cells do.
     """
-    _check_enumerable(config)
+    config = replace(config, protocols=("random", "exhaustive"),
+                     alpha=ORACLE_BAND_ALPHA)
     couplings = config.couplings()
     time_grid = build_time_grid(config.time_grid)
     n_t = time_grid.size
-    t_indices = sorted({n_t // 4, n_t // 2, (3 * n_t) // 4})
-    tols = _tolerances(config)
-
-    def family_cells(t: float, sample: FragmentSample) -> List[AdequacyCell]:
-        _, flags = _adequacy(config, t, _coupling_sums(couplings, sample),
-                             tols)
-        return _cells(flags, 0, sample.n_fragments, t, sample.m,
-                      sample.protocol, tols, ORACLE_BAND_ALPHA)
-
-    # The exact family depends on m only: enumerate it once per m, then
-    # report cells in (t, m, delta) order.
-    by_coords: Dict[Tuple[int, int], List[OracleCell]] = {}
-    for m_index, m in enumerate(config.m_grid):
-        exact_sample = enumerate_fragments(config.n_sites, m)
-        for t_index in t_indices:
-            t = float(time_grid[t_index])
-            sampled = family_cells(
-                t, _sample_cell(config, t_index, m_index, "random"))
-            exact = family_cells(t, exact_sample)
-            by_coords[(t_index, m_index)] = [
-                OracleCell(t=t, m=m, delta=s.delta, phi_hat=s.p_hat,
-                           phi_exact=e.p_hat, ci_low=s.ci_low,
-                           ci_high=s.ci_high,
-                           within=s.ci_low <= e.p_hat <= s.ci_high)
-                for s, e in zip(sampled, exact)]
-    out = [c for coords in sorted(by_coords) for c in by_coords[coords]]
+    out: List[OracleCell] = []
+    for t_index in sorted({n_t // 4, n_t // 2, (3 * n_t) // 4}):
+        sampled, exact = (
+            _compute_time_point(config, couplings, time_grid, protocol,
+                                t_index).cells
+            for protocol in config.protocols)
+        out.extend(
+            OracleCell(t=s.t, m=s.m, delta=s.delta, phi_hat=s.p_hat,
+                       phi_exact=e.p_hat, ci_low=s.ci_low, ci_high=s.ci_high,
+                       within=s.ci_low <= e.p_hat <= s.ci_high)
+            for s, e in zip(sampled, exact))
+    out.sort(key=lambda c: (c.t, c.m))  # stable: deltas stay in order
 
     max_dev = max(abs(c.phi_hat - c.phi_exact) for c in out)
     frac = sum(c.within for c in out) / len(out)

@@ -311,6 +311,24 @@ class TestCliCommands:
         assert len(returned) == 1
         assert set(out.iterdir()) == set(returned[0].values())
 
+    def test_simulate_prints_soft_fi_violations(self, tmp_path, capsys,
+                                                fast_cfg_file, monkeypatch):
+        # bench/run.py reads the Holevo count as the second comma-separated
+        # field, so the soft FI violation count comes after it
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(run_sweep(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(qdfi.cli, "run_sweep", recording)
+        assert main(["simulate", "--config", str(fast_cfg_file),
+                     "--out", str(tmp_path / "run")]) == 0
+        summary = capsys.readouterr().out.splitlines()[0].split(", ")
+        stats = results[0].stats
+        assert summary[1] == f"{stats.holevo_evaluations} holevo evaluations"
+        assert summary[2] == f"{stats.fi_soft_violations} soft FI violations"
+
     def test_threads_auto_follows_affinity(self, monkeypatch):
         monkeypatch.setattr(qdfi.cli.os, "sched_getaffinity",
                             lambda pid: {0}, raising=False)
@@ -383,6 +401,7 @@ class TestCliCommands:
         assert "C(30, 15)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["alpha = 1e-17", "g = 1e200",
+                                      "g = 1e154",
                                       "coupling_rate = 1e-310",
                                       "coupling_rate = 1e-308",
                                       "t_max = inf"])
@@ -392,7 +411,8 @@ class TestCliCommands:
         # cell (exit 2), on infinite couplings (exit 2; at 1e-308 the
         # reciprocal is finite, but an Exp(1) variate above 1.8 is not once
         # scaled by it) or, for t_max = inf, on the trajectory times once
-        # the whole sweep had run
+        # the whole sweep had run; g = 1e154 has a finite square, but its
+        # log overlaps overflowed at t_max with a RuntimeWarning (exit 0)
         cfg = tmp_path / "edge.cfg"
         cfg.write_text(f"N = 12\n{line}\n", encoding="utf-8")
         assert main(["simulate", "--config", str(cfg),

@@ -81,17 +81,19 @@ def wilson_vector(k, n, alpha):
     return float(lo[0]), float(hi[0])
 
 
-def bootstrap_one_draw(m_values, k, n, theta, n_replicates, seed):
+def bootstrap_one_draw(m_values, k, n, theta, alpha, n_replicates, seed):
     """The bootstrap spelled out: one (n_replicates, len(n)) binomial
-    draw, replicate onsets as floats with +inf for absent, and the bounds
-    from np.quantile(method="nearest").  Returns (bounds, onsets)."""
+    draw, replicate onsets as floats with +inf for absent, and the
+    alpha/2 and 1 - alpha/2 bounds from np.quantile(method="nearest").
+    Returns (bounds, onsets)."""
     rng = np.random.Generator(np.random.PCG64(seed))
     k_star = rng.binomial(n.astype(np.int64), k / n,
                           size=(n_replicates, n.size))
     idx = _batch_onset_indices(k_star / n, n, theta)
     onsets = np.where(idx >= 0, m_values[np.maximum(idx, 0)].astype(float),
                       np.inf)
-    bounds = np.quantile(onsets, [0.025, 0.975], method="nearest")
+    bounds = np.quantile(onsets, [alpha / 2, 1 - alpha / 2],
+                         method="nearest")
     return (tuple(int(b) if math.isfinite(b) else None for b in bounds),
             onsets)
 
@@ -362,14 +364,14 @@ def counts_of(flags_by_m):
 class TestBootstrapOnset:
     def test_saturated_zero_width(self):
         flags_by_m = [(m, np.ones(400, dtype=bool)) for m in (1, 2, 3)]
-        lo, hi = _bootstrap_counts(*counts_of(flags_by_m), 0.9, 50, 0)
+        lo, hi = _bootstrap_counts(*counts_of(flags_by_m), 0.9, 0.05, 50, 0)
         assert lo == 1 and hi == 1
 
     def test_single_replicate_degenerates(self):
         rng = np.random.default_rng(51)
         flags_by_m = [(m, rng.random(100) < p)
                       for m, p in [(1, 0.2), (2, 0.6), (3, 0.97)]]
-        lo, hi = _bootstrap_counts(*counts_of(flags_by_m), 0.9, 1, 3)
+        lo, hi = _bootstrap_counts(*counts_of(flags_by_m), 0.9, 0.05, 1, 3)
         assert lo == hi
 
     def test_staircase_coverage(self):
@@ -383,8 +385,8 @@ class TestBootstrapOnset:
         for rep in range(trials):
             flags_by_m = [(m, rng.random(200) < p)
                           for m, p in zip(m_grid, true_p)]
-            lo, hi = _bootstrap_counts(*counts_of(flags_by_m), 0.9, 400,
-                                       rep)
+            lo, hi = _bootstrap_counts(*counts_of(flags_by_m), 0.9, 0.05,
+                                       400, rep)
             covered += (lo is not None and hi is not None
                         and lo <= true_onset <= hi)
         assert covered / trials >= 0.93
@@ -472,9 +474,9 @@ class TestBootstrapOnset:
         m_values = np.cumsum(steps).astype(np.int64)
         n = np.asarray(n, dtype=float)
         k = np.where(full, n, 0.0)
-        want, _ = bootstrap_one_draw(m_values, k, n, theta, n_replicates,
-                                     seed)
-        assert _bootstrap_counts(m_values, k, n, theta, n_replicates,
+        want, _ = bootstrap_one_draw(m_values, k, n, theta, 0.05,
+                                     n_replicates, seed)
+        assert _bootstrap_counts(m_values, k, n, theta, 0.05, n_replicates,
                                  seed) == want
 
     def test_blocks_draw_like_one_call(self, monkeypatch):
@@ -488,7 +490,7 @@ class TestBootstrapOnset:
         m_values = np.arange(1, 129, dtype=np.int64)
         k = np.round(n * p)
         n = n.astype(float)
-        want, _ = bootstrap_one_draw(m_values, k, n, 0.6, 1000, 5)
+        want, _ = bootstrap_one_draw(m_values, k, n, 0.6, 0.05, 1000, 5)
         for rows in (1, 300, 699):
             gen = np.random.Generator(np.random.PCG64(5))
             blocks = [gen.binomial(n.astype(np.int64), p,
@@ -496,7 +498,8 @@ class TestBootstrapOnset:
                       for start in range(0, 1000, rows)]
             assert np.array_equal(np.concatenate(blocks), one), rows
             monkeypatch.setattr(estimation, "_BOOTSTRAP_BLOCK", rows * 128)
-            assert _bootstrap_counts(m_values, k, n, 0.6, 1000, 5) == want
+            assert _bootstrap_counts(m_values, k, n, 0.6, 0.05, 1000,
+                                     5) == want
 
     @given(st.data())
     def test_draw_from_first_informative_column_keeps_the_stream(self, data):
@@ -537,9 +540,9 @@ class TestBootstrapOnset:
         n_replicates = data.draw(st.integers(1, 200), label="B")
         seed = data.draw(st.integers(0, 2 ** 64 - 1), label="seed")
         m_values = np.arange(1, size + 1, dtype=np.int64)
-        want, _ = bootstrap_one_draw(m_values, k, n, theta, n_replicates,
-                                     seed)
-        assert _bootstrap_counts(m_values, k, n, theta, n_replicates,
+        want, _ = bootstrap_one_draw(m_values, k, n, theta, 0.05,
+                                     n_replicates, seed)
+        assert _bootstrap_counts(m_values, k, n, theta, 0.05, n_replicates,
                                  seed) == want
 
     def test_histogram_percentiles_match_quantile_nearest(self):
@@ -549,11 +552,13 @@ class TestBootstrapOnset:
         n = np.array([8.0, 8.0, 8.0, 8.0])
         k = np.array([2.0, 5.0, 6.0, 7.0])
         bounds = set()
-        for n_replicates in range(1, 61):
-            want, onsets = bootstrap_one_draw(m_values, k, n, 0.8,
+        for alpha, n_replicates in itertools.product((0.05, 0.01, 0.3),
+                                                     range(1, 61)):
+            want, onsets = bootstrap_one_draw(m_values, k, n, 0.8, alpha,
                                               n_replicates, n_replicates)
-            assert _bootstrap_counts(m_values, k, n, 0.8, n_replicates,
-                                     n_replicates) == want, n_replicates
+            got = _bootstrap_counts(m_values, k, n, 0.8, alpha, n_replicates,
+                                    n_replicates)
+            assert got == want, (alpha, n_replicates)
             bounds.add(want)
         assert np.isinf(onsets).any() and np.isfinite(onsets).any()
         assert len({lo for lo, _ in bounds}) > 1
@@ -569,7 +574,7 @@ class TestBootstrapOnset:
         k[64] = 1.0
         tracemalloc.start()
         try:
-            lo, hi = _bootstrap_counts(m_values, k, n, 0.5, 10 ** 6, 3)
+            lo, hi = _bootstrap_counts(m_values, k, n, 0.5, 0.05, 10 ** 6, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -580,8 +585,8 @@ class TestBootstrapOnset:
         rng = np.random.default_rng(61)
         flags_by_m = [(m, rng.random(150) < p)
                       for m, p in [(1, 0.3), (2, 0.7), (4, 0.95)]]
-        a = _bootstrap_counts(*counts_of(flags_by_m), 0.9, 200, 9)
-        b = _bootstrap_counts(*counts_of(flags_by_m), 0.9, 200, 9)
+        a = _bootstrap_counts(*counts_of(flags_by_m), 0.9, 0.05, 200, 9)
+        b = _bootstrap_counts(*counts_of(flags_by_m), 0.9, 0.05, 200, 9)
         assert a == b
 
 

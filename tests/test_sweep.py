@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -195,7 +197,25 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=r"^g must be positive with a "
                                               r"finite square"):
             RunConfig(n_sites=12, g=1e200)
-        assert RunConfig(n_sites=12, g=1e154).g == 1e154
+        assert RunConfig(n_sites=12, g=1e151).g == 1e151
+
+    def test_g_bound_keeps_every_log_overlap_finite(self):
+        # a finite g^2 is not enough: the log overlap -g^2 t^2 (coupling
+        # sum) must stay finite up to t_max for the largest possible sum
+        with pytest.raises(ConfigError, match=r"^g must .* g\^2 \* t_max\^2 "
+                                              r"\* N \* 44.5 / coupling_rate"):
+            RunConfig(n_sites=12, g=1e154)
+        bound = math.sqrt(sys.float_info.max / (6.0 ** 2 * 12
+                                                * qdfi.sweep._EXP_VARIATE_MAX))
+        with pytest.raises(ConfigError, match=r"^g must"):
+            RunConfig(n_sites=12, g=bound * (1 + 1e-9))
+        # just inside the bound the whole run raises no warning at all
+        cfg = small_config(g=bound * (1 - 1e-9),
+                           time_grid=TimeGridSpec(n_dense=2, n_coarse=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_sweep(cfg)
+        assert len(result.cells) == 3 * len(cfg.m_grid) * len(cfg.deltas)
 
     def test_rejects_coupling_rate_whose_reciprocal_overflows(self):
         # the couplings are drawn with scale 1 / coupling_rate, and every
@@ -560,6 +580,22 @@ class TestDeterminism:
         run_sweep(cfg)
         assert len(calls) == 3 * len(cfg.deltas) * len(cfg.protocols)
 
+    def test_bootstrap_level_follows_alpha(self, monkeypatch):
+        # the combined m* interval keeps the tighter of two intervals, so
+        # both must be taken at the config's level
+        levels = []
+        real = qdfi.sweep._bootstrap_counts
+
+        def spied(m_values, k, n, theta, alpha, n_replicates, seed):
+            levels.append(alpha)
+            return real(m_values, k, n, theta, alpha, n_replicates, seed)
+
+        monkeypatch.setattr(qdfi.sweep, "_bootstrap_counts", spied)
+        cfg = small_config(alpha=0.01,
+                           time_grid=TimeGridSpec(n_dense=2, n_coarse=1))
+        run_sweep(cfg)
+        assert levels == [0.01] * (3 * len(cfg.deltas))
+
 
 class TestOracleReport:
     def test_small_environment_passes(self):
@@ -572,6 +608,28 @@ class TestOracleReport:
         assert report.passed
         assert report.fraction_within >= 0.98
         assert report.max_abs_deviation < 0.2
+
+    def test_cells_are_the_sweeps_cells(self):
+        # each oracle cell is the random cell simulate writes at the 99%
+        # band, and its exact fraction the exhaustive cell's p_hat
+        cfg = RunConfig(n_sites=8, m_grid=(1, 2, 4, 8), n_fragments=200,
+                        deltas=(0.05, 0.2), protocols=("random", "exhaustive"),
+                        alpha=qdfi.sweep.ORACLE_BAND_ALPHA,
+                        time_grid=TimeGridSpec(n_dense=4, n_coarse=4),
+                        bootstrap_replicates=20, overlap_pairs=10,
+                        master_seed=11)
+        swept = {(c.t, c.m, c.delta, c.protocol): c
+                 for c in run_sweep(cfg).cells}
+        report = oracle_report(replace(cfg, protocols=("disjoint",),
+                                       alpha=0.2))
+        assert len(report.cells) == 3 * len(cfg.m_grid) * len(cfg.deltas)
+        assert len({c.t for c in report.cells}) == 3
+        for c in report.cells:
+            sampled, exact = (swept[(c.t, c.m, c.delta, protocol)]
+                              for protocol in ("random", "exhaustive"))
+            assert (c.phi_hat, c.ci_low, c.ci_high) == (
+                sampled.p_hat, sampled.ci_low, sampled.ci_high)
+            assert c.phi_exact == exact.p_hat
 
     def test_unenumerable_rejected(self):
         cfg = RunConfig(n_sites=60, m_grid=(30,), n_fragments=10,
