@@ -88,10 +88,18 @@ def parse_config(path) -> RunConfig:
 
     An empty file yields the full-default configuration.  Unknown keys,
     duplicate keys, and malformed values raise ConfigError with the
-    offending line number.
+    offending line number, and a file that is not UTF-8 one naming it.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_config_text(text)
+    return parse_config_text(_read_text(Path(path)))
+
+
+def _read_text(path: Path) -> str:
+    """The text of a run file; ConfigError naming it if it is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: byte {exc.start} "
+                          f"({exc.reason})") from None
 
 
 def _fmt(value) -> str:
@@ -231,7 +239,7 @@ def read_onset_table(run_dir,
     path = Path(run_dir) / "onset.csv"
     if not path.is_file():
         raise ConfigError(f"no onset.csv in {run_dir}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0] != ONSET_HEADER:
         raise ConfigError(f"onset.csv in {run_dir} has an unexpected header")
     grouped: Dict[Tuple[str, float], List[OnsetEstimate]] = {}

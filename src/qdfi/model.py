@@ -31,6 +31,7 @@ __all__ = [
     "PointerEnsemble",
     "Tolerance",
     "MeanFieldPrediction",
+    "ENTROPY_FLOOR",
     "binary_entropy",
     "binary_entropy_inverse",
     "log_overlap",
@@ -95,6 +96,11 @@ def binary_entropy(p):
     if np.ndim(p) == 0:
         return float(h)
     return h
+
+
+# What binary_entropy reads for any argument it clips, within _LOG_CLIP of
+# 0 or 1, at most: an entropy at or below it cannot be told from the clip.
+ENTROPY_FLOOR = max(binary_entropy(_LOG_CLIP), binary_entropy(1.0 - _LOG_CLIP))
 
 
 def binary_entropy_inverse(y: float) -> float:

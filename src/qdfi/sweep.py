@@ -1,27 +1,28 @@
 """Sweep orchestration: quenched couplings, adaptive time grid, cell loop.
 
 One run draws couplings once and walks an adaptive time grid (geometric
-before the knee where onsets move fast, linear after).  Each (protocol,
-t) work unit runs in three phases.  Per m, it samples the fragment
-family, keeps only each fragment's coupling sum and estimates the pair
-overlap.  Per block of consecutive families of at most _CHI_BLOCK
-fragments (a larger family is a block of its own), one Holevo pass
-gives every fragment's chi and adequacy flag per delta, and each
-(t, m, delta) cell counts its slice: blocking changes how many calls do
-the work, not the work or any output byte.  Per delta, the adequate
-fractions are isotonically smoothed along m, the onset is extracted,
-and the Wilson-inversion and bootstrap bounds are combined.  A failed
-chi pass names every (t, m) of its block, a failed cell its own (t, m)
-and a failed onset its (t, delta).
+before the knee where onsets move fast, linear after); _run_inputs keeps
+both, per process, for the last config asked for.  Each (protocol, t)
+work unit takes the config and its coordinates and runs in three phases.
+Per m, it samples the fragment family, keeps only each fragment's
+coupling sum and estimates the pair overlap.  Per block of consecutive
+families of at most _CHI_BLOCK fragments (a larger family is a block of
+its own), one Holevo pass gives every fragment's chi and adequacy flag
+per delta, and each (t, m, delta) cell counts its slice: blocking
+changes how many calls do the work, not the work or any output byte.
+Per delta, the adequate fractions are isotonically smoothed along m, the
+onset is extracted, and the Wilson-inversion and bootstrap bounds are
+combined.  A failed chi pass names every (t, m) of its block, a failed
+cell its own (t, m) and a failed onset its (t, delta).
 
 Determinism contract: every random decision derives its seed from the
 master seed and the cell coordinates through an avalanche mixer, and
 results are assembled in canonical order, so output is byte-identical
-for any thread count.  Workers therefore communicate nothing but cell
-coordinates and finished payloads.  One thread runs every work unit in
-the calling process, which never imports the process-pool modules
-(concurrent.futures, multiprocessing); run_sweep imports them only when
-it starts a pool.
+for any thread count.  Workers therefore communicate nothing but the
+config, unit coordinates and finished payloads.  One thread runs every
+work unit in the calling process, which never imports the process-pool
+modules (concurrent.futures, multiprocessing); run_sweep imports them
+only when it starts a pool.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numbers
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -40,8 +42,8 @@ from .estimation import (AdequacyCell, IsotonicCurve, OnsetEstimate,
                          _bootstrap_counts, adequacy_cell, combine_onset_ci,
                          isotonic_fit, onset_ci_inversion, onset_from_curve,
                          redundancy_fi)
-from .model import (CouplingSet, PointerEnsemble, Tolerance, holevo_biased,
-                    is_adequate)
+from .model import (ENTROPY_FLOOR, CouplingSet, PointerEnsemble, Tolerance,
+                    binary_entropy, holevo_biased, is_adequate)
 from .sampling import (ENUMERATION_CAP, PROTOCOLS, FragmentSample,
                        enumerate_fragments, estimate_overlap_eta,
                        partition_disjoint, sample_random_fragments)
@@ -313,6 +315,14 @@ class RunConfig:
                     f"rejected, not clamped)")
         if len(set(self.deltas)) != len(self.deltas):
             raise ConfigError("deltas must be distinct")
+        # binary_entropy clips its argument, so a threshold at or below
+        # what a clipped chi reads would let the clip decide adequacy
+        d_max = max(self.deltas)
+        if not (1.0 - d_max) * binary_entropy(self.p0) > ENTROPY_FLOOR:
+            raise ConfigError(
+                f"p0 = {self.p0} with delta = {d_max} gives an adequacy "
+                f"threshold (1 - delta) * H(p0) at or below the entropy "
+                f"floor {ENTROPY_FLOOR:.4g}; move p0 toward 1/2")
         if not (0.0 < self.theta < 1.0):
             raise ConfigError(f"theta must lie in (0, 1), got {self.theta}")
         if not self.protocols:
@@ -400,6 +410,15 @@ class SweepResult:
     stats: RunStats
 
 
+@lru_cache(maxsize=1)
+def _run_inputs(config: RunConfig) -> Tuple[CouplingSet, np.ndarray]:
+    """The run's couplings and read-only time grid, drawn once per process
+    for the last config asked for; a forked worker inherits them."""
+    time_grid = build_time_grid(config.time_grid)
+    time_grid.flags.writeable = False
+    return config.couplings(), time_grid
+
+
 def _sample_cell(config: RunConfig, t_index: int, m_index: int,
                  protocol: str) -> FragmentSample:
     """Draw the fragment family for one cell from its derived seed."""
@@ -452,15 +471,16 @@ def _reported(errors: List[Tuple[tuple, Exception]], *where: tuple):
         errors.extend((w, exc) for w in where)
 
 
-def cell_chi_values(config: RunConfig, couplings: CouplingSet,
-                    time_grid: np.ndarray, t_index: int, m_index: int,
+def cell_chi_values(config: RunConfig, t_index: int, m_index: int,
                     protocol: str) -> np.ndarray:
     """Per-fragment Holevo information chi for one cell.
 
-    This is the exact computation the sweep performs, reproduced from the
-    same derived seed, so post-hoc diagnostics can recover the fragment
-    -level distribution without storing it.
+    This is the exact computation the sweep performs, on the couplings
+    and time grid the config draws and the same derived seed, so post-hoc
+    diagnostics can recover the fragment-level distribution without
+    storing it.
     """
+    couplings, time_grid = _run_inputs(config)
     sample = _sample_cell(config, t_index, m_index, protocol)
     return _adequacy(config, float(time_grid[t_index]),
                      _coupling_sums(couplings, sample), ())[0]
@@ -476,9 +496,9 @@ class _TimePayload:
     holevo_evaluations: int
 
 
-def _compute_time_point(config: RunConfig, couplings: CouplingSet,
-                        time_grid: np.ndarray, protocol: str,
+def _compute_time_point(config: RunConfig, protocol: str,
                         t_index: int) -> _TimePayload:
+    couplings, time_grid = _run_inputs(config)
     t = float(time_grid[t_index])
     entropy = PointerEnsemble(config.p0).entropy
     tols = [Tolerance.for_entropy(d, entropy) for d in config.deltas]
@@ -572,23 +592,6 @@ def _compute_time_point(config: RunConfig, couplings: CouplingSet,
                         holevo_evaluations=evaluations)
 
 
-# Worker-side state for process pools, installed once per worker.
-_WORKER: Dict[str, object] = {}
-
-
-def _worker_init(config: RunConfig, couplings: CouplingSet,
-                 time_grid: np.ndarray) -> None:
-    _WORKER["config"] = config
-    _WORKER["couplings"] = couplings
-    _WORKER["time_grid"] = time_grid
-
-
-def _worker_run(task: Tuple[str, int]) -> _TimePayload:
-    protocol, t_index = task
-    return _compute_time_point(_WORKER["config"], _WORKER["couplings"],
-                               _WORKER["time_grid"], protocol, t_index)
-
-
 def _fi_soft_violations(
         trajectories: Sequence[RedundancyTrajectory]) -> int:
     """Count FI decreases along t that exceed the adjacent CI widths.
@@ -620,30 +623,28 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     threads = 1 runs the (protocol, t) work units in this process and
     imports no process-pool module.  threads > 1 imports
     concurrent.futures just before it starts a pool of min(threads,
-    units) worker processes, each of which receives the config, couplings
-    and time grid once.  The result is identical for any thread count
-    because all randomness is derived per cell and assembly order is
-    canonical.
+    units) worker processes; each unit receives only the config and its
+    coordinates, and each worker draws the couplings and time grid at
+    most once (_run_inputs).  The result is identical for any thread
+    count because all randomness is derived per cell and assembly order
+    is canonical.  The result's time grid is read-only.
     """
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-    couplings = config.couplings()
-    time_grid = build_time_grid(config.time_grid)
-    tasks = [(protocol, t_index)
-             for protocol in config.protocols
-             for t_index in range(time_grid.size)]
+    couplings, time_grid = _run_inputs(config)
+    n_t = time_grid.size
+    protocols = [p for p in config.protocols for _ in range(n_t)]
+    t_indices = list(range(n_t)) * len(config.protocols)
+    unit = partial(_compute_time_point, config)
 
     if threads == 1:
-        payloads = [_compute_time_point(config, couplings, time_grid, p, i)
-                    for p, i in tasks]
+        payloads = list(map(unit, protocols, t_indices))
     else:
         # imported here, so a one-worker run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(
-                max_workers=min(threads, len(tasks)),
-                initializer=_worker_init,
-                initargs=(config, couplings, time_grid)) as pool:
-            payloads = list(pool.map(_worker_run, tasks))
+                max_workers=min(threads, len(protocols))) as pool:
+            payloads = list(pool.map(unit, protocols, t_indices))
 
     # Payloads come back in task order: protocol-major, then time.
     cells: List[AdequacyCell] = []
@@ -653,7 +654,6 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
         cells.extend(payload.cells)
         overlaps.extend(payload.overlaps)
         evaluations += payload.holevo_evaluations
-    n_t = time_grid.size
     trajectories = [
         RedundancyTrajectory(
             delta=delta, protocol=protocol,
@@ -710,15 +710,11 @@ def oracle_report(config: RunConfig) -> OracleReport:
     """
     config = replace(config, protocols=("random", "exhaustive"),
                      alpha=ORACLE_BAND_ALPHA)
-    couplings = config.couplings()
-    time_grid = build_time_grid(config.time_grid)
-    n_t = time_grid.size
+    n_t = _run_inputs(config)[1].size
     out: List[OracleCell] = []
     for t_index in sorted({n_t // 4, n_t // 2, (3 * n_t) // 4}):
-        sampled, exact = (
-            _compute_time_point(config, couplings, time_grid, protocol,
-                                t_index).cells
-            for protocol in config.protocols)
+        sampled, exact = (_compute_time_point(config, protocol, t_index).cells
+                          for protocol in config.protocols)
         out.extend(
             OracleCell(t=s.t, m=s.m, delta=s.delta, phi_hat=s.p_hat,
                        phi_exact=e.p_hat, ci_low=s.ci_low, ci_high=s.ci_high,

@@ -9,7 +9,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import qdfi.cli
 from qdfi import (ConfigError, OnsetEstimate, RedundancyTrajectory, RunConfig,
@@ -17,6 +17,7 @@ from qdfi import (ConfigError, OnsetEstimate, RedundancyTrajectory, RunConfig,
                   read_metadata, read_onset_table, run_sweep,
                   serialize_config, write_tables)
 from qdfi.cli import _parse_threads, main
+from qdfi.model import ENTROPY_FLOOR, binary_entropy
 from qdfi.sampling import PROTOCOLS
 from qdfi.sweep import CONFIG_KEYS
 
@@ -40,6 +41,18 @@ def _open_unit(**kw):
     return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, **kw)
 
 
+def _deltas(max_size):
+    """Distinct delta lists drawn from [1e-4, 1)."""
+    return st.lists(st.floats(1e-4, 1.0, exclude_max=True), min_size=1,
+                    max_size=max_size, unique=True)
+
+
+def _assume_threshold_clears_floor(p0, deltas):
+    """Keep only the p0 and deltas RunConfig accepts: the smallest
+    adequacy threshold must exceed what a clipped entropy reads."""
+    assume((1.0 - max(deltas)) * binary_entropy(p0) > ENTROPY_FLOOR)
+
+
 @st.composite
 def valid_configs(draw):
     """RunConfigs with every key drawn from its valid range."""
@@ -54,14 +67,14 @@ def valid_configs(draw):
         st.floats(1e-6, 1e3), min_size=3, max_size=3, unique=True),
         label="times")
     positive = st.floats(1e-3, 1e3)
+    g = draw(positive, label="g")
+    coupling_rate = draw(positive, label="coupling_rate")
+    p0 = draw(_open_unit(), label="p0")
+    deltas = draw(_deltas(4), label="deltas")
+    _assume_threshold_clears_floor(p0, deltas)
     return RunConfig(
-        n_sites=n_sites, g=draw(positive, label="g"),
-        coupling_rate=draw(positive, label="coupling_rate"),
-        p0=draw(_open_unit(), label="p0"),
-        deltas=draw(st.lists(st.floats(1e-4, 1.0, exclude_max=True),
-                             min_size=1, max_size=4, unique=True),
-                    label="deltas"),
-        theta=draw(_open_unit(), label="theta"), protocols=protocols,
+        n_sites=n_sites, g=g, coupling_rate=coupling_rate, p0=p0,
+        deltas=deltas, theta=draw(_open_unit(), label="theta"), protocols=protocols,
         n_fragments=draw(st.integers(1, 10 ** 6), label="n_fragments"),
         m_grid=m_grid,
         time_grid=TimeGridSpec(
@@ -254,11 +267,10 @@ class TestTableWriting:
 
     @given(st.data())
     def test_onset_table_round_trip_generated(self, tmp_path_factory, data):
+        deltas = data.draw(_deltas(3), label="deltas")
+        _assume_threshold_clears_floor(RunConfig.p0, deltas)
         cfg = RunConfig(
-            n_sites=10,
-            deltas=data.draw(st.lists(st.floats(1e-4, 1.0, exclude_max=True),
-                                      min_size=1, max_size=3, unique=True),
-                             label="deltas"),
+            n_sites=10, deltas=deltas,
             protocols=data.draw(st.lists(st.sampled_from(PROTOCOLS),
                                          min_size=1, max_size=3, unique=True),
                                 label="protocols"),
@@ -418,6 +430,50 @@ class TestCliCommands:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 1
         assert line.split(" = ")[0] + " must" in capsys.readouterr().err
+
+    P0_RUN = ("N = 40\ndeltas = 0.01\nn_fragments = 50\n"
+              "m_grid = 1, 2, 4, 8\nn_dense = 3\nn_coarse = 2\n"
+              "bootstrap_B = 20\noverlap_pairs = 10\n")
+
+    def test_threshold_under_the_entropy_floor_exits_1(self, tmp_path,
+                                                       capsys):
+        # the threshold (1 - 0.01) * H(1e-15) = 5.076e-14 lies below the
+        # 5.127e-14 that a clipped chi reads, so this run used to exit 0
+        # with m* = 1 from the clip alone
+        cfg = tmp_path / "p0.cfg"
+        cfg.write_text("p0 = 1e-15\n" + self.P0_RUN, encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "p0 = 1e-15 with delta = 0.01" in capsys.readouterr().err
+
+    def test_threshold_over_the_entropy_floor_runs(self, tmp_path, capsys):
+        # threshold (1 - 0.01) * H(2e-15) = 9.95e-14
+        cfg = tmp_path / "p0.cfg"
+        cfg.write_text("p0 = 2e-15\n" + self.P0_RUN, encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+
+    def test_config_that_is_not_utf8_exits_1(self, tmp_path, capsys):
+        # a Latin-1 byte used to escape as UnicodeDecodeError (exit 2)
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"# caf\xe9\nN = 12\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert f"{cfg} is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, command", [
+        ("run_metadata.txt", "analyze"), ("onset.csv", "report")])
+    def test_run_file_that_is_not_utf8_exits_1(self, tmp_path, fast_run_dir,
+                                               capsys, name, command):
+        with open(fast_run_dir / name, "ab") as fh:
+            fh.write(b"\xe9")
+        argv = [command, "--in", str(fast_run_dir)]
+        if command == "analyze":
+            argv += ["--out", str(tmp_path / "analysis")]
+        assert main(argv) == 1
+        assert f"{fast_run_dir / name} is not UTF-8" in (
+            capsys.readouterr().err)
 
     def test_out_naming_a_file_exits_1_before_any_work(
             self, tmp_path, fast_cfg_file, fast_run_dir, capsys,

@@ -17,6 +17,7 @@ from qdfi import (CouplingSet, DegenerateCutoffError, DomainError,
                   binary_entropy_inverse, capacity_min_size, holevo_biased,
                   holevo_equiprobable, is_adequate, landauer_min_heat,
                   log_overlap, mean_field_onset, overlap_cutoff)
+from qdfi.model import ENTROPY_FLOOR
 
 # Independently derived (Decimal, 50 digits):
 H2_075 = 0.8112781244591328
@@ -56,6 +57,12 @@ class TestBinaryEntropy:
         # tiny excursions past [0,1] are treated as the endpoint
         assert binary_entropy(-1e-10) == 0.0
         assert binary_entropy(1.0 + 1e-10) == 0.0
+
+    def test_clipped_arguments_read_at_most_the_floor(self):
+        # h2(1e-20) is about 6.8e-19, but the clip reads h2(1e-15)
+        for p in (1e-20, 1e-15, 1.0 - 1e-16, 1.0 - 1e-15):
+            assert 0.0 < binary_entropy(p) <= ENTROPY_FLOOR
+        assert binary_entropy(2e-15) > ENTROPY_FLOOR
 
     def test_domain_error(self):
         with pytest.raises(DomainError):

@@ -281,8 +281,7 @@ class TestSweepExactness:
         grid = res.time_grid
         entropy = PointerEnsemble(cfg.p0).entropy
         t_index, m_index = 7, 3
-        chi = cell_chi_values(cfg, res.couplings, grid, t_index, m_index,
-                              "random")
+        chi = cell_chi_values(cfg, t_index, m_index, "random")
         for delta in cfg.deltas:
             tol = Tolerance.for_entropy(delta, entropy)
             k = int(np.sum(chi >= tol.threshold))
@@ -433,18 +432,15 @@ class TestChiBlocks:
 
     def test_block_chi_equals_cell_chi_values(self, monkeypatch):
         cfg = self._config()
-        couplings = cfg.couplings()
         grid = build_time_grid(cfg.time_grid)
         calls = self._record_holevo(monkeypatch)
         for protocol in cfg.protocols:
             for t_index in range(grid.size):
                 calls.clear()
-                qdfi.sweep._compute_time_point(cfg, couplings, grid,
-                                               protocol, t_index)
+                qdfi.sweep._compute_time_point(cfg, protocol, t_index)
                 blocks = np.concatenate(calls)
                 cells = np.concatenate([
-                    cell_chi_values(cfg, couplings, grid, t_index, m_index,
-                                    protocol)
+                    cell_chi_values(cfg, t_index, m_index, protocol)
                     for m_index in range(len(cfg.m_grid))])
                 assert blocks.tobytes() == cells.tobytes(), (protocol,
                                                              t_index)
@@ -476,11 +472,12 @@ class TestChiBlocks:
                         m_grid=tuple(range(1, 129)),
                         time_grid=TimeGridSpec(n_dense=10, n_coarse=4),
                         master_seed=29)
-        couplings = cfg.couplings()
-        grid = build_time_grid(cfg.time_grid)
+        # the run's couplings and grid are drawn before tracing starts, as
+        # a run draws them once for all its units
+        qdfi.sweep._run_inputs(cfg)
         tracemalloc.start()
         try:
-            qdfi.sweep._compute_time_point(cfg, couplings, grid, "random", 7)
+            qdfi.sweep._compute_time_point(cfg, "random", 7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -496,6 +493,23 @@ class TestDeterminism:
         assert a.trajectories == b.trajectories
         assert a.overlaps == b.overlaps
 
+    def test_time_grid_is_read_only(self):
+        # every unit of a run reads the one memoized grid
+        grid = run_sweep(small_config()).time_grid
+        with pytest.raises(ValueError):
+            grid[0] = 0.5
+
+    def test_interleaved_configs_keep_their_own_couplings(self):
+        # the memo of couplings and grid keys on the whole config: B
+        # differs from A only in the seed the couplings derive from
+        a = small_config()
+        b = small_config(master_seed=a.master_seed + 1)
+        first, other, again = run_sweep(a), run_sweep(b), run_sweep(a)
+        assert again.cells == first.cells
+        assert np.array_equal(other.couplings.couplings,
+                              b.couplings().couplings)
+        assert other.cells != first.cells
+
     def test_thread_count_invisible(self):
         cfg = small_config(protocols=("random", "disjoint"))
         serial = run_sweep(cfg, threads=1)
@@ -510,9 +524,8 @@ class TestDeterminism:
         seen = []
 
         class SerialPool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 seen.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -520,14 +533,13 @@ class TestDeterminism:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         # run_sweep imports the pool class from concurrent.futures when it
         # starts a pool, so the recorder replaces it there
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             SerialPool)
-        monkeypatch.setattr(qdfi.sweep, "_WORKER", {})
         # one protocol on the smallest valid time grid: three tasks
         cfg = small_config(time_grid=TimeGridSpec(n_dense=2, n_coarse=1))
         pooled = run_sweep(cfg, threads=64)
