@@ -102,15 +102,6 @@ def _parse_threads(text: str) -> int:
     return threads
 
 
-def _load_config(path: Optional[str]) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    return parse_config(p)
-
-
 def _out_dir(path: str) -> Path:
     """Create the output directory before any work is done; ConfigError
     naming --out when it cannot be, as for the path of an existing file."""
@@ -124,7 +115,7 @@ def _out_dir(path: str) -> Path:
 
 
 def _cmd_simulate(ns) -> int:
-    config = _load_config(ns.config)
+    config = RunConfig() if ns.config is None else parse_config(ns.config)
     threads = _parse_threads(ns.threads)
     _out_dir(ns.out)
     started = time.perf_counter()
@@ -205,22 +196,18 @@ def _cmd_plot_data(ns) -> int:
     trajectories = read_onset_table(ns.indir, config)
     primary_trajs = [t for t in trajectories if t.protocol == primary]
 
-    if ns.figure == "R_vs_t":
+    if ns.figure in ("R_vs_t", "fi"):
+        # fi is R_vs_t on a log2 scale: FI = log2 R bit for bit
+        q, scale = ("FI", math.log2) if ns.figure == "fi" else ("R", float)
         rows = []
         for traj in primary_trajs:
             for p in traj.points:
                 r_lo = n / p.m_star_hi if p.m_star_hi else None
                 r_hi = n / p.m_star_lo if p.m_star_lo else None
-                rows.append([p.t, p.delta, p.r, p.r_eff, r_lo, r_hi])
-        write_csv(path, "t,delta,R,R_eff,R_lo,R_hi", rows)
-    elif ns.figure == "fi":
-        rows = []
-        for traj in primary_trajs:
-            for p in traj.points:
-                fi_lo = math.log2(n / p.m_star_hi) if p.m_star_hi else None
-                fi_hi = math.log2(n / p.m_star_lo) if p.m_star_lo else None
-                rows.append([p.t, p.delta, p.fi, p.fi_eff, fi_lo, fi_hi])
-        write_csv(path, "t,delta,FI,FI_eff,FI_lo,FI_hi", rows)
+                rows.append([p.t, p.delta] + [
+                    None if v is None else scale(v)
+                    for v in (p.r, p.r_eff, r_lo, r_hi)])
+        write_csv(path, f"t,delta,{q},{q}_eff,{q}_lo,{q}_hi", rows)
     elif ns.figure == "growth":
         rows = []
         for traj in primary_trajs:
@@ -244,7 +231,7 @@ def _cmd_plot_data(ns) -> int:
 
 
 def _cmd_oracle(ns) -> int:
-    config = _load_config(ns.config)
+    config = parse_config(ns.config)
     report = oracle_report(config)
     print(f"oracle: {len(report.cells)} cells, "
           f"max |phi_hat - phi_exact| = {report.max_abs_deviation:.6g}, "

@@ -8,6 +8,9 @@ Tables are UTF-8 CSV with LF line endings.  Reals are written with
 shortest round-trip representation (17 significant digits when needed),
 absent values as empty fields.  Writing is deterministic: identical
 inputs give byte-identical files.
+
+Every file is read through _read_text, and every onset.csv row through
+read_onset_table: each raises ConfigError naming the file it rejects.
 """
 
 from __future__ import annotations
@@ -88,18 +91,23 @@ def parse_config(path) -> RunConfig:
 
     An empty file yields the full-default configuration.  Unknown keys,
     duplicate keys, and malformed values raise ConfigError with the
-    offending line number, and a file that is not UTF-8 one naming it.
+    offending line number, and a file that cannot be read or is not UTF-8
+    one naming it.
     """
     return parse_config_text(_read_text(Path(path)))
 
 
 def _read_text(path: Path) -> str:
-    """The text of a run file; ConfigError naming it if it is not UTF-8."""
+    """The text of a config or run file, less a leading byte-order mark;
+    ConfigError naming the path if it is missing, a directory, unreadable
+    or not UTF-8."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: byte {exc.start} "
                           f"({exc.reason})") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _fmt(value) -> str:
@@ -219,10 +227,7 @@ def write_analysis(config: RunConfig,
 
 def read_metadata(run_dir) -> RunConfig:
     """Recover the RunConfig echoed into a run directory."""
-    path = Path(run_dir) / METADATA_NAME
-    if not path.is_file():
-        raise ConfigError(f"no {METADATA_NAME} in {run_dir}")
-    return parse_config(path)
+    return parse_config(Path(run_dir) / METADATA_NAME)
 
 
 def _opt_float(text: str) -> Optional[float]:
@@ -235,39 +240,44 @@ def _opt_int(text: str) -> Optional[int]:
 
 def read_onset_table(run_dir,
                      config: RunConfig) -> List[RedundancyTrajectory]:
-    """Rebuild trajectories from onset.csv, in (protocol, delta) config order."""
+    """Rebuild trajectories from onset.csv, in (protocol, delta) config order.
+
+    Rows may come in any order.  Each must parse into the header's 12
+    fields, with the config's theta and a configured protocol and delta,
+    and every (protocol, delta) must have rows at the same times; else
+    ConfigError names the file, and the line of a bad row.
+    """
     path = Path(run_dir) / "onset.csv"
-    if not path.is_file():
-        raise ConfigError(f"no onset.csv in {run_dir}")
     lines = _read_text(path).splitlines()
     if not lines or lines[0] != ONSET_HEADER:
-        raise ConfigError(f"onset.csv in {run_dir} has an unexpected header")
-    grouped: Dict[Tuple[str, float], List[OnsetEstimate]] = {}
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(ONSET_HEADER.split(",")):
-            raise ConfigError(f"malformed onset.csv row: {line!r}")
-        (t, delta, protocol, theta, m_star, m_lo, m_hi, r, r_eff, eta, fi,
-         fi_eff) = parts
-        if float(theta) != config.theta:
+        raise ConfigError(f"{path} has an unexpected header")
+    groups: Dict[Tuple[str, float], List[OnsetEstimate]] = {
+        (protocol, delta): [] for protocol in config.protocols
+        for delta in config.deltas}
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            (t, delta, protocol, theta, m_star, m_lo, m_hi, r, r_eff, eta,
+             fi, fi_eff) = line.split(",")
+            if float(theta) != config.theta:
+                raise ValueError(f"theta {theta} is not the config's "
+                                 f"{config.theta}")
+            groups[protocol, float(delta)].append(OnsetEstimate(
+                float(t), float(delta),
+                *map(_opt_int, (m_star, m_lo, m_hi)),
+                *map(_opt_float, (r, r_eff, eta, fi, fi_eff))))
+        except ValueError as exc:
+            raise ConfigError(f"{path}, line {lineno}: {exc}") from None
+        except KeyError:
             raise ConfigError(
-                f"onset.csv theta {theta} disagrees with config "
-                f"{config.theta}")
-        est = OnsetEstimate(
-            t=float(t), delta=float(delta), m_star=_opt_int(m_star),
-            m_star_lo=_opt_int(m_lo), m_star_hi=_opt_int(m_hi),
-            r=_opt_float(r), r_eff=_opt_float(r_eff), eta=_opt_float(eta),
-            fi=_opt_float(fi), fi_eff=_opt_float(fi_eff))
-        grouped.setdefault((protocol, float(delta)), []).append(est)
-    trajectories: List[RedundancyTrajectory] = []
-    for protocol in config.protocols:
-        for delta in config.deltas:
-            pts = grouped.get((protocol, delta))
-            if pts is None:
-                raise ConfigError(
-                    f"onset.csv lacks rows for protocol {protocol!r}, "
-                    f"delta {delta}")
-            pts.sort(key=lambda p: p.t)
-            trajectories.append(RedundancyTrajectory(
-                delta=delta, protocol=protocol, points=tuple(pts)))
-    return trajectories
+                f"{path}, line {lineno}: protocol {protocol!r}, delta "
+                f"{delta} is not in the run's config") from None
+    times = sorted({p.t for pts in groups.values() for p in pts})
+    for (protocol, delta), pts in groups.items():
+        pts.sort(key=attrgetter("t"))
+        if not pts or [p.t for p in pts] != times:
+            raise ConfigError(
+                f"{path} lacks rows: protocol {protocol!r}, delta {delta} "
+                f"has rows at {len(pts)} of the file's {len(times)} times")
+    return [RedundancyTrajectory(delta=delta, protocol=protocol,
+                                 points=tuple(pts))
+            for (protocol, delta), pts in groups.items()]

@@ -13,9 +13,9 @@ from hypothesis import assume, given, strategies as st
 
 import qdfi.cli
 from qdfi import (ConfigError, OnsetEstimate, RedundancyTrajectory, RunConfig,
-                  RunStats, SweepResult, TimeGridSpec, parse_config_text,
-                  read_metadata, read_onset_table, run_sweep,
-                  serialize_config, write_tables)
+                  RunStats, SweepResult, TimeGridSpec, parse_config,
+                  parse_config_text, read_metadata, read_onset_table,
+                  run_sweep, serialize_config, write_tables)
 from qdfi.cli import _parse_threads, main
 from qdfi.model import ENTROPY_FLOOR, binary_entropy
 from qdfi.sampling import PROTOCOLS
@@ -102,6 +102,15 @@ def onset_estimates(draw, t, delta):
         t=t, delta=delta, m_star=draw(size), m_star_lo=draw(optional_size),
         m_star_hi=draw(optional_size), r=draw(real), r_eff=draw(real),
         eta=draw(real), fi=draw(real), fi_eff=draw(real))
+
+
+def _rename_protocol(rows):
+    """Give the first delta = 0.05 row of onset.csv a protocol no config
+    lists."""
+    i = next(i for i, row in enumerate(rows) if row.split(",")[1] == "0.05")
+    t, delta, _, *rest = rows[i].split(",")
+    rows[i] = ",".join([t, delta, "bogus", *rest])
+    return rows
 
 
 def _result_of(config, trajectories=()):
@@ -283,6 +292,10 @@ class TestTableWriting:
             for protocol in cfg.protocols for delta in cfg.deltas]
         out = tmp_path_factory.mktemp("onsets")
         write_tables(_result_of(cfg, trajectories), out)
+        # the reader sorts each trajectory by t, whatever the row order
+        header, *rows = (out / "onset.csv").read_text().splitlines()
+        rows = data.draw(st.permutations(rows), label="row order")
+        (out / "onset.csv").write_text("\n".join([header, *rows]) + "\n")
         assert read_onset_table(out, cfg) == trajectories
 
     def test_theta_mismatch_detected(self, tmp_path):
@@ -462,6 +475,24 @@ class TestCliCommands:
                      "--out", str(tmp_path / "o")]) == 1
         assert f"{cfg} is not UTF-8" in capsys.readouterr().err
 
+    def test_config_with_a_byte_order_mark_runs(self, tmp_path, capsys):
+        # some editors save one; it used to read as part of the first key
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_text("\ufeff" + FAST_CFG.lstrip(), encoding="utf-8")
+        assert parse_config(cfg) == parse_config_text(FAST_CFG)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["simulate", "oracle"])
+    def test_config_naming_a_directory_exits_1(self, tmp_path, capsys,
+                                               command):
+        argv = [command, "--config", str(tmp_path)]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert f"cannot read {tmp_path}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name, command", [
         ("run_metadata.txt", "analyze"), ("onset.csv", "report")])
     def test_run_file_that_is_not_utf8_exits_1(self, tmp_path, fast_run_dir,
@@ -499,11 +530,37 @@ class TestCliCommands:
     def test_missing_run_dir_exits_1(self, tmp_path):
         assert main(["report", "--in", str(tmp_path / "ghost")]) == 1
 
-    def test_corrupt_onset_table_exits_2(self, tmp_path, fast_run_dir):
-        (fast_run_dir / "onset.csv").write_text("t,broken\n1,2\n",
-                                                encoding="utf-8")
-        code = main(["report", "--in", str(fast_run_dir)])
-        assert code in (1, 2)
+    def test_corrupt_onset_table_exits_1(self, fast_run_dir, capsys):
+        onset = fast_run_dir / "onset.csv"
+        header, first = onset.read_text().splitlines()[:2]
+        # a non-numeric t used to escape as ValueError (exit 2)
+        for text, why in [("t,broken\n1,2\n", "unexpected header"),
+                          (f"{header}\nx{first}\n", "line 2: could not "
+                           "convert string to float")]:
+            onset.write_text(text, encoding="utf-8")
+            assert main(["report", "--in", str(fast_run_dir)]) == 1
+            err = capsys.readouterr().err
+            assert f"config error: {onset}" in err and why in err
+
+    @pytest.mark.parametrize("command, edit, why", [
+        # analyze used to fit the shortened trajectory (exit 0)
+        ("analyze", lambda rows: rows[:5] + rows[6:], "lacks rows"),
+        # report used to drop the row (exit 0)
+        ("report", _rename_protocol,
+         "protocol 'bogus', delta 0.05 is not in the run's config"),
+        ("report", lambda rows: rows[:1], "lacks rows"),
+    ], ids=["deleted-row", "foreign-protocol", "header-only"])
+    def test_onset_rows_that_do_not_fit_the_config_exit_1(
+            self, tmp_path, fast_run_dir, capsys, command, edit, why):
+        onset = fast_run_dir / "onset.csv"
+        rows = edit(onset.read_text().splitlines())
+        onset.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        argv = [command, "--in", str(fast_run_dir)]
+        if command == "analyze":
+            argv += ["--out", str(tmp_path / "analysis")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {onset}" in err and why in err
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["kaboom"]) == 1
