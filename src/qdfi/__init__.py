@@ -22,11 +22,9 @@ from .estimation import (AdequacyCell, EstimationError, IsotonicCurve,
                          OnsetEstimate, RedundancyValues, adequacy_cell,
                          combine_onset_ci, isotonic_fit, onset_ci_inversion,
                          onset_from_curve, redundancy_fi, wilson_interval)
-from .model import (CouplingSet, DegenerateCutoffError, DomainError,
-                    MeanFieldPrediction, PointerEnsemble, Tolerance,
-                    binary_entropy, binary_entropy_inverse, capacity_min_size,
-                    holevo_biased, holevo_equiprobable, is_adequate,
-                    landauer_min_heat, log_overlap, mean_field_onset,
+from .model import (CouplingSet, DomainError, Tolerance, binary_entropy,
+                    binary_entropy_inverse, capacity_min_size, holevo_biased,
+                    is_adequate, landauer_min_heat, log_overlap,
                     overlap_cutoff)
 from .sampling import (FragmentSample, OverlapStat, SamplingError,
                        enumerate_fragments, estimate_overlap_eta,
@@ -45,17 +43,14 @@ __all__ = [
     "AdequacyCell",
     "ConfigError",
     "CouplingSet",
-    "DegenerateCutoffError",
     "DomainError",
     "EstimationError",
     "FragmentSample",
     "IsotonicCurve",
-    "MeanFieldPrediction",
     "OnsetEstimate",
     "OracleReport",
     "OverlapRecord",
     "OverlapStat",
-    "PointerEnsemble",
     "RedundancyTrajectory",
     "RedundancyValues",
     "RunConfig",
@@ -80,12 +75,10 @@ __all__ = [
     "estimate_overlap_eta",
     "fit_early_slope",
     "holevo_biased",
-    "holevo_equiprobable",
     "is_adequate",
     "isotonic_fit",
     "landauer_min_heat",
     "log_overlap",
-    "mean_field_onset",
     "onset_ci_inversion",
     "onset_from_curve",
     "onset_time",

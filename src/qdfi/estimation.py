@@ -270,25 +270,14 @@ def onset_ci_inversion(cells: Sequence[AdequacyCell],
 _BOOTSTRAP_BLOCK = 1 << 18
 
 
-def _batch_onset_indices(p: np.ndarray, weights: np.ndarray,
-                         theta: float) -> np.ndarray:
-    """Onset grid index after PAVA, for a whole batch at once; -1 = absent.
-
-    Uses the minimax form of the isotonic fit: with cumulative sums
-    C[j] = sum_{l<j} w_l (p_l - theta), the fitted value at j clears theta
-    iff min_{k>j} C[k] >= min_{i<=j} C[i].  The sweep runs
-    _window_onset_indices instead; this full-grid route is the reference
-    the tests hold both it and PAVA to.
-    """
-    d = weights[None, :] * (p - theta)
-    c = np.concatenate([np.zeros((p.shape[0], 1)), np.cumsum(d, axis=1)],
-                       axis=1)
-    return _first_clearing(c)
-
-
 def _first_clearing(c: np.ndarray) -> np.ndarray:
     """Per row of running sums C[0..L], the first j < L with
-    min_{k>j} C[k] >= min_{i<=j} C[i]; -1 where there is none."""
+    min_{k>j} C[k] >= min_{i<=j} C[i]; -1 where there is none.
+
+    This is the minimax form of the isotonic fit: with
+    C[j] = sum_{l<j} w_l (p_l - theta), the fitted value at j clears
+    theta iff that inequality holds.
+    """
     prefix_min = np.minimum.accumulate(c, axis=1)[:, :-1]
     suffix_min = np.minimum.accumulate(c[:, ::-1], axis=1)[:, ::-1][:, 1:]
     ok = suffix_min >= prefix_min
@@ -298,8 +287,12 @@ def _first_clearing(c: np.ndarray) -> np.ndarray:
 
 def _window_onset_indices(k_star: np.ndarray, k: np.ndarray, n: np.ndarray,
                           theta: float) -> np.ndarray:
-    """_batch_onset_indices(k_full / n, n, theta), index for index, with
-    the minimax run only over the informative window of the grid.
+    """Onset grid index of each replicate, -1 = absent, by the minimax
+    form of PAVA run only over the informative window of the grid.
+
+    It equals, index for index, the full-grid minimax route over
+    k_full / n with weights n that tests/test_estimation.py keeps as the
+    reference.
 
     k_full holds replicate redraws of the observed counts k, so every
     replicate is 0 in a column with k = 0 and n in a column with k = n.

@@ -25,7 +25,8 @@ from ._version import __version__
 from .analysis import ScalingFit, SlopeFit, SummaryRow
 from .estimation import OnsetEstimate
 from .sweep import (CONFIG_KEYS, GRID_PREFIX, ConfigError,
-                    RedundancyTrajectory, RunConfig, SweepResult, TimeGridSpec)
+                    RedundancyTrajectory, RunConfig, SweepResult, TimeGridSpec,
+                    build_time_grid)
 
 __all__ = [
     "parse_config",
@@ -244,8 +245,8 @@ def read_onset_table(run_dir,
 
     Rows may come in any order.  Each must parse into the header's 12
     fields, with the config's theta and a configured protocol and delta,
-    and every (protocol, delta) must have rows at the same times; else
-    ConfigError names the file, and the line of a bad row.
+    and every (protocol, delta) must list each of the config's grid times
+    once; else ConfigError names the file, and the line of a bad row.
     """
     path = Path(run_dir) / "onset.csv"
     lines = _read_text(path).splitlines()
@@ -271,13 +272,13 @@ def read_onset_table(run_dir,
             raise ConfigError(
                 f"{path}, line {lineno}: protocol {protocol!r}, delta "
                 f"{delta} is not in the run's config") from None
-    times = sorted({p.t for pts in groups.values() for p in pts})
+    times = build_time_grid(config.time_grid).tolist()
     for (protocol, delta), pts in groups.items():
         pts.sort(key=attrgetter("t"))
-        if not pts or [p.t for p in pts] != times:
+        if [p.t for p in pts] != times:
             raise ConfigError(
                 f"{path} lacks rows: protocol {protocol!r}, delta {delta} "
-                f"has rows at {len(pts)} of the file's {len(times)} times")
+                f"does not list the config's {len(times)} grid times")
     return [RedundancyTrajectory(delta=delta, protocol=protocol,
                                  points=tuple(pts))
             for (protocol, delta), pts in groups.items()]

@@ -12,7 +12,7 @@ ingredients implemented here:
   equal priors collapses to h2((1+c)/2) and for biased priors to the
   entropy of the larger eigenvalue of a 2x2 density matrix,
 * the adequacy cutoff c_delta obtained by inverting the binary entropy
-  on [0, 1/2].
+  on [0, 1/2] and solving chi(c) = (1 - delta) H_S for the overlap.
 
 All entropies are in bits.
 """
@@ -26,20 +26,15 @@ import numpy as np
 
 __all__ = [
     "DomainError",
-    "DegenerateCutoffError",
     "CouplingSet",
-    "PointerEnsemble",
     "Tolerance",
-    "MeanFieldPrediction",
     "ENTROPY_FLOOR",
     "binary_entropy",
     "binary_entropy_inverse",
     "log_overlap",
-    "holevo_equiprobable",
     "holevo_biased",
     "is_adequate",
     "overlap_cutoff",
-    "mean_field_onset",
     "capacity_min_size",
     "landauer_min_heat",
 ]
@@ -55,10 +50,6 @@ _H2_INVERSE_TOL = 1e-12
 
 class DomainError(ValueError):
     """A numeric argument left its physical domain."""
-
-
-class DegenerateCutoffError(ValueError):
-    """The adequacy cutoff is 0 or 1 and mean-field inversion is undefined."""
 
 
 def _as_prob(p, name: str) -> np.ndarray:
@@ -156,28 +147,14 @@ def _overlap_from_log(log_c) -> np.ndarray:
     return np.exp(np.minimum(arr, 0.0))
 
 
-def holevo_equiprobable(log_c):
-    """Holevo information chi of a binary pure ensemble with equal priors.
-
-    chi = h2((1 + c)/2) with c = exp(log_c) the conditional-state overlap.
-    Accepts scalars or arrays of log overlaps (all <= 0).  chi = 0 for
-    identical states (log_c = 0) and 1 bit for orthogonal ones.
-    """
-    c = _overlap_from_log(log_c)
-    out = binary_entropy((1.0 + c) / 2.0)
-    if np.ndim(log_c) == 0:
-        return float(out)
-    return out
-
-
 def holevo_biased(log_c, p0: float):
     """Holevo information for pointer priors (p0, 1-p0).
 
     The average state of two pure states with overlap c and priors
     (p0, 1-p0) lives in a 2-dimensional span; its eigenvalues are
     (1 +/- sqrt(1 - 4 p0 (1-p0) (1-c^2)))/2, so chi = h2(lambda_plus).
-    Reduces exactly to holevo_equiprobable at p0 = 1/2 and never exceeds
-    h2(p0).
+    At p0 = 1/2 this is h2((1 + c)/2), the equal-prior form, and it
+    never exceeds h2(p0).
     """
     p0 = float(_as_prob(p0, "p0"))
     c = _overlap_from_log(log_c)
@@ -231,19 +208,6 @@ class CouplingSet:
 
 
 @dataclass(frozen=True)
-class PointerEnsemble:
-    """Pointer-basis mixture of the system qubit: priors (p0, 1-p0)."""
-
-    p0: float
-    entropy: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        p0 = float(_as_prob(self.p0, "p0"))
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "entropy", binary_entropy(p0))
-
-
-@dataclass(frozen=True)
 class Tolerance:
     """Adequacy tolerance delta and the derived information threshold
     (1 - delta) * H_S in bits.
@@ -270,14 +234,6 @@ class Tolerance:
         return cls(delta=delta, threshold=(1.0 - delta) * entropy)
 
 
-@dataclass(frozen=True)
-class MeanFieldPrediction:
-    """Closed-form onset size and redundancy under mean couplings."""
-
-    m_star_pred: float
-    r_pred: float
-
-
 def is_adequate(chi, tol: Tolerance):
     """Closed adequacy comparison chi >= (1 - delta) H_S.
 
@@ -294,55 +250,25 @@ def is_adequate(chi, tol: Tolerance):
     return out
 
 
-def overlap_cutoff(tol: Tolerance) -> float:
-    """Overlap cutoff c_delta = 1 - 2 h2^{-1}((1 - delta) H_S).
+def overlap_cutoff(tol: Tolerance, p0: float) -> float:
+    """Overlap cutoff c_delta: a fragment is delta-adequate iff c <= c_delta.
 
-    A fragment is delta-adequate exactly when its conditional-state
-    overlap satisfies c <= c_delta; the cutoff therefore shrinks toward 0
-    as delta -> 0 and grows toward 1 as the threshold vanishes.
+    Solving holevo_biased's h2(lambda_plus) = (1 - delta) H_S gives, with
+    h = h2^{-1}((1 - delta) H_S) and q = min(p0, 1-p0),
+    c_delta^2 = (q - h) (1 - q - h) / (q (1 - q)); at p0 = 1/2 that is
+    exactly (1 - 2h)^2.  Raises DomainError when p0 is 0 or 1, or when
+    the threshold exceeds h2(p0), which no overlap reaches.
     """
-    if tol.threshold > 1.0 + _EDGE_TOL:
-        raise DomainError(
-            f"threshold {tol.threshold} exceeds 1 bit; no binary cutoff")
-    return 1.0 - 2.0 * binary_entropy_inverse(min(tol.threshold, 1.0))
-
-
-def mean_field_onset(t: float, tol: Tolerance,
-                     couplings: CouplingSet) -> MeanFieldPrediction:
-    """Mean-coupling prediction m* = -ln c_delta / (lambda_bar g^2 t^2).
-
-    Returns the continuous onset size and the paired redundancy
-    R = N / m*, so m_star_pred * r_pred = N by construction.  Raises
-    DegenerateCutoffError when c_delta is 0 or 1, and DomainError when t
-    is not finite and positive, when g or the mean coupling is 0, or
-    when the denominator, m* or R overflows or underflows in float64.
-    """
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"mean-field onset needs t > 0, got {t}")
-    c_delta = overlap_cutoff(tol)
-    if c_delta <= 0.0 or c_delta >= 1.0 - 1e-15:
-        raise DegenerateCutoffError(
-            f"cutoff c_delta = {c_delta} admits no mean-field inversion")
-    if couplings.coupling_mean <= 0.0 or couplings.g == 0.0:
-        raise DomainError("mean coupling and g must be positive")
-    denom = _finite_positive(
-        couplings.coupling_mean * couplings.g ** 2 * (t * t),
-        "denominator lambda_bar g^2 t^2", t)
-    m_star = _finite_positive(-math.log(c_delta) / denom, "onset m*", t)
-    return MeanFieldPrediction(
-        m_star_pred=m_star,
-        r_pred=_finite_positive(couplings.n_sites / m_star,
-                                "redundancy N / m*", t))
-
-
-def _finite_positive(value: float, name: str, t: float) -> float:
-    """value itself when it lies in (0, inf); positive inputs reach 0 or
-    inf only by float64 underflow or overflow, which the error names."""
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"mean-field {name} "
-                          f"{'overflows' if value else 'underflows'} "
-                          f"float64 at t = {t}")
-    return value
+    p0 = float(_as_prob(p0, "p0"))
+    q = min(p0, 1.0 - p0)
+    if q == 0.0:
+        raise DomainError("p0 must lie strictly between 0 and 1")
+    entropy = binary_entropy(p0)
+    if tol.threshold > entropy + _EDGE_TOL:
+        raise DomainError(f"threshold {tol.threshold} exceeds h2(p0) = "
+                          f"{entropy} bits; no overlap cutoff")
+    h = binary_entropy_inverse(min(tol.threshold, entropy))
+    return math.sqrt(max((q - h) * (1.0 - q - h), 0.0) / (q * (1.0 - q)))
 
 
 def capacity_min_size(tol: Tolerance, env_dim: int) -> int:

@@ -42,8 +42,8 @@ from .estimation import (AdequacyCell, IsotonicCurve, OnsetEstimate,
                          _bootstrap_counts, adequacy_cell, combine_onset_ci,
                          isotonic_fit, onset_ci_inversion, onset_from_curve,
                          redundancy_fi)
-from .model import (ENTROPY_FLOOR, CouplingSet, PointerEnsemble, Tolerance,
-                    binary_entropy, holevo_biased, is_adequate)
+from .model import (ENTROPY_FLOOR, CouplingSet, Tolerance, binary_entropy,
+                    holevo_biased, is_adequate)
 from .sampling import (ENUMERATION_CAP, PROTOCOLS, FragmentSample,
                        enumerate_fragments, estimate_overlap_eta,
                        partition_disjoint, sample_random_fragments)
@@ -500,7 +500,7 @@ def _compute_time_point(config: RunConfig, protocol: str,
                         t_index: int) -> _TimePayload:
     couplings, time_grid = _run_inputs(config)
     t = float(time_grid[t_index])
-    entropy = PointerEnsemble(config.p0).entropy
+    entropy = binary_entropy(config.p0)
     tols = [Tolerance.for_entropy(d, entropy) for d in config.deltas]
     proto_id = _PROTOCOL_IDS[protocol]
     # (("m", m) or ("delta", delta), exception) of each failed step at t

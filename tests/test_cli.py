@@ -9,13 +9,13 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, reject, strategies as st
 
 import qdfi.cli
 from qdfi import (ConfigError, OnsetEstimate, RedundancyTrajectory, RunConfig,
-                  RunStats, SweepResult, TimeGridSpec, parse_config,
-                  parse_config_text, read_metadata, read_onset_table,
-                  run_sweep, serialize_config, write_tables)
+                  RunStats, SweepResult, TimeGridSpec, build_time_grid,
+                  parse_config, parse_config_text, read_metadata,
+                  read_onset_table, run_sweep, serialize_config, write_tables)
 from qdfi.cli import _parse_threads, main
 from qdfi.model import ENTROPY_FLOOR, binary_entropy
 from qdfi.sampling import PROTOCOLS
@@ -111,6 +111,20 @@ def _rename_protocol(rows):
     t, delta, _, *rest = rows[i].split(",")
     rows[i] = ",".join([t, delta, "bogus", *rest])
     return rows
+
+
+def _drop_first_time(rows):
+    """Drop every onset.csv row at the first row's time, so each
+    (protocol, delta) loses the same time."""
+    t = rows[1].split(",")[0]
+    return [row for row in rows if row.split(",")[0] != t]
+
+
+def _shift_times(rows):
+    """Move the time of every onset.csv row by the same 1e-3."""
+    header, *body = rows
+    return [header] + [",".join([repr(float(t) + 1e-3), rest])
+                       for t, rest in (row.split(",", 1) for row in body)]
 
 
 def _result_of(config, trajectories=()):
@@ -283,9 +297,17 @@ class TestTableWriting:
             protocols=data.draw(st.lists(st.sampled_from(PROTOCOLS),
                                          min_size=1, max_size=3, unique=True),
                                 label="protocols"),
-            theta=data.draw(_open_unit(), label="theta"))
-        times = sorted(data.draw(st.sets(st.floats(0.0, 1e3), min_size=1,
-                                         max_size=5), label="times"))
+            theta=data.draw(_open_unit(), label="theta"),
+            time_grid=TimeGridSpec(
+                *sorted(data.draw(st.lists(st.floats(1e-6, 1e3), min_size=3,
+                                           max_size=3, unique=True),
+                                  label="grid ends")),
+                n_dense=data.draw(st.integers(2, 3), label="n_dense"),
+                n_coarse=data.draw(st.integers(1, 2), label="n_coarse")))
+        try:
+            times = build_time_grid(cfg.time_grid).tolist()
+        except ConfigError:   # ends too close for a strictly rising grid
+            reject()
         trajectories = [
             RedundancyTrajectory(delta=delta, protocol=protocol, points=tuple(
                 data.draw(onset_estimates(t, delta)) for t in times))
@@ -549,7 +571,11 @@ class TestCliCommands:
         ("report", _rename_protocol,
          "protocol 'bogus', delta 0.05 is not in the run's config"),
         ("report", lambda rows: rows[:1], "lacks rows"),
-    ], ids=["deleted-row", "foreign-protocol", "header-only"])
+        # every group still lists the same times as the others
+        ("report", _drop_first_time, "lacks rows"),
+        ("analyze", _shift_times, "config's 12 grid times"),
+    ], ids=["deleted-row", "foreign-protocol", "header-only",
+            "dropped-time", "shifted-times"])
     def test_onset_rows_that_do_not_fit_the_config_exit_1(
             self, tmp_path, fast_run_dir, capsys, command, edit, why):
         onset = fast_run_dir / "onset.csv"

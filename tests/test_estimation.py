@@ -20,7 +20,7 @@ from qdfi import (AdequacyCell, EstimationError, IsotonicCurve,
                   isotonic_fit, onset_ci_inversion, onset_from_curve,
                   redundancy_fi, wilson_interval)
 from qdfi import estimation
-from qdfi.estimation import (_batch_onset_indices, _bootstrap_counts,
+from qdfi.estimation import (_bootstrap_counts, _first_clearing,
                              _window_onset_indices)
 
 # Wilson bounds evaluated independently with z = NormalDist().inv_cdf(0.975)
@@ -79,6 +79,21 @@ def wilson_vector(k, n, alpha):
     lo = np.where(k == 0, 0.0, np.clip(center - half, 0.0, 1.0))
     hi = np.where(k == n, 1.0, np.clip(center + half, 0.0, 1.0))
     return float(lo[0]), float(hi[0])
+
+
+def _batch_onset_indices(p, weights, theta):
+    """Onset grid index after PAVA, for a whole batch at once; -1 = absent.
+
+    Uses the minimax form of the isotonic fit over the full grid: with
+    cumulative sums C[j] = sum_{l<j} w_l (p_l - theta), the fitted value
+    at j clears theta iff min_{k>j} C[k] >= min_{i<=j} C[i].  The sweep
+    runs _window_onset_indices instead; this full-grid route is the
+    reference the tests hold both it and PAVA to.
+    """
+    d = weights[None, :] * (p - theta)
+    c = np.concatenate([np.zeros((p.shape[0], 1)), np.cumsum(d, axis=1)],
+                       axis=1)
+    return _first_clearing(c)
 
 
 def bootstrap_one_draw(m_values, k, n, theta, alpha, n_replicates, seed):

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qdfi import (CouplingSet, DegenerateCutoffError, DomainError,
-                  PointerEnsemble, Tolerance, binary_entropy,
+from scipy.optimize import brentq
+
+from qdfi import (CouplingSet, DomainError, Tolerance, binary_entropy,
                   binary_entropy_inverse, capacity_min_size, holevo_biased,
-                  holevo_equiprobable, is_adequate, landauer_min_heat,
-                  log_overlap, mean_field_onset, overlap_cutoff)
+                  is_adequate, landauer_min_heat, log_overlap, overlap_cutoff)
 from qdfi.model import ENTROPY_FLOOR
 
 # Independently derived (Decimal, 50 digits):
@@ -25,8 +25,6 @@ H2_03 = 0.8812908992306926
 # brentq/mpmath/Decimal bisection of h2(p) = 0.95 on [0, 1/2]:
 H2INV_095 = 0.36912774898451184
 CUT_095 = 0.2617445020309763
-# h2((1 - 1/e)/2): threshold whose overlap cutoff is exactly 1/e
-THRESH_CUT_INV_E = 0.9000455915235352
 
 
 class TestBinaryEntropy:
@@ -126,19 +124,20 @@ class TestLogOverlap:
 
 
 class TestHolevoEquiprobable:
+    # holevo_biased at equal priors p0 = 1/2
     def test_identical_states(self):
-        assert holevo_equiprobable(0.0) == 0.0
+        assert holevo_biased(0.0, 0.5) == 0.0
 
     def test_orthogonal_limit(self):
-        assert holevo_equiprobable(-1e6) == 1.0
+        assert holevo_biased(-1e6, 0.5) == 1.0
 
     def test_half_overlap(self):
         # c = 0.5 -> h2(0.75)
-        assert abs(holevo_equiprobable(math.log(0.5)) - H2_075) < 1e-12
+        assert abs(holevo_biased(math.log(0.5), 0.5) - H2_075) < 1e-12
 
     def test_monotone_in_overlap(self):
         log_c = np.linspace(-8.0, 0.0, 100)
-        chi = holevo_equiprobable(log_c)
+        chi = holevo_biased(log_c, 0.5)
         assert np.all(np.diff(chi) <= 1e-15)
         assert np.all(chi >= 0.0) and np.all(chi <= 1.0)
 
@@ -152,9 +151,10 @@ class TestHolevoBiased:
         assert abs(holevo_biased(-1e6, 0.3) - H2_03) < 1e-12
 
     def test_consistent_with_equiprobable(self):
-        log_c = math.log(0.5)
-        assert abs(holevo_biased(log_c, 0.5)
-                   - holevo_equiprobable(log_c)) < 1e-12
+        # equal priors: chi = h2((1 + c)/2)
+        for c in np.linspace(1e-6, 1.0, 50):
+            assert abs(holevo_biased(math.log(c), 0.5)
+                       - binary_entropy((1.0 + c) / 2.0)) < 1e-12
 
     def test_bounded_by_entropy(self):
         rng = np.random.default_rng(41)
@@ -203,107 +203,55 @@ class TestAdequacy:
 class TestOverlapCutoff:
     def test_full_information_needs_orthogonality(self):
         tol = Tolerance(delta=0.5, threshold=1.0)
-        assert abs(overlap_cutoff(tol)) < 1e-9
+        assert abs(overlap_cutoff(tol, 0.5)) < 1e-9
 
     def test_zero_threshold_admits_anything(self):
         tol = Tolerance(delta=0.5, threshold=0.0)
-        assert abs(overlap_cutoff(tol) - 1.0) < 1e-12
+        assert abs(overlap_cutoff(tol, 0.5) - 1.0) < 1e-12
 
     def test_frozen_value(self):
         tol = Tolerance.for_entropy(0.05)
-        assert abs(overlap_cutoff(tol) - CUT_095) < 1e-9
+        assert abs(overlap_cutoff(tol, 0.5) - CUT_095) < 1e-9
+
+    def test_equal_priors_are_one_minus_two_h(self):
+        for delta in np.geomspace(1e-4, 0.999, 200):
+            tol = Tolerance.for_entropy(float(delta))
+            assert overlap_cutoff(tol, 0.5) == (
+                1.0 - 2.0 * binary_entropy_inverse(tol.threshold))
 
     def test_cutoff_grows_with_delta(self):
-        cuts = [overlap_cutoff(Tolerance.for_entropy(d))
+        for p0 in (0.3, 0.5):
+            cuts = [overlap_cutoff(
+                Tolerance.for_entropy(d, binary_entropy(p0)), p0)
                 for d in (0.01, 0.05, 0.1, 0.3)]
-        assert all(a < b for a, b in zip(cuts, cuts[1:]))
+            assert all(a < b for a, b in zip(cuts, cuts[1:]))
 
     def test_consistency_with_adequacy(self):
         # c <= c_delta iff chi(c) >= threshold, checked across the range
+        for p0 in (0.3, 0.5, 0.7):
+            tol = Tolerance.for_entropy(0.05, binary_entropy(p0))
+            cut = overlap_cutoff(tol, p0)
+            for c in np.linspace(1e-6, 1.0 - 1e-6, 300):
+                chi = holevo_biased(math.log(c), p0)
+                assert is_adequate(chi, tol) == bool(c <= cut + 1e-12)
+
+    def test_root_of_holevo_biased(self):
+        # brentq solves holevo_biased(ln c, p0) = threshold for c
+        for p0 in (0.05, 0.1, 0.3, 0.5, 0.7, 0.93):
+            for delta in (1e-4, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9):
+                tol = Tolerance.for_entropy(delta, binary_entropy(p0))
+                root = brentq(
+                    lambda c: holevo_biased(math.log(c), p0) - tol.threshold,
+                    1e-300, 1.0 - 1e-15, xtol=1e-15, rtol=1e-15)
+                assert abs(overlap_cutoff(tol, p0) - root) < 1e-9
+
+    def test_threshold_above_entropy_rejected(self):
         tol = Tolerance.for_entropy(0.05)
-        cut = overlap_cutoff(tol)
-        for c in np.linspace(1e-6, 1.0 - 1e-6, 300):
-            chi = holevo_equiprobable(math.log(c))
-            assert is_adequate(chi, tol) == bool(c <= cut + 1e-12)
-
-
-class TestMeanField:
-    def _unit_cut_tol(self):
-        # threshold chosen so -ln c_delta = 1 exactly
-        return Tolerance(delta=0.05, threshold=THRESH_CUT_INV_E)
-
-    def _flat_couplings(self, n):
-        return CouplingSet(couplings=np.ones(n), g=0.5)
-
-    def test_substitution(self):
-        pred = mean_field_onset(1.0, self._unit_cut_tol(),
-                                self._flat_couplings(100))
-        assert abs(pred.m_star_pred - 4.0) < 1e-6
-        assert abs(pred.r_pred - 25.0) < 1e-4
-
-    def test_time_squared_scaling(self):
-        pred = mean_field_onset(2.0, self._unit_cut_tol(),
-                                self._flat_couplings(100))
-        assert abs(pred.m_star_pred - 1.0) < 1e-6
-        assert abs(pred.r_pred - 100.0) < 1e-3
-
-    def test_loglog_slope_is_minus_two(self):
-        tol = self._unit_cut_tol()
-        lam = self._flat_couplings(100)
-        t1, t2 = 0.7, 2.9
-        m1 = mean_field_onset(t1, tol, lam).m_star_pred
-        m2 = mean_field_onset(t2, tol, lam).m_star_pred
-        slope = (math.log(m2) - math.log(m1)) / (math.log(t2) - math.log(t1))
-        assert abs(slope - (-2.0)) < 1e-12
-
-    def test_product_invariant(self):
-        rng = np.random.default_rng(43)
-        for _ in range(50):
-            n = int(rng.integers(2, 500))
-            lam = CouplingSet(couplings=rng.exponential(1.0, size=n), g=0.5)
-            tol = Tolerance.for_entropy(rng.uniform(0.01, 0.3))
-            pred = mean_field_onset(rng.uniform(0.1, 5.0), tol, lam)
-            assert abs(pred.m_star_pred * pred.r_pred - n) < 1e-9 * n
-
-    def test_degenerate_cutoff(self):
-        lam = self._flat_couplings(10)
-        with pytest.raises(DegenerateCutoffError):
-            mean_field_onset(1.0, Tolerance(0.5, threshold=1.0), lam)
-        with pytest.raises(DegenerateCutoffError):
-            mean_field_onset(1.0, Tolerance(0.5, threshold=0.0), lam)
-
-    def test_zero_time_rejected(self):
-        with pytest.raises(DomainError):
-            mean_field_onset(0.0, self._unit_cut_tol(),
-                             self._flat_couplings(10))
-
-    @pytest.mark.parametrize("couplings", [
-        CouplingSet(couplings=np.zeros(10), g=0.5),
-        CouplingSet(couplings=np.ones(10), g=0.0),
-    ])
-    def test_zero_coupling_rejected(self, couplings):
-        with pytest.raises(DomainError, match="must be positive"):
-            mean_field_onset(1.0, self._unit_cut_tol(), couplings)
-
-    @pytest.mark.parametrize("t, what", [
-        (10.0, "denominator .* overflows"),
-        (1e200, "denominator .* overflows"),
-        (1e-200, "denominator .* underflows"),
-    ])
-    def test_float_range_named(self, t, what):
-        # g * g = 1e308 is finite, so the coupling set validates
-        couplings = CouplingSet.exponential(10, 1.0, 1e154, 1)
-        with pytest.raises(DomainError, match=what):
-            mean_field_onset(t, Tolerance.for_entropy(0.05), couplings)
-
-    def test_onset_and_redundancy_range_named(self):
-        with pytest.raises(DomainError, match="m\\* overflows"):
-            mean_field_onset(1e-155, Tolerance.for_entropy(0.05),
-                             CouplingSet(couplings=np.ones(10), g=1.0))
-        # -ln c_delta is about 4.5e-12, so m* is subnormal and N / m* inf
-        with pytest.raises(DomainError, match="N / m\\* overflows"):
-            mean_field_onset(1.0, Tolerance(0.5, threshold=1e-10),
-                             CouplingSet(couplings=np.ones(10), g=1e154))
+        with pytest.raises(DomainError, match="exceeds h2"):
+            overlap_cutoff(tol, 0.3)
+        for p0 in (0.0, 1.0):
+            with pytest.raises(DomainError, match="strictly between"):
+                overlap_cutoff(Tolerance(delta=0.5, threshold=0.0), p0)
 
 
 class TestCapacity:
@@ -366,28 +314,9 @@ class TestCouplingSet:
             CouplingSet.exponential(0, 1.0, 0.5, seed=0)
         with pytest.raises(DomainError):
             CouplingSet.exponential(5, -1.0, 0.5, seed=0)
-        # g^2 overflows: mean_field_onset would raise OverflowError
+        # g^2 overflows, so every product with g * g would be inf
         with pytest.raises(DomainError, match="finite square"):
             CouplingSet.exponential(10, 1.0, 1e200, seed=1)
-
-
-class TestPointerEnsemble:
-    def test_balanced_entropy(self):
-        assert PointerEnsemble(0.5).entropy == 1.0
-
-    def test_biased_entropy(self):
-        assert abs(PointerEnsemble(0.3).entropy - H2_03) < 1e-12
-
-    def test_degenerate_endpoints(self):
-        # a certain pointer outcome carries no entropy but is still legal
-        assert PointerEnsemble(0.0).entropy == 0.0
-        assert PointerEnsemble(1.0).entropy == 0.0
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            PointerEnsemble(-0.1)
-        with pytest.raises(DomainError):
-            PointerEnsemble(1.1)
 
 
 class TestTolerance:
@@ -479,5 +408,5 @@ class TestDomainChecks:
         empty = np.array([])
         assert binary_entropy(empty).shape == (0,)
         assert holevo_biased(empty, 0.3).shape == (0,)
-        assert holevo_equiprobable(empty).shape == (0,)
+        assert holevo_biased(empty, 0.5).shape == (0,)
         assert is_adequate(empty, Tolerance.for_entropy(0.05)).shape == (0,)

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 import qdfi.sweep
-from qdfi import (ConfigError, CouplingSet, PointerEnsemble,
-                  RedundancyTrajectory, RunConfig, SweepCellError,
-                  TimeGridSpec, Tolerance, build_time_grid, cell_chi_values,
-                  derive_cell_seed, enumerate_fragments, holevo_biased,
-                  oracle_report, run_sweep)
+from qdfi import (ConfigError, CouplingSet, RedundancyTrajectory, RunConfig,
+                  SweepCellError, TimeGridSpec, Tolerance, binary_entropy,
+                  build_time_grid, cell_chi_values, derive_cell_seed,
+                  enumerate_fragments, holevo_biased, oracle_report,
+                  run_sweep)
 from qdfi.sweep import PURPOSE_COUPLINGS
 
 
@@ -265,7 +265,7 @@ class TestSweepExactness:
         lam_seed = derive_cell_seed(cfg.master_seed,
                                     purpose=PURPOSE_COUPLINGS)
         lam = CouplingSet.exponential(4, cfg.coupling_rate, cfg.g, lam_seed)
-        entropy = PointerEnsemble(cfg.p0).entropy
+        entropy = binary_entropy(cfg.p0)
         for cell in res.cells:
             sample = enumerate_fragments(4, cell.m)
             assert cell.n == math.comb(4, cell.m)
@@ -279,7 +279,7 @@ class TestSweepExactness:
         cfg = small_config()
         res = run_sweep(cfg)
         grid = res.time_grid
-        entropy = PointerEnsemble(cfg.p0).entropy
+        entropy = binary_entropy(cfg.p0)
         t_index, m_index = 7, 3
         chi = cell_chi_values(cfg, t_index, m_index, "random")
         for delta in cfg.deltas:
@@ -360,7 +360,7 @@ class TestSweepStructure:
         lam = CouplingSet.exponential(cfg.n_sites, cfg.coupling_rate,
                                       cfg.g, lam_seed)
         grid = build_time_grid(TimeGridSpec(0.01, 1.0, 6.0, 40, 60))
-        entropy = PointerEnsemble(cfg.p0).entropy
+        entropy = binary_entropy(cfg.p0)
         rng = np.random.default_rng(13)
         for _ in range(30):
             m = int(rng.integers(1, cfg.n_sites + 1))
