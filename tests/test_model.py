@@ -254,6 +254,39 @@ class TestOverlapCutoff:
                 overlap_cutoff(Tolerance(delta=0.5, threshold=0.0), p0)
 
 
+class TestMeanField:
+    def test_loglog_slope_is_minus_two(self):
+        # with flat couplings a fragment of m sites reaches the cutoff at
+        # m = ln c_delta / ln c_1(t), and ln c_1(t) = -g^2 t^2 lambda
+        cut = overlap_cutoff(Tolerance.for_entropy(0.05), 0.5)
+        t1, t2 = 0.7, 2.9
+        m1 = math.log(cut) / log_overlap(np.ones(1), 0.5, t1)
+        m2 = math.log(cut) / log_overlap(np.ones(1), 0.5, t2)
+        slope = (math.log(m2) - math.log(m1)) / (math.log(t2) - math.log(t1))
+        assert abs(slope - (-2.0)) < 1e-12
+
+
+class TestPointerEnsemble:
+    # the pointer mixture p0|0><0| + (1 - p0)|1><1| carries
+    # H_S = binary_entropy(p0) bits, the entropy the sweep reads
+    def test_balanced_entropy(self):
+        assert binary_entropy(0.5) == 1.0
+
+    def test_biased_entropy(self):
+        assert abs(binary_entropy(0.3) - H2_03) < 1e-12
+
+    def test_degenerate_endpoints(self):
+        # a certain pointer outcome carries no entropy but is still legal
+        assert binary_entropy(0.0) == 0.0
+        assert binary_entropy(1.0) == 0.0
+
+    def test_validation(self):
+        with pytest.raises(DomainError):
+            binary_entropy(-0.1)
+        with pytest.raises(DomainError):
+            binary_entropy(1.1)
+
+
 class TestCapacity:
     # delta=1e-4 is the smallest admissible tolerance and stands in for
     # the delta -> 0 limit in the qubit examples below.
