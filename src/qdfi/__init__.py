@@ -16,86 +16,18 @@ Layout:
 """
 
 from ._version import __version__
-from .analysis import (ScalingFit, SlopeFit, SummaryRow, fit_early_slope,
-                       onset_time, scaling_exponent, summary_table)
-from .estimation import (AdequacyCell, EstimationError, IsotonicCurve,
-                         OnsetEstimate, RedundancyValues, adequacy_cell,
-                         combine_onset_ci, isotonic_fit, onset_ci_inversion,
-                         onset_from_curve, redundancy_fi, wilson_interval)
-from .model import (CouplingSet, DomainError, Tolerance, binary_entropy,
-                    binary_entropy_inverse, capacity_min_size, holevo_biased,
-                    is_adequate, landauer_min_heat, log_overlap,
-                    overlap_cutoff)
-from .sampling import (FragmentSample, OverlapStat, SamplingError,
-                       enumerate_fragments, estimate_overlap_eta,
-                       partition_disjoint, sample_random_fragments)
-from .sweep import (ConfigError, OracleReport, OverlapRecord,
-                    RedundancyTrajectory, RunConfig, RunStats, SweepCellError,
-                    SweepResult, TimeGridSpec, build_time_grid,
-                    cell_chi_values, derive_cell_seed, oracle_report,
-                    run_sweep)
-from .io import (parse_config, parse_config_text, read_metadata,
-                 read_onset_table, serialize_config, write_analysis,
-                 write_tables)
+from . import analysis, estimation, model, sampling, sweep, io
+from .analysis import *
+from .estimation import *
+from .model import *
+from .sampling import *
+from .sweep import *
+from .io import *
 
-__all__ = [
-    "__version__",
-    "AdequacyCell",
-    "ConfigError",
-    "CouplingSet",
-    "DomainError",
-    "EstimationError",
-    "FragmentSample",
-    "IsotonicCurve",
-    "OnsetEstimate",
-    "OracleReport",
-    "OverlapRecord",
-    "OverlapStat",
-    "RedundancyTrajectory",
-    "RedundancyValues",
-    "RunConfig",
-    "RunStats",
-    "SamplingError",
-    "ScalingFit",
-    "SlopeFit",
-    "SummaryRow",
-    "SweepCellError",
-    "SweepResult",
-    "TimeGridSpec",
-    "Tolerance",
-    "adequacy_cell",
-    "binary_entropy",
-    "binary_entropy_inverse",
-    "build_time_grid",
-    "capacity_min_size",
-    "cell_chi_values",
-    "combine_onset_ci",
-    "derive_cell_seed",
-    "enumerate_fragments",
-    "estimate_overlap_eta",
-    "fit_early_slope",
-    "holevo_biased",
-    "is_adequate",
-    "isotonic_fit",
-    "landauer_min_heat",
-    "log_overlap",
-    "onset_ci_inversion",
-    "onset_from_curve",
-    "onset_time",
-    "oracle_report",
-    "overlap_cutoff",
-    "parse_config",
-    "parse_config_text",
-    "partition_disjoint",
-    "read_metadata",
-    "read_onset_table",
-    "redundancy_fi",
-    "run_sweep",
-    "sample_random_fragments",
-    "scaling_exponent",
-    "serialize_config",
-    "summary_table",
-    "wilson_interval",
-    "write_analysis",
-    "write_tables",
-]
+__all__ = ["__version__"]
+__all__ += analysis.__all__
+__all__ += estimation.__all__
+__all__ += model.__all__
+__all__ += sampling.__all__
+__all__ += sweep.__all__
+__all__ += io.__all__

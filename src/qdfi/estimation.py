@@ -234,15 +234,6 @@ def redundancy_fi(n_sites: int, m_star: int,
                             fi_eff=math.log2(r_eff))
 
 
-def _check_cell_group(cells: Sequence[AdequacyCell]) -> None:
-    if not cells:
-        raise EstimationError("need at least one cell")
-    ms = [c.m for c in cells]
-    if any(b <= a for a, b in zip(ms, ms[1:])):
-        raise EstimationError("cells must be sorted by strictly "
-                              "increasing m")
-
-
 def onset_ci_inversion(cells: Sequence[AdequacyCell],
                        theta: float) -> Tuple[Optional[int], Optional[int]]:
     """Onset bounds by inverting the per-m Wilson band.
@@ -253,9 +244,6 @@ def onset_ci_inversion(cells: Sequence[AdequacyCell],
     does.  PAVA preserves pointwise order, so m_lo <= m* <= m_hi whenever
     all three exist.
     """
-    _check_cell_group(cells)
-    if not 0.0 < theta < 1.0:
-        raise EstimationError(f"theta must lie in (0, 1), got {theta}")
     grid = np.array([c.m for c in cells], dtype=np.int64)
     w = np.array([c.n for c in cells], dtype=float)
     iso_low = isotonic_fit(np.array([c.ci_low for c in cells]), w)

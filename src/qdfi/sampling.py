@@ -296,7 +296,5 @@ def estimate_overlap_eta(sample: FragmentSample, n_pairs: int,
     merged.sort(axis=1)
     inter = np.count_nonzero(merged[:, 1:] == merged[:, :-1], axis=1)
     union = 2 * sample.m - inter
-    eta = float(np.mean(inter / union))
-    # Guard against accumulated roundoff pushing past the closed interval.
-    eta = min(max(eta, 0.0), 1.0)
-    return OverlapStat(eta=eta, pairs_used=n_pairs)
+    # a rounded mean of ratios in [0, 1] cannot leave [0, 1]
+    return OverlapStat(eta=float(np.mean(inter / union)), pairs_used=n_pairs)

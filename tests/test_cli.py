@@ -5,6 +5,8 @@ can be checked without spawning interpreters; the one subprocess test
 lives in the acceptance suite.
 """
 
+import importlib
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -161,6 +163,16 @@ class TestConfigParsing:
         keys = [key for row in rows
                 for key in row.split("|")[1].strip().split(", ")]
         assert keys == list(CONFIG_KEYS)
+
+    def test_readme_module_paths_resolve(self):
+        # every `qdfi.<module>.<NAME>` README names is bound there
+        readme = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        paths = re.findall(r"`qdfi\.(\w+)\.(\w+)`", readme)
+        assert paths
+        for module, name in paths:
+            assert hasattr(importlib.import_module(f"qdfi.{module}"),
+                           name), f"qdfi.{module}.{name}"
 
     def test_empty_text_gives_defaults(self):
         cfg = parse_config_text("")

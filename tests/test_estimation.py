@@ -366,6 +366,16 @@ class TestOnsetInversion:
         with pytest.raises(EstimationError):
             onset_ci_inversion(cells, 0.9)
 
+    @pytest.mark.parametrize(
+        "ms, theta", [((), 0.9), ((1, 2), 0.0), ((1, 2), 1.0),
+                      ((1, 2), float("nan"))],
+        ids=["no-cells", "theta-0", "theta-1", "theta-nan"])
+    def test_requires_cells_and_theta_in_unit_interval(self, ms, theta):
+        cells = [adequacy_cell([True] * 5, t=1.0, m=m, delta=0.05,
+                               protocol="random") for m in ms]
+        with pytest.raises(EstimationError):
+            onset_ci_inversion(cells, theta)
+
 
 def counts_of(flags_by_m):
     """(m_values, k, n) arrays, as the sweep passes them, from (m, flags)

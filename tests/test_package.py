@@ -1,26 +1,27 @@
-"""Package surface: every public name the package imports is exported,
+"""Package surface: every public name the package binds is exported,
 every module uses what it imports, and the package needs nothing at run
 time beyond the standard library and numpy."""
 
 import ast
 import sys
+import types
 from pathlib import Path
 
 import qdfi
 
 
-def _imported_names():
-    tree = ast.parse(Path(qdfi.__file__).read_text(encoding="utf-8"))
-    return [alias.asname or alias.name
-            for node in tree.body if isinstance(node, ast.ImportFrom)
-            for alias in node.names]
-
-
 def test_public_imports_are_exported():
-    public = [name for name in _imported_names()
-              if not name.startswith("_") or name == "__version__"]
-    missing = sorted(set(public) - set(qdfi.__all__))
-    assert not missing, f"imported but not in __all__: {missing}"
+    # every public name the package binds is exported, save its
+    # submodules, and so is every name a module exports
+    public = {name for name, value in vars(qdfi).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    missing = sorted(public - set(qdfi.__all__))
+    assert not missing, f"bound but not in __all__: {missing}"
+    for module in (qdfi.analysis, qdfi.estimation, qdfi.model,
+                   qdfi.sampling, qdfi.sweep, qdfi.io):
+        missing = sorted(set(module.__all__) - set(qdfi.__all__))
+        assert not missing, f"{module.__name__} exports {missing}"
 
 
 def test_exports_are_bound_and_unique():
