@@ -3,13 +3,15 @@
 One run draws couplings once and walks an adaptive time grid (geometric
 before the knee where onsets move fast, linear after); _run_inputs keeps
 both, per process, for the last config asked for.  Each (protocol, t)
-work unit takes the config and its coordinates and runs in three phases.
+work unit takes the config and its coordinates and runs in two phases.
 Per m, it samples the fragment family, keeps only each fragment's
-coupling sum and estimates the pair overlap.  Per block of consecutive
-families of at most _CHI_BLOCK fragments (a larger family is a block of
-its own), one Holevo pass gives every fragment's chi and adequacy flag
-per delta, and each (t, m, delta) cell counts its slice: blocking
-changes how many calls do the work, not the work or any output byte.
+coupling sum and estimates the pair overlap.  The sums of consecutive
+families wait in one block of at most _CHI_BLOCK fragments (a larger
+family is a block of its own); before the next family would overfill
+it, one Holevo pass gives every fragment's chi and adequacy flag per
+delta, and each (t, m, delta) cell counts its slice.  Blocking changes
+how many calls do the work, not the work or any output byte, and a unit
+holds one block of sums at a time, not every family of its time point.
 Per delta, the adequate fractions are isotonically smoothed along m, the
 onset is extracted, and the Wilson-inversion and bootstrap bounds are
 combined.  A failed chi pass names every (t, m) of its block, a failed
@@ -33,8 +35,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -448,20 +449,6 @@ def _adequacy(config: RunConfig, t: float, sums: np.ndarray,
     return chi, [is_adequate(chi, tol) for tol in tols]
 
 
-def _blocks(families: List[Tuple[int, np.ndarray]]) -> Iterator[list]:
-    """Consecutive (m, sums) families grouped into blocks of at most
-    _CHI_BLOCK fragments; a larger family is a block of its own."""
-    block, size = [], 0
-    for m, sums in families:
-        if block and size + sums.size > _CHI_BLOCK:
-            yield block
-            block, size = [], 0
-        block.append((m, sums))
-        size += sums.size
-    if block:
-        yield block
-
-
 @contextmanager
 def _reported(errors: List[Tuple[tuple, Exception]], *where: tuple):
     """Record the body's exception once per coordinate in ``where``."""
@@ -506,9 +493,34 @@ def _compute_time_point(config: RunConfig, protocol: str,
     # (("m", m) or ("delta", delta), exception) of each failed step at t
     errors: List[Tuple[tuple, Exception]] = []
 
+    # Per block of consecutive families: one Holevo pass, then each
+    # family's cells from its slice; a chi failure names every (t, m) of
+    # the block, a cell failure one.
+    block: List[Tuple[int, np.ndarray]] = []
+    cells_by_m: List[List[AdequacyCell]] = []
+    evaluations = 0
+
+    def evaluate_block() -> None:
+        nonlocal evaluations
+        with _reported(errors, *(("m", m) for m, _ in block)):
+            chi, flags = _adequacy(
+                config, t, np.concatenate([s for _, s in block]), tols)
+            evaluations += int(chi.size)
+            start = 0
+            for m, sums in block:
+                stop = start + sums.size
+                with _reported(errors, ("m", m)):
+                    cells_by_m.append([
+                        adequacy_cell(f[start:stop], t=t, m=m,
+                                      delta=tol.delta, protocol=protocol,
+                                      alpha=config.alpha)
+                        for f, tol in zip(flags, tols)])
+                start = stop
+        block.clear()
+
     # Per m: each family's coupling sums and overlap estimate; its index
-    # block is dropped before the next draw.
-    families: List[Tuple[int, np.ndarray]] = []
+    # block is dropped before the next draw, and the pending block is
+    # evaluated before the family would take it past _CHI_BLOCK fragments.
     eta_by_m: Dict[int, float] = {}
     overlaps: List[OverlapRecord] = []
     for m_index, m in enumerate(config.m_grid):
@@ -528,28 +540,12 @@ def _compute_time_point(config: RunConfig, protocol: str,
                 # the onset uncorrected, like a single-fragment family
                 eta_by_m[m] = stat.eta if stat.eta < 1.0 else 0.0
             del sample
-            families.append((m, sums))
-
-    # Per block: one Holevo pass, then each family's cells from its slice;
-    # a chi failure names every (t, m) of the block, a cell failure one.
-    cells_by_m: List[List[AdequacyCell]] = []
-    evaluations = 0
-    for block in _blocks(families):
-        with _reported(errors, *(("m", m) for m, _ in block)):
-            chi, flags = _adequacy(
-                config, t, np.concatenate([s for _, s in block]), tols)
-            evaluations += int(chi.size)
-            start = 0
-            for m, sums in block:
-                stop = start + sums.size
-                with _reported(errors, ("m", m)):
-                    cells_by_m.append([
-                        adequacy_cell(f[start:stop], t=t, m=m,
-                                      delta=tol.delta, protocol=protocol,
-                                      alpha=config.alpha)
-                        for f, tol in zip(flags, tols)])
-                start = stop
-    del families  # the onsets need counts only; free the sums for them
+            if block and (sum(s.size for _, s in block) + sums.size
+                          > _CHI_BLOCK):
+                evaluate_block()
+            block.append((m, sums))
+    if block:
+        evaluate_block()
 
     out_cells: List[AdequacyCell] = []
     onsets: List[OnsetEstimate] = []

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import assume, given, reject, strategies as st
 
 import qdfi.cli
-from qdfi import (ConfigError, OnsetEstimate, RedundancyTrajectory, RunConfig,
-                  RunStats, SweepResult, TimeGridSpec, build_time_grid,
-                  parse_config, parse_config_text, read_metadata,
-                  read_onset_table, run_sweep, serialize_config, write_tables)
+from qdfi import (ConfigError, OnsetEstimate, OracleReport,
+                  RedundancyTrajectory, RunConfig, RunStats, SweepResult,
+                  TimeGridSpec, build_time_grid, parse_config,
+                  parse_config_text, read_metadata, read_onset_table,
+                  run_sweep, serialize_config, write_tables)
 from qdfi.cli import _parse_threads, main
 from qdfi.model import ENTROPY_FLOOR, binary_entropy
 from qdfi.sampling import PROTOCOLS
@@ -440,6 +441,27 @@ class TestCliCommands:
                        encoding="utf-8")
         assert main(["oracle", "--config", str(cfg)]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_internal_error_exits_2(self, tmp_path, capsys, fast_cfg_file,
+                                    monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("pool died")
+
+        monkeypatch.setattr(qdfi.cli, "run_sweep", broken)
+        assert main(["simulate", "--config", str(fast_cfg_file),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "error: RuntimeError: pool died" in capsys.readouterr().err
+
+    def test_oracle_failure_exits_3(self, capsys, fast_cfg_file,
+                                    monkeypatch):
+        failed = OracleReport(cells=(), max_abs_deviation=0.5,
+                              fraction_within=0.5, passed=False)
+        monkeypatch.setattr(qdfi.cli, "oracle_report", lambda config: failed)
+        assert main(["oracle", "--config", str(fast_cfg_file)]) == 3
+        captured = capsys.readouterr()
+        assert "within-band fraction = 0.5000" in captured.out
+        assert "oracle: FAIL" in captured.err
+        assert "PASS" not in captured.out
 
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg"),

@@ -185,6 +185,33 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(protocols=("random", "psychic"))
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(p0=0.0), r"^p0 must lie in \(0, 1\), got 0\.0$"),
+        (dict(p0=1.0), r"^p0 must lie in \(0, 1\), got 1\.0$"),
+        (dict(deltas=()), r"^deltas must be nonempty$"),
+        (dict(deltas=(0.05, 0.01, 0.05)), r"^deltas must be distinct$"),
+        (dict(theta=0.0), r"^theta must lie in \(0, 1\), got 0\.0$"),
+        (dict(theta=1.0), r"^theta must lie in \(0, 1\), got 1\.0$"),
+        (dict(protocols=()), r"^protocols must be nonempty$"),
+        (dict(protocols=("random", "disjoint", "random")),
+         r"^protocols must be distinct$"),
+        (dict(n_fragments=0), r"^n_fragments must be >= 1$"),
+        (dict(bootstrap_replicates=0), r"^bootstrap_B must be >= 1$"),
+        (dict(overlap_pairs=0), r"^overlap_pairs must be >= 1$"),
+        (dict(master_seed=2 ** 64), r"^master_seed must fit in 64 bits$"),
+        (dict(n_sites=None), r"^N must be an integer, got None$")],
+        ids=["p0-0", "p0-1", "deltas-empty", "deltas-repeated", "theta-0",
+             "theta-1", "protocols-empty", "protocols-repeated",
+             "n_fragments-0", "bootstrap_B-0", "overlap_pairs-0",
+             "master_seed-2**64", "N-none"])
+    def test_rejects_out_of_range_values(self, kw, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(**{"n_sites": 12, **kw})
+
+    def test_rejects_zero_threads(self):
+        with pytest.raises(ConfigError, match=r"^threads must be >= 1$"):
+            run_sweep(small_config(), threads=0)
+
     def test_rejects_alpha_without_normal_quantile(self):
         # 1 - alpha/2 rounds to 1.0, and every cell's Wilson band failed
         for alpha in (1e-17, 2.0 ** -53):
@@ -483,6 +510,25 @@ class TestChiBlocks:
             tracemalloc.stop()
         assert peak < 6 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
+    def test_time_point_holds_one_block_of_sums(self):
+        # the largest family's index block, 4000 x 64 int64, is drawn
+        # while the sums of the block before it wait; keeping the sums of
+        # every family of the time point instead reads about 3 blocks
+        cfg = RunConfig(n_sites=20_000, n_fragments=4000, deltas=(0.05,),
+                        m_grid=tuple(range(1, 65)),
+                        time_grid=TimeGridSpec(n_dense=2, n_coarse=1),
+                        bootstrap_replicates=20, master_seed=0)
+        qdfi.sweep._run_inputs(cfg)
+        index_block = cfg.n_fragments * cfg.m_grid[-1] * 8
+        tracemalloc.start()
+        try:
+            qdfi.sweep._compute_time_point(cfg, "random", 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * index_block, (
+            f"peak {peak / index_block:.2f} index blocks")
+
 
 class TestDeterminism:
     def test_rerun_identical(self):
@@ -775,12 +821,22 @@ class TestFiSoftViolations:
 
 
 class TestTrajectoryRecord:
-    def test_times_must_increase(self):
+    @staticmethod
+    def _absent(t, delta=0.05):
         from qdfi import OnsetEstimate
-        mk = lambda t: OnsetEstimate(t=t, delta=0.05, m_star=None,
-                                     m_star_lo=None, m_star_hi=None, r=None,
-                                     r_eff=None, eta=None, fi=None,
-                                     fi_eff=None)
+        return OnsetEstimate(t=t, delta=delta, m_star=None, m_star_lo=None,
+                             m_star_hi=None, r=None, r_eff=None, eta=None,
+                             fi=None, fi_eff=None)
+
+    def test_times_must_increase(self):
         with pytest.raises(ConfigError):
             RedundancyTrajectory(delta=0.05, protocol="random",
-                                 points=(mk(2.0), mk(1.0)))
+                                 points=(self._absent(2.0),
+                                         self._absent(1.0)))
+
+    def test_points_must_carry_the_trajectory_delta(self):
+        with pytest.raises(ConfigError, match=r"^trajectory points carry a "
+                                              r"foreign delta$"):
+            RedundancyTrajectory(delta=0.05, protocol="random",
+                                 points=(self._absent(1.0),
+                                         self._absent(2.0, delta=0.1)))
