@@ -183,13 +183,16 @@ def _cmd_plot_data(ns) -> int:
         if ns.m not in config.m_grid:
             raise ConfigError(f"--m {ns.m} is not on the configured m grid")
         m_index = config.m_grid.index(ns.m)
-        rows = []
-        for t_index, t in enumerate(build_time_grid(config.time_grid)):
-            chi = np.sort(cell_chi_values(config, t_index, m_index, primary))
-            cdf = np.arange(1, chi.size + 1) / chi.size
-            rows.extend([float(t), ns.m, float(c), float(f)]
-                        for c, f in zip(chi, cdf))
-        write_csv(path, "t,m,chi,cdf", rows)
+
+        def rows():
+            # one time point's chi values at a time, never the whole table
+            for t_index, t in enumerate(build_time_grid(config.time_grid)):
+                chi = np.sort(
+                    cell_chi_values(config, t_index, m_index, primary))
+                cdf = np.arange(1, chi.size + 1) / chi.size
+                for c, f in zip(chi, cdf):
+                    yield float(t), ns.m, float(c), float(f)
+        write_csv(path, "t,m,chi,cdf", rows())
         print(path)
         return 0
 

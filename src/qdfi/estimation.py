@@ -86,7 +86,7 @@ def _normal_quantile(q: float) -> float:
     return NormalDist().inv_cdf(q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdequacyCell:
     """Estimated adequate fraction for one (t, m, delta, protocol) cell.
 
@@ -108,6 +108,14 @@ class AdequacyCell:
     def p_hat(self) -> float:
         """The raw adequate fraction k / n."""
         return self.k / self.n
+
+    def __reduce__(self):
+        # Pickle as the class and its field values.  The __getstate__ and
+        # __setstate__ that dataclasses gives a frozen slotted class loop
+        # over fields() in Python for every record, which doubles the
+        # cost of sending a work unit's records back from a worker.
+        # Unpickling calls the class, so __post_init__ checks again.
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -392,7 +400,7 @@ def combine_onset_ci(
     return bootstrap if score(bootstrap) < score(inversion) else inversion
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OnsetEstimate:
     """Onset and derived redundancy for one (t, delta) of a trajectory.
 
@@ -413,3 +421,7 @@ class OnsetEstimate:
     eta: Optional[float]
     fi: Optional[float]
     fi_eff: Optional[float]
+
+    def __reduce__(self):
+        # as AdequacyCell.__reduce__: the fast pickle path of a record
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))

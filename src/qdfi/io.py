@@ -7,7 +7,10 @@ duplicate keys are hard errors; silent typos corrupt science.
 Tables are UTF-8 CSV with LF line endings.  Reals are written with
 shortest round-trip representation (17 significant digits when needed),
 absent values as empty fields.  Writing is deterministic: identical
-inputs give byte-identical files.
+inputs give byte-identical files.  Rows may be any iterable, consumed
+once and written one at a time, so a table never sits in memory whole.
+A row that fails to format leaves the file written up to it, and the
+error propagates (simulate exits 2).
 
 Every file is read through _read_text, and every onset.csv row through
 read_onset_table: each raises ConfigError naming the file it rejects.
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,27 +139,32 @@ def serialize_config(config: RunConfig) -> str:
 
 
 def write_csv(path: Path, header: str,
-              rows: Sequence[Sequence[object]]) -> None:
-    """Write one header line and the formatted rows, LF-terminated."""
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+              rows: Iterable[Iterable[object]]) -> None:
+    """Write one header line and the formatted rows, LF-terminated.
+
+    rows is any iterable, consumed once; each row is formatted and
+    written before the next is drawn.  A row that fails to format raises
+    and leaves the file holding the header and the rows before it.
+    """
+    with path.open("w", encoding="utf-8", newline="") as f:
+        f.write(header + "\n")
+        f.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _onset_rows(trajectories: Sequence[RedundancyTrajectory],
-                theta: float) -> List[List[object]]:
+                theta: float) -> Iterator[Tuple[object, ...]]:
     entries = []
     for traj in trajectories:
         for p in traj.points:
             entries.append((p.t, p.delta, traj.protocol, p))
     entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    return [[t, delta, protocol, theta, p.m_star, p.m_star_lo, p.m_star_hi,
-             p.r, p.r_eff, p.eta, p.fi, p.fi_eff]
-            for t, delta, protocol, p in entries]
+    return ((t, delta, protocol, theta, p.m_star, p.m_star_lo, p.m_star_hi,
+             p.r, p.r_eff, p.eta, p.fi, p.fi_eff)
+            for t, delta, protocol, p in entries)
 
 
 def _write_run(config: RunConfig,
-               tables: Sequence[Tuple[str, str, Sequence[Sequence[object]]]],
+               tables: Sequence[Tuple[str, str, Iterable[Iterable[object]]]],
                out_dir) -> Dict[str, Path]:
     """Write run metadata, then each (name, header, rows) as name.csv.
 
@@ -187,10 +195,10 @@ def write_tables(result: SweepResult, out_dir) -> Dict[str, Path]:
     Nothing that varies between reruns of one config (wall time, host,
     worker count) is written, so reruns are byte-identical.
     """
-    phi = [[c.t, c.m, c.delta, c.protocol, c.n, c.k, c.p_hat, c.phi_iso,
-            c.ci_low, c.ci_high] for c in result.cells]
-    overlap = [[o.t, o.m, o.protocol, o.eta, o.pairs_used]
-               for o in result.overlaps]
+    phi = ((c.t, c.m, c.delta, c.protocol, c.n, c.k, c.p_hat, c.phi_iso,
+            c.ci_low, c.ci_high) for c in result.cells)
+    overlap = ((o.t, o.m, o.protocol, o.eta, o.pairs_used)
+               for o in result.overlaps)
     return _write_run(result.config, [
         ("phi", PHI_HEADER, phi),
         ("onset", ONSET_HEADER,

@@ -383,13 +383,17 @@ class RedundancyTrajectory:
             raise ConfigError("trajectory points carry a foreign delta")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OverlapRecord:
     t: float
     m: int
     protocol: str
     eta: float
     pairs_used: int
+
+    def __reduce__(self):
+        # as AdequacyCell.__reduce__: the fast pickle path of a record
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
 
 
 @dataclass(frozen=True)

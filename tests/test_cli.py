@@ -7,6 +7,7 @@ lives in the acceptance suite.
 
 import importlib
 import re
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from qdfi import (ConfigError, OnsetEstimate, OracleReport,
                   RedundancyTrajectory, RunConfig, RunStats, SweepResult,
                   TimeGridSpec, build_time_grid, parse_config,
                   parse_config_text, read_metadata, read_onset_table,
-                  run_sweep, serialize_config, write_tables)
+                  run_sweep, serialize_config, write_csv, write_tables)
 from qdfi.cli import _parse_threads, main
 from qdfi.model import ENTROPY_FLOOR, binary_entropy
 from qdfi.sampling import PROTOCOLS
@@ -332,6 +333,27 @@ class TestTableWriting:
         rows = data.draw(st.permutations(rows), label="row order")
         (out / "onset.csv").write_text("\n".join([header, *rows]) + "\n")
         assert read_onset_table(out, cfg) == trajectories
+
+    def test_write_csv_streams_rows(self, tmp_path):
+        # 20,000 rows of ten fields make a file of about 2.1 MB.  A writer
+        # that formats, writes and drops one row at a time holds one row
+        # and the file object's buffers, a few KiB whatever the row count;
+        # one that joins every line first holds the lines, the text and
+        # its bytes, about three times the file.
+        rows = ((i, i / 7, "random", None, i * 0.1, i / 3, 1 / (i + 1),
+                 -i / 11, i, 2.0 ** -i) for i in range(20_000))
+        path = tmp_path / "rows.csv"
+        tracemalloc.start()
+        try:
+            write_csv(path, "a,b,c,d,e,f,g,h,i,j", rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak < size / 10, f"peak {peak} B for a {size} B file"
+        lines = path.read_text().splitlines()
+        assert len(lines) == 20_001
+        assert lines[1] == "0,0.0,random,,0.0,0.0,1.0,0.0,0,1.0"
 
     def test_theta_mismatch_detected(self, tmp_path):
         cfg = RunConfig(n_sites=10, n_fragments=50, m_grid=(1, 2),

@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 import qdfi.sweep
-from qdfi import (ConfigError, CouplingSet, RedundancyTrajectory, RunConfig,
+from qdfi import (AdequacyCell, ConfigError, CouplingSet, OnsetEstimate,
+                  OverlapRecord, RedundancyTrajectory, RunConfig,
                   SweepCellError, TimeGridSpec, Tolerance, binary_entropy,
                   build_time_grid, cell_chi_values, derive_cell_seed,
                   enumerate_fragments, holevo_biased, oracle_report,
@@ -840,3 +842,20 @@ class TestTrajectoryRecord:
             RedundancyTrajectory(delta=0.05, protocol="random",
                                  points=(self._absent(1.0),
                                          self._absent(2.0, delta=0.1)))
+
+
+class TestPerCellRecords:
+    @pytest.mark.parametrize("record", [
+        AdequacyCell(t=1.5, m=3, delta=0.05, protocol="random", n=10, k=4,
+                     ci_low=0.1, ci_high=0.7, phi_iso=0.45),
+        OnsetEstimate(t=1.5, delta=0.05, m_star=4, m_star_lo=3, m_star_hi=None,
+                      r=3.0, r_eff=2.5, eta=0.1, fi=math.log2(3.0),
+                      fi_eff=None),
+        OverlapRecord(t=1.5, m=4, protocol="disjoint", eta=0.0,
+                      pairs_used=40),
+    ], ids=lambda r: type(r).__name__)
+    def test_slotted_and_pickles(self, record):
+        # a run keeps one of these per cell or grid point, so none carries
+        # a per-instance dict; worker processes send them back pickled
+        assert not hasattr(record, "__dict__")
+        assert pickle.loads(pickle.dumps(record)) == record
