@@ -151,6 +151,24 @@ def test_analyze_and_plot_data_digests(tmp_path):
     assert _dir_digest(figures) == PLOT_DATA_DIGEST
 
 
+def test_phi_and_overlap_rows_ignore_delta_order(tmp_path):
+    # phi.csv lists deltas by value and overlap.csv has no delta, so
+    # listing the deltas in the other order writes the same bytes
+    # (onset.csv differs: bootstrap seeds follow the delta's position)
+    text = _config_text(ANALYSIS_RUN)
+    assert "deltas = 0.05, 0.2\n" in text
+    tables = []
+    for order, deltas in enumerate(("0.05, 0.2", "0.2, 0.05")):
+        cfg = tmp_path / f"order{order}.cfg"
+        cfg.write_text(text.replace("deltas = 0.05, 0.2",
+                                    f"deltas = {deltas}"), encoding="utf-8")
+        out = tmp_path / f"order{order}"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        tables.append([(out / name).read_bytes()
+                       for name in ("phi.csv", "overlap.csv")])
+    assert tables[0] == tables[1]
+
+
 def test_oracle_report_numbers():
     report = oracle_report(parse_config_text(_config_text(ORACLE_RUN)))
     assert (len(report.cells), report.max_abs_deviation,
