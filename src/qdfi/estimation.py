@@ -109,14 +109,6 @@ class AdequacyCell:
         """The raw adequate fraction k / n."""
         return self.k / self.n
 
-    def __reduce__(self):
-        # Pickle as the class and its field values.  The __getstate__ and
-        # __setstate__ that dataclasses gives a frozen slotted class loop
-        # over fields() in Python for every record, which doubles the
-        # cost of sending a work unit's records back from a worker.
-        # Unpickling calls the class, so __post_init__ checks again.
-        return type(self), tuple(map(self.__getattribute__, self.__slots__))
-
     def __post_init__(self) -> None:
         if self.n < 1:
             raise EstimationError("cell needs n >= 1 flags")
@@ -423,5 +415,8 @@ class OnsetEstimate:
     fi_eff: Optional[float]
 
     def __reduce__(self):
-        # as AdequacyCell.__reduce__: the fast pickle path of a record
+        # Pickle as the class and its field values.  The __getstate__ and
+        # __setstate__ that dataclasses gives a frozen slotted class loop
+        # over fields() in Python for every record, which doubles the
+        # cost of sending a work unit's records back from a worker.
         return type(self), tuple(map(self.__getattribute__, self.__slots__))

@@ -195,8 +195,9 @@ def write_tables(result: SweepResult, out_dir) -> Dict[str, Path]:
     Nothing that varies between reruns of one config (wall time, host,
     worker count) is written, so reruns are byte-identical.
     """
-    phi = ((c.t, c.m, c.delta, c.protocol, c.n, c.k, c.p_hat, c.phi_iso,
-            c.ci_low, c.ci_high) for c in result.cells)
+    phi = ((t, m, delta, protocol, n, k, k / n, phi_iso, ci_low, ci_high)
+           for t, m, delta, protocol, n, k, ci_low, ci_high, phi_iso
+           in result.cells.rows())
     overlap = ((o.t, o.m, o.protocol, o.eta, o.pairs_used)
                for o in result.overlaps)
     return _write_run(result.config, [

@@ -17,6 +17,12 @@ onset is extracted, and the Wilson-inversion and bootstrap bounds are
 combined.  A failed chi pass names every (t, m) of its block, a failed
 cell its own (t, m) and a failed onset its (t, delta).
 
+A unit returns its cells as one (m, delta) block of CELL_DTYPE rows (n,
+k, Wilson bounds, isotonic fraction), not as records, and run_sweep
+copies each block into one preallocated, read-only run table in (t, m,
+delta, protocol) order; SweepResult.cells is a CellTable, a sequence view
+that builds an AdequacyCell only when one is read.
+
 Determinism contract: every random decision derives its seed from the
 master seed and the cell coordinates through an avalanche mixer, and
 results are assembled in canonical order, so output is byte-identical
@@ -35,7 +41,9 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import product
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -57,6 +65,8 @@ __all__ = [
     "RedundancyTrajectory",
     "OverlapRecord",
     "RunStats",
+    "CELL_DTYPE",
+    "CellTable",
     "SweepResult",
     "OracleReport",
     "build_time_grid",
@@ -392,7 +402,7 @@ class OverlapRecord:
     pairs_used: int
 
     def __reduce__(self):
-        # as AdequacyCell.__reduce__: the fast pickle path of a record
+        # as OnsetEstimate.__reduce__: the fast pickle path of a record
         return type(self), tuple(map(self.__getattribute__, self.__slots__))
 
 
@@ -404,12 +414,79 @@ class RunStats:
     fi_soft_violations: int
 
 
+# One cell's numbers in a work unit's block and in the run table; its
+# coordinates are the table's axes.
+CELL_DTYPE = np.dtype([("n", np.int64), ("k", np.int64),
+                       ("ci_low", np.float64), ("ci_high", np.float64),
+                       ("phi_iso", np.float64)])
+
+
+class CellTable(Sequence[AdequacyCell]):
+    """A run's cells as one read-only table, viewed as a sequence of
+    AdequacyCell in (t, m, delta, protocol) order: times along the grid,
+    m along the m grid, deltas by value and protocols by name.
+
+    columns is a read-only CELL_DTYPE array of shape (times, m, deltas,
+    protocols) with those axes in that order.  len builds nothing;
+    indexing and iteration build each AdequacyCell when it is read, and
+    rows yields the same fields as plain values without building one.
+    """
+
+    __slots__ = ("times", "ms", "deltas", "protocols", "columns")
+
+    def __init__(self, config: RunConfig, times: np.ndarray,
+                 columns: np.ndarray) -> None:
+        self.times = times
+        self.ms = config.m_grid
+        self.deltas = tuple(sorted(config.deltas))
+        self.protocols = tuple(sorted(config.protocols))
+        shape = (len(times), len(self.ms), len(self.deltas),
+                 len(self.protocols))
+        if columns.dtype != CELL_DTYPE or columns.shape != shape:
+            raise ValueError(f"cell columns must be a CELL_DTYPE array of "
+                             f"shape {shape}, got {columns.dtype} "
+                             f"{columns.shape}")
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return self.columns.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        i = range(len(self))[index]   # IndexError past either end
+        t_i, m_i, d_i, p_i = np.unravel_index(i, self.columns.shape)
+        return AdequacyCell(float(self.times[t_i]), self.ms[m_i],
+                            self.deltas[d_i], self.protocols[p_i],
+                            *self.columns[t_i, m_i, d_i, p_i].tolist())
+
+    def __iter__(self) -> Iterator[AdequacyCell]:
+        return (AdequacyCell(*row) for row in self.rows())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CellTable):
+            return NotImplemented
+        return ((self.ms, self.deltas, self.protocols)
+                == (other.ms, other.deltas, other.protocols)
+                and np.array_equal(self.times, other.times)
+                and np.array_equal(self.columns, other.columns))
+
+    def rows(self) -> Iterator[tuple]:
+        """Each cell's AdequacyCell fields as plain Python values, in
+        table order: t, m, delta, protocol, then the CELL_DTYPE fields.
+        The columns are converted one time point at a time."""
+        keys = list(product(self.ms, self.deltas, self.protocols))
+        for t, block in zip(self.times.tolist(), self.columns):
+            for key, values in zip(keys, block.ravel().tolist()):
+                yield (t, *key, *values)
+
+
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     config: RunConfig
     couplings: CouplingSet
     time_grid: np.ndarray
-    cells: Tuple[AdequacyCell, ...]
+    cells: CellTable
     trajectories: Tuple[RedundancyTrajectory, ...]
     overlaps: Tuple[OverlapRecord, ...]
     stats: RunStats
@@ -481,7 +558,7 @@ def cell_chi_values(config: RunConfig, t_index: int, m_index: int,
 class _TimePayload:
     """Everything one (protocol, t) work unit produces."""
 
-    cells: List[AdequacyCell]
+    cells: np.ndarray    # CELL_DTYPE, (m, delta), deltas in config order
     onsets: List[OnsetEstimate]    # one per delta, in config order
     overlaps: List[OverlapRecord]
     holevo_evaluations: int
@@ -499,26 +576,32 @@ def _compute_time_point(config: RunConfig, protocol: str,
 
     # Per block of consecutive families: one Holevo pass, then each
     # family's cells from its slice; a chi failure names every (t, m) of
-    # the block, a cell failure one.
+    # the block, a cell failure one.  Each cell's numbers go into the
+    # unit's (m, delta) table; its record lives only until the onset
+    # bounds of the time point are inverted.
     block: List[Tuple[int, np.ndarray]] = []
     cells_by_m: List[List[AdequacyCell]] = []
+    table = np.empty((len(config.m_grid), len(tols)), dtype=CELL_DTYPE)
     evaluations = 0
 
     def evaluate_block() -> None:
         nonlocal evaluations
-        with _reported(errors, *(("m", m) for m, _ in block)):
+        with _reported(errors, *(("m", config.m_grid[i]) for i, _ in block)):
             chi, flags = _adequacy(
                 config, t, np.concatenate([s for _, s in block]), tols)
             evaluations += int(chi.size)
             start = 0
-            for m, sums in block:
+            for m_index, sums in block:
+                m = config.m_grid[m_index]
                 stop = start + sums.size
                 with _reported(errors, ("m", m)):
-                    cells_by_m.append([
-                        adequacy_cell(f[start:stop], t=t, m=m,
-                                      delta=tol.delta, protocol=protocol,
-                                      alpha=config.alpha)
-                        for f, tol in zip(flags, tols)])
+                    cells = [adequacy_cell(f[start:stop], t=t, m=m,
+                                           delta=tol.delta, protocol=protocol,
+                                           alpha=config.alpha)
+                             for f, tol in zip(flags, tols)]
+                    table[m_index] = [(c.n, c.k, c.ci_low, c.ci_high,
+                                       math.nan) for c in cells]
+                    cells_by_m.append(cells)
                 start = stop
         block.clear()
 
@@ -547,29 +630,29 @@ def _compute_time_point(config: RunConfig, protocol: str,
             if block and (sum(s.size for _, s in block) + sums.size
                           > _CHI_BLOCK):
                 evaluate_block()
-            block.append((m, sums))
+            block.append((m_index, sums))
     if block:
         evaluate_block()
 
-    out_cells: List[AdequacyCell] = []
     onsets: List[OnsetEstimate] = []
     m_arr = np.asarray(config.m_grid, dtype=np.int64)
     # Per delta: onsets need every cell of the time point, so none is
     # computed once a cell has failed.
     for d_index, cells in enumerate([] if errors else zip(*cells_by_m)):
         delta = config.deltas[d_index]
+        column = table[:, d_index]
         with _reported(errors, ("delta", delta)):
-            n_arr = np.array([c.n for c in cells], dtype=float)
-            iso = isotonic_fit(np.array([c.p_hat for c in cells]), n_arr)
-            cells = [replace(c, phi_iso=float(v)) for c, v in zip(cells, iso)]
+            n_arr = column["n"].astype(float)
+            k_arr = column["k"].astype(float)
+            iso = isotonic_fit(k_arr / n_arr, n_arr)
+            column["phi_iso"] = iso
             m_star = onset_from_curve(IsotonicCurve(m_arr, iso), config.theta)
             m_lo, m_hi = onset_ci_inversion(cells, config.theta)
             boot_seed = derive_cell_seed(config.master_seed, t_index, 0,
                                          d_index, proto_id, PURPOSE_BOOTSTRAP)
             boot = _bootstrap_counts(
-                m_arr, np.array([c.k for c in cells], dtype=float), n_arr,
-                config.theta, config.alpha, config.bootstrap_replicates,
-                boot_seed)
+                m_arr, k_arr, n_arr, config.theta, config.alpha,
+                config.bootstrap_replicates, boot_seed)
             m_lo, m_hi = combine_onset_ci((m_lo, m_hi), boot)
 
             eta = r = r_eff = fi = fi_eff = None
@@ -582,13 +665,12 @@ def _compute_time_point(config: RunConfig, protocol: str,
                 t=t, delta=delta, m_star=m_star, m_star_lo=m_lo,
                 m_star_hi=m_hi, r=r, r_eff=r_eff, eta=eta, fi=fi,
                 fi_eff=fi_eff))
-            out_cells.extend(cells)
 
     if errors:
         raise SweepCellError("cell failures: " + "; ".join(
             f"(t={t}, {key}={value}, {protocol}): {type(exc).__name__}: {exc}"
             for (key, value), exc in errors)) from errors[0][1]
-    return _TimePayload(cells=out_cells, onsets=onsets, overlaps=overlaps,
+    return _TimePayload(cells=table, onsets=onsets, overlaps=overlaps,
                         holevo_evaluations=evaluations)
 
 
@@ -627,7 +709,8 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     coordinates, and each worker draws the couplings and time grid at
     most once (_run_inputs).  The result is identical for any thread
     count because all randomness is derived per cell and assembly order
-    is canonical.  The result's time grid is read-only.
+    is canonical.  Each unit's block of cells is copied into the run
+    table as it arrives; the table and the time grid are read-only.
     """
     if threads < 1:
         raise ConfigError("threads must be >= 1")
@@ -637,38 +720,50 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     t_indices = list(range(n_t)) * len(config.protocols)
     unit = partial(_compute_time_point, config)
 
+    # The table's delta axis is sorted by value and its protocol axis by
+    # name; a block's deltas come in config order.
+    by_value = sorted(range(len(config.deltas)), key=config.deltas.__getitem__)
+    slot = {p: i for i, p in enumerate(sorted(config.protocols))}
+    table = np.empty((n_t, len(config.m_grid), len(config.deltas),
+                      len(slot)), dtype=CELL_DTYPE)
+    onsets: List[List[OnsetEstimate]] = []
+    overlaps: List[OverlapRecord] = []
+    evaluations = 0
+
+    def gather(payloads) -> None:
+        # payloads come in task order: protocol-major, then time
+        nonlocal evaluations
+        for protocol, t_index, payload in zip(protocols, t_indices, payloads):
+            table[t_index, :, :, slot[protocol]] = payload.cells[:, by_value]
+            onsets.append(payload.onsets)
+            overlaps.extend(payload.overlaps)
+            evaluations += payload.holevo_evaluations
+
     if threads == 1:
-        payloads = list(map(unit, protocols, t_indices))
+        gather(map(unit, protocols, t_indices))
     else:
         # imported here, so a one-worker run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(
                 max_workers=min(threads, len(protocols))) as pool:
-            payloads = list(pool.map(unit, protocols, t_indices))
+            gather(pool.map(unit, protocols, t_indices))
+    table.flags.writeable = False
 
-    # Payloads come back in task order: protocol-major, then time.
-    cells: List[AdequacyCell] = []
-    overlaps: List[OverlapRecord] = []
-    evaluations = 0
-    for payload in payloads:
-        cells.extend(payload.cells)
-        overlaps.extend(payload.overlaps)
-        evaluations += payload.holevo_evaluations
     trajectories = [
         RedundancyTrajectory(
             delta=delta, protocol=protocol,
-            points=tuple(p.onsets[d_index]
-                         for p in payloads[p_index * n_t:(p_index + 1) * n_t]))
+            points=tuple(unit_onsets[d_index] for unit_onsets
+                         in onsets[p_index * n_t:(p_index + 1) * n_t]))
         for p_index, protocol in enumerate(config.protocols)
         for d_index, delta in enumerate(config.deltas)]
 
-    cells.sort(key=lambda c: (c.t, c.m, c.delta, c.protocol))
     overlaps.sort(key=lambda o: (o.t, o.m, o.protocol))
     stats = RunStats(
         holevo_evaluations=evaluations,
         fi_soft_violations=_fi_soft_violations(trajectories))
     return SweepResult(config=config, couplings=couplings,
-                       time_grid=time_grid, cells=tuple(cells),
+                       time_grid=time_grid,
+                       cells=CellTable(config, time_grid, table),
                        trajectories=tuple(trajectories),
                        overlaps=tuple(overlaps), stats=stats)
 
@@ -703,24 +798,29 @@ def oracle_report(config: RunConfig) -> OracleReport:
     and for the exhaustive family of all C(N, m) fragments, with the
     Wilson band at ORACLE_BAND_ALPHA; the config with those protocols
     must validate, so every C(N, m) on the grid must fit the enumeration
-    cap.  Both units list their cells delta by delta over the m grid, so
-    they pair in order.  A cell passes when the exact fraction falls
-    inside the sampled (1 - ORACLE_BAND_ALPHA) Wilson band, and the
-    report passes when at least ORACLE_MIN_FRACTION of cells do.
+    cap.  Both units return their cells as (m, delta) blocks, read here
+    row by row, so the report lists its cells by t, then m, then delta
+    in config order.  A cell passes when the exact fraction falls inside
+    the sampled (1 - ORACLE_BAND_ALPHA) Wilson band, and the report
+    passes when at least ORACLE_MIN_FRACTION of cells do.
     """
     config = replace(config, protocols=("random", "exhaustive"),
                      alpha=ORACLE_BAND_ALPHA)
-    n_t = _run_inputs(config)[1].size
+    time_grid = _run_inputs(config)[1]
+    n_t = time_grid.size
+    keys = list(product(config.m_grid, config.deltas))
     out: List[OracleCell] = []
     for t_index in sorted({n_t // 4, n_t // 2, (3 * n_t) // 4}):
-        sampled, exact = (_compute_time_point(config, protocol, t_index).cells
-                          for protocol in config.protocols)
-        out.extend(
-            OracleCell(t=s.t, m=s.m, delta=s.delta, phi_hat=s.p_hat,
-                       phi_exact=e.p_hat, ci_low=s.ci_low, ci_high=s.ci_high,
-                       within=s.ci_low <= e.p_hat <= s.ci_high)
-            for s, e in zip(sampled, exact))
-    out.sort(key=lambda c: (c.t, c.m))  # stable: deltas stay in order
+        t = float(time_grid[t_index])
+        sampled, exact = (
+            _compute_time_point(config, protocol, t_index).cells.ravel()
+            .tolist() for protocol in config.protocols)
+        for (m, delta), (n, k, lo, hi, _), (n_e, k_e, *_) in zip(
+                keys, sampled, exact):
+            phi_exact = k_e / n_e
+            out.append(OracleCell(t=t, m=m, delta=delta, phi_hat=k / n,
+                                  phi_exact=phi_exact, ci_low=lo, ci_high=hi,
+                                  within=lo <= phi_exact <= hi))
 
     max_dev = max(abs(c.phi_hat - c.phi_exact) for c in out)
     frac = sum(c.within for c in out) / len(out)

@@ -11,6 +11,7 @@ import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, reject, strategies as st
 
@@ -23,7 +24,7 @@ from qdfi import (ConfigError, OnsetEstimate, OracleReport,
 from qdfi.cli import _parse_threads, main
 from qdfi.model import ENTROPY_FLOOR, binary_entropy
 from qdfi.sampling import PROTOCOLS
-from qdfi.sweep import CONFIG_KEYS
+from qdfi.sweep import CELL_DTYPE, CONFIG_KEYS, CellTable
 
 FAST_CFG = """
 # compact but real run
@@ -132,9 +133,12 @@ def _shift_times(rows):
 
 
 def _result_of(config, trajectories=()):
-    """A SweepResult holding only the given trajectories and no cells."""
+    """A SweepResult holding only the given trajectories and an empty run
+    table (no times, so no cells)."""
+    shape = (0, len(config.m_grid), len(config.deltas), len(config.protocols))
+    cells = CellTable(config, np.empty(0), np.empty(shape, CELL_DTYPE))
     return SweepResult(config=config, couplings=None, time_grid=None,
-                       cells=(), trajectories=tuple(trajectories),
+                       cells=cells, trajectories=tuple(trajectories),
                        overlaps=(), stats=RunStats(0, 0))
 
 

@@ -20,7 +20,7 @@ from qdfi import (AdequacyCell, ConfigError, CouplingSet, OnsetEstimate,
                   SweepCellError, TimeGridSpec, Tolerance, binary_entropy,
                   build_time_grid, cell_chi_values, derive_cell_seed,
                   enumerate_fragments, holevo_biased, oracle_report,
-                  run_sweep)
+                  run_sweep, write_tables)
 from qdfi.sweep import PURPOSE_COUPLINGS
 
 
@@ -855,7 +855,85 @@ class TestPerCellRecords:
                       pairs_used=40),
     ], ids=lambda r: type(r).__name__)
     def test_slotted_and_pickles(self, record):
-        # a run keeps one of these per cell or grid point, so none carries
-        # a per-instance dict; worker processes send them back pickled
+        # a run builds one of these per cell or grid point, so none
+        # carries a per-instance dict; worker processes send overlaps and
+        # onsets back pickled, and a cell still pickles through the
+        # slotted dataclass state
         assert not hasattr(record, "__dict__")
         assert pickle.loads(pickle.dumps(record)) == record
+
+
+class TestRunTable:
+    # random and disjoint at N = 2000 over m = 1..64, five deltas and 12
+    # times: 7,680 cells
+    TABLE_CONFIG = dict(n_sites=2000, protocols=("random", "disjoint"),
+                        deltas=(0.01, 0.02, 0.05, 0.1, 0.2),
+                        m_grid=tuple(range(1, 65)),
+                        time_grid=TimeGridSpec(n_dense=8, n_coarse=4),
+                        n_fragments=40, bootstrap_replicates=20,
+                        overlap_pairs=10, master_seed=4)
+
+    def test_result_memory_per_cell(self):
+        # the result keeps its cells as one table of five 8-byte columns,
+        # plus an overlap record per (t, m, protocol) and the onsets; a
+        # slotted record per cell kept about 215 bytes a cell
+        cfg = RunConfig(**self.TABLE_CONFIG)
+        # a first run does the imports and fills the caches that any run
+        # would, so the traced run counts only what its result holds
+        run_sweep(small_config(protocols=("random", "disjoint")))
+        tracemalloc.start()
+        try:
+            result = run_sweep(cfg)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.cells) == 7680
+        assert kept / len(result.cells) < 100, (
+            f"{kept / len(result.cells):.0f} B per cell")
+
+    def test_table_arrays_are_read_only(self):
+        cells = run_sweep(small_config()).cells
+        assert not cells.times.flags.writeable
+        assert not cells.columns.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cells.columns["k"][0, 0, 0, 0] = 0
+
+    def test_view_builds_cells_in_canonical_order(self):
+        # deltas and protocols listed out of order: the table sorts them
+        cfg = small_config(deltas=(0.1, 0.01, 0.05),
+                           protocols=("random", "disjoint"),
+                           time_grid=TimeGridSpec(n_dense=3, n_coarse=2))
+        cells = run_sweep(cfg).cells
+        listed = list(cells)
+        assert len(listed) == len(cells) == 5 * 8 * 3 * 2
+        keys = [(c.t, c.m, c.delta, c.protocol) for c in listed]
+        assert keys == sorted(keys)
+        assert [cells[i] for i in range(len(cells))] == listed
+        assert cells[-1] == listed[-1] and cells[2:9:3] == tuple(listed[2:9:3])
+        with pytest.raises(IndexError):
+            cells[len(cells)]
+        for cell in listed:
+            assert isinstance(cell, AdequacyCell)
+            assert cell.phi_iso is not None
+
+    def test_pooled_run_builds_no_cell_in_the_parent(self, tmp_path,
+                                                     monkeypatch):
+        # workers build each cell once; the parent gathers, counts and
+        # writes the cells from the table alone
+        parent = os.getpid()
+        built = []
+        check = AdequacyCell.__post_init__
+
+        def counted(cell):
+            if os.getpid() == parent:
+                built.append((cell.t, cell.m))
+            check(cell)
+
+        monkeypatch.setattr(AdequacyCell, "__post_init__", counted)
+        cfg = small_config(protocols=("random", "disjoint"))
+        result = run_sweep(cfg, threads=2)
+        assert len(result.cells) == 12 * 8 * 3 * 2
+        write_tables(result, tmp_path)
+        assert built == []
+        next(iter(result.cells))   # reading a cell builds it
+        assert len(built) == 1
