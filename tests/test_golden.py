@@ -154,19 +154,28 @@ def test_analyze_and_plot_data_digests(tmp_path):
 def test_phi_and_overlap_rows_ignore_delta_order(tmp_path):
     # phi.csv lists deltas by value and overlap.csv has no delta, so
     # listing the deltas in the other order writes the same bytes
-    # (onset.csv differs: bootstrap seeds follow the delta's position)
+    # (onset.csv differs: bootstrap seeds follow the delta's position).
+    # No seed depends on a protocol's position, so listing the protocols
+    # in the other order writes the same bytes in onset.csv too.
     text = _config_text(ANALYSIS_RUN)
-    assert "deltas = 0.05, 0.2\n" in text
-    tables = []
-    for order, deltas in enumerate(("0.05, 0.2", "0.2, 0.05")):
-        cfg = tmp_path / f"order{order}.cfg"
-        cfg.write_text(text.replace("deltas = 0.05, 0.2",
-                                    f"deltas = {deltas}"), encoding="utf-8")
-        out = tmp_path / f"order{order}"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        tables.append([(out / name).read_bytes()
-                       for name in ("phi.csv", "overlap.csv")])
-    assert tables[0] == tables[1]
+    reorders = {
+        "deltas": ("deltas = 0.05, 0.2", "deltas = 0.2, 0.05",
+                   ("phi.csv", "overlap.csv")),
+        "protocols": ("protocols = random, disjoint",
+                      "protocols = disjoint, random",
+                      ("phi.csv", "onset.csv", "overlap.csv")),
+    }
+    for key, (listed, reordered, names) in reorders.items():
+        assert listed + "\n" in text
+        tables = []
+        for order, line in enumerate((listed, reordered)):
+            cfg = tmp_path / f"{key}{order}.cfg"
+            cfg.write_text(text.replace(listed, line), encoding="utf-8")
+            out = tmp_path / f"{key}{order}"
+            assert main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            tables.append([(out / name).read_bytes() for name in names])
+        assert tables[0] == tables[1], key
 
 
 def test_oracle_report_numbers():
