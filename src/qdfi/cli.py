@@ -123,7 +123,7 @@ def _cmd_simulate(ns) -> int:
     written = write_tables(result, ns.out)
     elapsed = time.perf_counter() - started
     # Timing goes to stdout only; output files must be rerun-identical.
-    print(f"simulate: {len(result.cells)} cells, "
+    print(f"simulate: {result.cells.size} cells, "
           f"{result.stats.holevo_evaluations} holevo evaluations, "
           f"{result.stats.fi_soft_violations} soft FI violations, "
           f"{elapsed:.1f}s")

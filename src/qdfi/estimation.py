@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -88,11 +88,7 @@ def _normal_quantile(q: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class AdequacyCell:
-    """Estimated adequate fraction for one (t, m, delta, protocol) cell.
-
-    phi_iso is filled in after the per-m isotonic pass; it is None on a
-    freshly estimated cell.
-    """
+    """Estimated adequate fraction for one (t, m, delta, protocol) cell."""
 
     t: float
     m: int
@@ -102,7 +98,6 @@ class AdequacyCell:
     k: int
     ci_low: float
     ci_high: float
-    phi_iso: Optional[float] = None
 
     @property
     def p_hat(self) -> float:
@@ -234,22 +229,24 @@ def redundancy_fi(n_sites: int, m_star: int,
                             fi_eff=math.log2(r_eff))
 
 
-def onset_ci_inversion(cells: Sequence[AdequacyCell],
+def onset_ci_inversion(m_grid, n, ci_low, ci_high,
                        theta: float) -> Tuple[Optional[int], Optional[int]]:
     """Onset bounds by inverting the per-m Wilson band.
 
-    After isotonic smoothing of each band edge (weights = cell sizes),
-    the upper onset bound is the first m whose smoothed lower edge clears
+    m_grid is the strictly increasing m grid of one (t, delta, protocol)
+    group, and n, ci_low and ci_high are its cells' sizes and Wilson band
+    edges along it, as columns of the sweep's cell table.  After
+    isotonic smoothing of each band edge (weights = cell sizes), the
+    upper onset bound is the first m whose smoothed lower edge clears
     theta, and the lower bound the first m whose smoothed upper edge
     does.  PAVA preserves pointwise order, so m_lo <= m* <= m_hi whenever
-    all three exist.
+    all three exist.  Empty or mismatched columns, an unsorted grid and
+    a theta outside (0, 1) raise EstimationError.
     """
-    grid = np.array([c.m for c in cells], dtype=np.int64)
-    w = np.array([c.n for c in cells], dtype=float)
-    iso_low = isotonic_fit(np.array([c.ci_low for c in cells]), w)
-    iso_high = isotonic_fit(np.array([c.ci_high for c in cells]), w)
-    m_hi = onset_from_curve(IsotonicCurve(grid, iso_low), theta)
-    m_lo = onset_from_curve(IsotonicCurve(grid, iso_high), theta)
+    iso_low = isotonic_fit(ci_low, n)
+    iso_high = isotonic_fit(ci_high, n)
+    m_hi = onset_from_curve(IsotonicCurve(m_grid, iso_low), theta)
+    m_lo = onset_from_curve(IsotonicCurve(m_grid, iso_high), theta)
     return m_lo, m_hi
 
 

@@ -18,6 +18,7 @@ read_onset_table: each raises ConfigError naming the file it rejects.
 
 from __future__ import annotations
 
+from itertools import product
 from operator import attrgetter
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -151,6 +152,24 @@ def write_csv(path: Path, header: str,
         f.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
+def _phi_rows(result: SweepResult) -> Iterator[Tuple[object, ...]]:
+    """phi.csv's rows: by t, then m, then delta by value, then protocol by
+    name, whatever order the config lists deltas and protocols in.  The
+    run table is converted one time point at a time."""
+    config = result.config
+    deltas = sorted(range(len(config.deltas)), key=config.deltas.__getitem__)
+    protocols = sorted(range(len(config.protocols)),
+                       key=config.protocols.__getitem__)
+    keys = list(product(config.m_grid, [config.deltas[d] for d in deltas],
+                        [config.protocols[p] for p in protocols]))
+    for t, block in zip(result.time_grid.tolist(), result.cells):
+        values = block[:, deltas][:, :, protocols].ravel().tolist()
+        for (m, delta, protocol), (n, k, ci_low, ci_high, phi_iso) in zip(
+                keys, values):
+            yield (t, m, delta, protocol, n, k, k / n, phi_iso, ci_low,
+                   ci_high)
+
+
 def _onset_rows(trajectories: Sequence[RedundancyTrajectory],
                 theta: float) -> Iterator[Tuple[object, ...]]:
     entries = []
@@ -195,13 +214,10 @@ def write_tables(result: SweepResult, out_dir) -> Dict[str, Path]:
     Nothing that varies between reruns of one config (wall time, host,
     worker count) is written, so reruns are byte-identical.
     """
-    phi = ((t, m, delta, protocol, n, k, k / n, phi_iso, ci_low, ci_high)
-           for t, m, delta, protocol, n, k, ci_low, ci_high, phi_iso
-           in result.cells.rows())
     overlap = ((o.t, o.m, o.protocol, o.eta, o.pairs_used)
                for o in result.overlaps)
     return _write_run(result.config, [
-        ("phi", PHI_HEADER, phi),
+        ("phi", PHI_HEADER, _phi_rows(result)),
         ("onset", ONSET_HEADER,
          _onset_rows(result.trajectories, result.config.theta)),
         ("overlap", OVERLAP_HEADER, overlap),

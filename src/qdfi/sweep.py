@@ -19,9 +19,10 @@ cell its own (t, m) and a failed onset its (t, delta).
 
 A unit returns its cells as one (m, delta) block of CELL_DTYPE rows (n,
 k, Wilson bounds, isotonic fraction), not as records, and run_sweep
-copies each block into one preallocated, read-only run table in (t, m,
-delta, protocol) order; SweepResult.cells is a CellTable, a sequence view
-that builds an AdequacyCell only when one is read.
+copies each block into one preallocated run table whose axes follow the
+config: the time grid, m_grid, deltas and protocols, each in the order
+the config lists it.  SweepResult.cells is that table, read-only; io
+decides the order of phi.csv's rows.
 
 Determinism contract: every random decision derives its seed from the
 master seed and the cell coordinates through an avalanche mixer, and
@@ -42,15 +43,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import product
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .estimation import (AdequacyCell, IsotonicCurve, OnsetEstimate,
-                         _bootstrap_counts, adequacy_cell, combine_onset_ci,
-                         isotonic_fit, onset_ci_inversion, onset_from_curve,
-                         redundancy_fi)
+from .estimation import (IsotonicCurve, OnsetEstimate, _bootstrap_counts,
+                         adequacy_cell, combine_onset_ci, isotonic_fit,
+                         onset_ci_inversion, onset_from_curve, redundancy_fi)
 from .model import (ENTROPY_FLOOR, CouplingSet, Tolerance, binary_entropy,
                     holevo_biased, is_adequate)
 from .sampling import (ENUMERATION_CAP, PROTOCOLS, FragmentSample,
@@ -66,7 +65,6 @@ __all__ = [
     "OverlapRecord",
     "RunStats",
     "CELL_DTYPE",
-    "CellTable",
     "SweepResult",
     "OracleReport",
     "build_time_grid",
@@ -415,70 +413,10 @@ class RunStats:
 
 
 # One cell's numbers in a work unit's block and in the run table; its
-# coordinates are the table's axes.
+# coordinates are the table's axes, in config order.
 CELL_DTYPE = np.dtype([("n", np.int64), ("k", np.int64),
                        ("ci_low", np.float64), ("ci_high", np.float64),
                        ("phi_iso", np.float64)])
-
-
-class CellTable(Sequence[AdequacyCell]):
-    """A run's cells as one read-only table, viewed as a sequence of
-    AdequacyCell in (t, m, delta, protocol) order: times along the grid,
-    m along the m grid, deltas by value and protocols by name.
-
-    columns is a read-only CELL_DTYPE array of shape (times, m, deltas,
-    protocols) with those axes in that order.  len builds nothing;
-    indexing and iteration build each AdequacyCell when it is read, and
-    rows yields the same fields as plain values without building one.
-    """
-
-    __slots__ = ("times", "ms", "deltas", "protocols", "columns")
-
-    def __init__(self, config: RunConfig, times: np.ndarray,
-                 columns: np.ndarray) -> None:
-        self.times = times
-        self.ms = config.m_grid
-        self.deltas = tuple(sorted(config.deltas))
-        self.protocols = tuple(sorted(config.protocols))
-        shape = (len(times), len(self.ms), len(self.deltas),
-                 len(self.protocols))
-        if columns.dtype != CELL_DTYPE or columns.shape != shape:
-            raise ValueError(f"cell columns must be a CELL_DTYPE array of "
-                             f"shape {shape}, got {columns.dtype} "
-                             f"{columns.shape}")
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return self.columns.size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
-        i = range(len(self))[index]   # IndexError past either end
-        t_i, m_i, d_i, p_i = np.unravel_index(i, self.columns.shape)
-        return AdequacyCell(float(self.times[t_i]), self.ms[m_i],
-                            self.deltas[d_i], self.protocols[p_i],
-                            *self.columns[t_i, m_i, d_i, p_i].tolist())
-
-    def __iter__(self) -> Iterator[AdequacyCell]:
-        return (AdequacyCell(*row) for row in self.rows())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CellTable):
-            return NotImplemented
-        return ((self.ms, self.deltas, self.protocols)
-                == (other.ms, other.deltas, other.protocols)
-                and np.array_equal(self.times, other.times)
-                and np.array_equal(self.columns, other.columns))
-
-    def rows(self) -> Iterator[tuple]:
-        """Each cell's AdequacyCell fields as plain Python values, in
-        table order: t, m, delta, protocol, then the CELL_DTYPE fields.
-        The columns are converted one time point at a time."""
-        keys = list(product(self.ms, self.deltas, self.protocols))
-        for t, block in zip(self.times.tolist(), self.columns):
-            for key, values in zip(keys, block.ravel().tolist()):
-                yield (t, *key, *values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -486,7 +424,7 @@ class SweepResult:
     config: RunConfig
     couplings: CouplingSet
     time_grid: np.ndarray
-    cells: CellTable
+    cells: np.ndarray    # CELL_DTYPE, (t, m, delta, protocol), read-only
     trajectories: Tuple[RedundancyTrajectory, ...]
     overlaps: Tuple[OverlapRecord, ...]
     stats: RunStats
@@ -577,10 +515,8 @@ def _compute_time_point(config: RunConfig, protocol: str,
     # Per block of consecutive families: one Holevo pass, then each
     # family's cells from its slice; a chi failure names every (t, m) of
     # the block, a cell failure one.  Each cell's numbers go into the
-    # unit's (m, delta) table; its record lives only until the onset
-    # bounds of the time point are inverted.
+    # unit's (m, delta) table, and no record is kept.
     block: List[Tuple[int, np.ndarray]] = []
-    cells_by_m: List[List[AdequacyCell]] = []
     table = np.empty((len(config.m_grid), len(tols)), dtype=CELL_DTYPE)
     evaluations = 0
 
@@ -601,7 +537,6 @@ def _compute_time_point(config: RunConfig, protocol: str,
                              for f, tol in zip(flags, tols)]
                     table[m_index] = [(c.n, c.k, c.ci_low, c.ci_high,
                                        math.nan) for c in cells]
-                    cells_by_m.append(cells)
                 start = stop
         block.clear()
 
@@ -638,8 +573,7 @@ def _compute_time_point(config: RunConfig, protocol: str,
     m_arr = np.asarray(config.m_grid, dtype=np.int64)
     # Per delta: onsets need every cell of the time point, so none is
     # computed once a cell has failed.
-    for d_index, cells in enumerate([] if errors else zip(*cells_by_m)):
-        delta = config.deltas[d_index]
+    for d_index, delta in enumerate([] if errors else config.deltas):
         column = table[:, d_index]
         with _reported(errors, ("delta", delta)):
             n_arr = column["n"].astype(float)
@@ -647,7 +581,8 @@ def _compute_time_point(config: RunConfig, protocol: str,
             iso = isotonic_fit(k_arr / n_arr, n_arr)
             column["phi_iso"] = iso
             m_star = onset_from_curve(IsotonicCurve(m_arr, iso), config.theta)
-            m_lo, m_hi = onset_ci_inversion(cells, config.theta)
+            m_lo, m_hi = onset_ci_inversion(m_arr, n_arr, column["ci_low"],
+                                            column["ci_high"], config.theta)
             boot_seed = derive_cell_seed(config.master_seed, t_index, 0,
                                          d_index, proto_id, PURPOSE_BOOTSTRAP)
             boot = _bootstrap_counts(
@@ -710,7 +645,8 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     most once (_run_inputs).  The result is identical for any thread
     count because all randomness is derived per cell and assembly order
     is canonical.  Each unit's block of cells is copied into the run
-    table as it arrives; the table and the time grid are read-only.
+    table as it arrives, at its time and protocol; the table's axes
+    follow the config, and the table and the time grid are read-only.
     """
     if threads < 1:
         raise ConfigError("threads must be >= 1")
@@ -720,12 +656,8 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     t_indices = list(range(n_t)) * len(config.protocols)
     unit = partial(_compute_time_point, config)
 
-    # The table's delta axis is sorted by value and its protocol axis by
-    # name; a block's deltas come in config order.
-    by_value = sorted(range(len(config.deltas)), key=config.deltas.__getitem__)
-    slot = {p: i for i, p in enumerate(sorted(config.protocols))}
     table = np.empty((n_t, len(config.m_grid), len(config.deltas),
-                      len(slot)), dtype=CELL_DTYPE)
+                      len(config.protocols)), dtype=CELL_DTYPE)
     onsets: List[List[OnsetEstimate]] = []
     overlaps: List[OverlapRecord] = []
     evaluations = 0
@@ -733,8 +665,9 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     def gather(payloads) -> None:
         # payloads come in task order: protocol-major, then time
         nonlocal evaluations
-        for protocol, t_index, payload in zip(protocols, t_indices, payloads):
-            table[t_index, :, :, slot[protocol]] = payload.cells[:, by_value]
+        for task, payload in enumerate(payloads):
+            p_index, t_index = divmod(task, n_t)
+            table[t_index, :, :, p_index] = payload.cells
             onsets.append(payload.onsets)
             overlaps.extend(payload.overlaps)
             evaluations += payload.holevo_evaluations
@@ -762,8 +695,7 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
         holevo_evaluations=evaluations,
         fi_soft_violations=_fi_soft_violations(trajectories))
     return SweepResult(config=config, couplings=couplings,
-                       time_grid=time_grid,
-                       cells=CellTable(config, time_grid, table),
+                       time_grid=time_grid, cells=table,
                        trajectories=tuple(trajectories),
                        overlaps=tuple(overlaps), stats=stats)
 

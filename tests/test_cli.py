@@ -24,7 +24,7 @@ from qdfi import (ConfigError, OnsetEstimate, OracleReport,
 from qdfi.cli import _parse_threads, main
 from qdfi.model import ENTROPY_FLOOR, binary_entropy
 from qdfi.sampling import PROTOCOLS
-from qdfi.sweep import CELL_DTYPE, CONFIG_KEYS, CellTable
+from qdfi.sweep import CELL_DTYPE, CONFIG_KEYS
 
 FAST_CFG = """
 # compact but real run
@@ -136,9 +136,9 @@ def _result_of(config, trajectories=()):
     """A SweepResult holding only the given trajectories and an empty run
     table (no times, so no cells)."""
     shape = (0, len(config.m_grid), len(config.deltas), len(config.protocols))
-    cells = CellTable(config, np.empty(0), np.empty(shape, CELL_DTYPE))
-    return SweepResult(config=config, couplings=None, time_grid=None,
-                       cells=cells, trajectories=tuple(trajectories),
+    return SweepResult(config=config, couplings=None, time_grid=np.empty(0),
+                       cells=np.empty(shape, CELL_DTYPE),
+                       trajectories=tuple(trajectories),
                        overlaps=(), stats=RunStats(0, 0))
 
 

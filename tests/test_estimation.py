@@ -324,26 +324,35 @@ class TestRedundancyFi:
             redundancy_fi(10, 2, eta=1.0)
 
 
-def _cells_from_probs(rng, m_grid, probs, n, theta_time=1.0):
-    cells = []
-    for m, p in zip(m_grid, probs):
-        flags = rng.random(n) < p
-        cells.append(adequacy_cell(flags, t=theta_time, m=m, delta=0.05,
-                                   protocol="random"))
-    return cells
+def _band(cells):
+    """The (m_grid, n, ci_low, ci_high) columns of cells, as the sweep
+    passes them to onset_ci_inversion."""
+    return (np.array([c.m for c in cells], dtype=np.int64),
+            np.array([c.n for c in cells], dtype=float),
+            np.array([c.ci_low for c in cells], dtype=float),
+            np.array([c.ci_high for c in cells], dtype=float))
+
+
+def _band_from_probs(rng, m_grid, probs, n):
+    return _band([adequacy_cell(rng.random(n) < p, t=1.0, m=m, delta=0.05,
+                                protocol="random")
+                  for m, p in zip(m_grid, probs)])
+
+
+def _uniform_band(ms, flags):
+    return _band([adequacy_cell(flags, t=1.0, m=m, delta=0.05,
+                                protocol="random") for m in ms])
 
 
 class TestOnsetInversion:
     def test_saturated_cells_pin_first_m(self):
-        cells = [adequacy_cell([True] * 400, t=1.0, m=m, delta=0.05,
-                               protocol="random") for m in (1, 2, 3)]
-        lo, hi = onset_ci_inversion(cells, 0.9)
+        lo, hi = onset_ci_inversion(*_uniform_band((1, 2, 3), [True] * 400),
+                                    0.9)
         assert lo == 1 and hi == 1
 
     def test_hopeless_cells_absent(self):
-        cells = [adequacy_cell([False] * 400, t=1.0, m=m, delta=0.05,
-                               protocol="random") for m in (1, 2, 3)]
-        assert onset_ci_inversion(cells, 0.9) == (None, None)
+        band = _uniform_band((1, 2, 3), [False] * 400)
+        assert onset_ci_inversion(*band, 0.9) == (None, None)
 
     def test_staircase_coverage(self):
         # known Bernoulli staircase, true onset at m = 7 under theta = 0.9
@@ -354,27 +363,31 @@ class TestOnsetInversion:
         rng = np.random.default_rng(101)
         covered = 0
         for _ in range(1000):
-            cells = _cells_from_probs(rng, m_grid, true_p, n=200)
-            lo, hi = onset_ci_inversion(cells, 0.9)
+            band = _band_from_probs(rng, m_grid, true_p, n=200)
+            lo, hi = onset_ci_inversion(*band, 0.9)
             covered += (lo is not None and hi is not None
                         and lo <= true_onset <= hi)
         assert covered / 1000 >= 0.95
 
     def test_requires_sorted_unique_m(self):
-        cells = [adequacy_cell([True] * 5, t=1.0, m=m, delta=0.05,
-                               protocol="random") for m in (2, 2)]
         with pytest.raises(EstimationError):
-            onset_ci_inversion(cells, 0.9)
+            onset_ci_inversion(*_uniform_band((2, 2), [True] * 5), 0.9)
+
+    def test_requires_columns_of_one_length(self):
+        m_grid, n, ci_low, ci_high = _uniform_band((1, 2, 3), [True] * 5)
+        for band in ((m_grid[:2], n, ci_low, ci_high),
+                     (m_grid, n[:2], ci_low, ci_high),
+                     (m_grid, n, ci_low, ci_high[:2])):
+            with pytest.raises(EstimationError):
+                onset_ci_inversion(*band, 0.9)
 
     @pytest.mark.parametrize(
         "ms, theta", [((), 0.9), ((1, 2), 0.0), ((1, 2), 1.0),
                       ((1, 2), float("nan"))],
         ids=["no-cells", "theta-0", "theta-1", "theta-nan"])
     def test_requires_cells_and_theta_in_unit_interval(self, ms, theta):
-        cells = [adequacy_cell([True] * 5, t=1.0, m=m, delta=0.05,
-                               protocol="random") for m in ms]
         with pytest.raises(EstimationError):
-            onset_ci_inversion(cells, theta)
+            onset_ci_inversion(*_uniform_band(ms, [True] * 5), theta)
 
 
 def counts_of(flags_by_m):

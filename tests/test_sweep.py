@@ -20,7 +20,7 @@ from qdfi import (AdequacyCell, ConfigError, CouplingSet, OnsetEstimate,
                   SweepCellError, TimeGridSpec, Tolerance, binary_entropy,
                   build_time_grid, cell_chi_values, derive_cell_seed,
                   enumerate_fragments, holevo_biased, oracle_report,
-                  run_sweep, write_tables)
+                  run_sweep, sample_random_fragments, write_tables)
 from qdfi.sweep import PURPOSE_COUPLINGS
 
 
@@ -244,7 +244,7 @@ class TestRunConfig:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = run_sweep(cfg)
-        assert len(result.cells) == 3 * len(cfg.m_grid) * len(cfg.deltas)
+        assert result.cells.size == 3 * len(cfg.m_grid) * len(cfg.deltas)
 
     def test_rejects_coupling_rate_whose_reciprocal_overflows(self):
         # the couplings are drawn with scale 1 / coupling_rate, and every
@@ -295,39 +295,33 @@ class TestSweepExactness:
                                     purpose=PURPOSE_COUPLINGS)
         lam = CouplingSet.exponential(4, cfg.coupling_rate, cfg.g, lam_seed)
         entropy = binary_entropy(cfg.p0)
-        for cell in res.cells:
-            sample = enumerate_fragments(4, cell.m)
-            assert cell.n == math.comb(4, cell.m)
+        for (t_i, m_i, d_i, _), cell in np.ndenumerate(res.cells):
+            t, m = res.time_grid[t_i], cfg.m_grid[m_i]
+            sample = enumerate_fragments(4, m)
+            assert cell["n"] == math.comb(4, m)
             sums = lam.couplings[sample.indices].sum(axis=1)
-            chi = holevo_biased(-(cfg.g ** 2) * cell.t ** 2 * sums, cfg.p0)
-            tol = Tolerance.for_entropy(cell.delta, entropy)
+            chi = holevo_biased(-(cfg.g ** 2) * t ** 2 * sums, cfg.p0)
+            tol = Tolerance.for_entropy(cfg.deltas[d_i], entropy)
             exact = float(np.mean(chi >= tol.threshold))
-            assert cell.p_hat == pytest.approx(exact, abs=1e-15)
+            assert cell["k"] / cell["n"] == pytest.approx(exact, abs=1e-15)
 
     def test_cell_chi_values_reproduce_counts(self):
         cfg = small_config()
         res = run_sweep(cfg)
-        grid = res.time_grid
         entropy = binary_entropy(cfg.p0)
         t_index, m_index = 7, 3
         chi = cell_chi_values(cfg, t_index, m_index, "random")
-        for delta in cfg.deltas:
+        for d_index, delta in enumerate(cfg.deltas):
             tol = Tolerance.for_entropy(delta, entropy)
             k = int(np.sum(chi >= tol.threshold))
-            cell = next(c for c in res.cells
-                        if c.t == grid[t_index] and c.m == cfg.m_grid[m_index]
-                        and c.delta == delta and c.protocol == "random")
-            assert cell.k == k
+            assert res.cells["k"][t_index, m_index, d_index, 0] == k
 
     def test_earliest_time_nothing_adequate(self):
         # at t = 0.01 with g = 0.5, rate = 1 every overlap is ~1 and no
         # fragment can clear a 0.95 bit threshold
         cfg = small_config(deltas=(0.01, 0.05))
         res = run_sweep(cfg)
-        t0 = res.time_grid[0]
-        for cell in res.cells:
-            if cell.t == t0:
-                assert cell.k == 0
+        assert not res.cells["k"][0].any()
         for traj in res.trajectories:
             assert traj.points[0].m_star is None
 
@@ -337,28 +331,30 @@ class TestSweepStructure:
         cfg = small_config()
         res = run_sweep(cfg)
         n_t = res.time_grid.size
-        assert len(res.cells) == n_t * len(cfg.m_grid) * len(cfg.deltas)
+        assert res.cells.shape == (n_t, len(cfg.m_grid), len(cfg.deltas), 1)
         assert len(res.trajectories) == len(cfg.deltas)
         # flags are shared across deltas, so chi evaluations count once
         # per (t, m) cell
         assert res.stats.holevo_evaluations == (n_t * len(cfg.m_grid)
                                                 * cfg.n_fragments)
 
-    def test_cells_sorted_canonically(self):
-        res = run_sweep(small_config(protocols=("random", "disjoint")))
-        keys = [(c.t, c.m, c.delta, c.protocol) for c in res.cells]
+    def test_cells_sorted_canonically(self, tmp_path):
+        # deltas and protocols listed out of order: phi.csv lists its rows
+        # by t, then m, then delta by value, then protocol by name
+        res = run_sweep(small_config(deltas=(0.1, 0.01, 0.05),
+                                     protocols=("random", "disjoint")))
+        write_tables(res, tmp_path)
+        lines = (tmp_path / "phi.csv").read_text(encoding="utf-8")
+        keys = [(float(t), int(m), float(delta), protocol)
+                for t, m, delta, protocol, *_ in
+                (line.split(",") for line in lines.splitlines()[1:])]
         assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys) == res.cells.size
 
     def test_phi_iso_monotone_in_m(self):
-        res = run_sweep(small_config())
-        by_group = {}
-        for c in res.cells:
-            by_group.setdefault((c.t, c.delta, c.protocol), []).append(c)
-        for cells in by_group.values():
-            cells.sort(key=lambda c: c.m)
-            iso = [c.phi_iso for c in cells]
-            assert all(v is not None for v in iso)
-            assert all(a <= b + 1e-12 for a, b in zip(iso, iso[1:]))
+        iso = run_sweep(small_config()).cells["phi_iso"]
+        assert not np.isnan(iso).any()
+        assert (np.diff(iso, axis=1) >= -1e-12).all()
 
     def test_onset_invariants(self):
         cfg = small_config()
@@ -537,7 +533,7 @@ class TestDeterminism:
         cfg = small_config()
         a = run_sweep(cfg)
         b = run_sweep(cfg)
-        assert a.cells == b.cells
+        assert np.array_equal(a.cells, b.cells)
         assert a.trajectories == b.trajectories
         assert a.overlaps == b.overlaps
 
@@ -553,16 +549,16 @@ class TestDeterminism:
         a = small_config()
         b = small_config(master_seed=a.master_seed + 1)
         first, other, again = run_sweep(a), run_sweep(b), run_sweep(a)
-        assert again.cells == first.cells
+        assert np.array_equal(again.cells, first.cells)
         assert np.array_equal(other.couplings.couplings,
                               b.couplings().couplings)
-        assert other.cells != first.cells
+        assert not np.array_equal(other.cells, first.cells)
 
     def test_thread_count_invisible(self):
         cfg = small_config(protocols=("random", "disjoint"))
         serial = run_sweep(cfg, threads=1)
         parallel = run_sweep(cfg, threads=3)
-        assert serial.cells == parallel.cells
+        assert np.array_equal(serial.cells, parallel.cells)
         assert serial.trajectories == parallel.trajectories
         assert serial.overlaps == parallel.overlaps
 
@@ -592,7 +588,7 @@ class TestDeterminism:
         cfg = small_config(time_grid=TimeGridSpec(n_dense=2, n_coarse=1))
         pooled = run_sweep(cfg, threads=64)
         assert seen == [3]
-        assert pooled.cells == run_sweep(cfg).cells
+        assert np.array_equal(pooled.cells, run_sweep(cfg).cells)
 
     def test_one_thread_never_imports_the_process_pool(self, tmp_path):
         # a fresh interpreter, since this one may have loaded the pool
@@ -620,7 +616,7 @@ class TestDeterminism:
     def test_master_seed_matters(self):
         a = run_sweep(small_config(master_seed=1))
         b = run_sweep(small_config(master_seed=2))
-        assert a.cells != b.cells
+        assert not np.array_equal(a.cells, b.cells)
 
     def test_bootstrap_runs_for_every_onset_group(self, monkeypatch):
         # n_fragments x len(m_grid) = 1.04e6 flags, past the former 10^6
@@ -678,18 +674,20 @@ class TestOracleReport:
                         time_grid=TimeGridSpec(n_dense=4, n_coarse=4),
                         bootstrap_replicates=20, overlap_pairs=10,
                         master_seed=11)
-        swept = {(c.t, c.m, c.delta, c.protocol): c
-                 for c in run_sweep(cfg).cells}
+        res = run_sweep(cfg)
         report = oracle_report(replace(cfg, protocols=("disjoint",),
                                        alpha=0.2))
         assert len(report.cells) == 3 * len(cfg.m_grid) * len(cfg.deltas)
         assert len({c.t for c in report.cells}) == 3
+        times = res.time_grid.tolist()
         for c in report.cells:
-            sampled, exact = (swept[(c.t, c.m, c.delta, protocol)]
-                              for protocol in ("random", "exhaustive"))
+            sampled, exact = res.cells[times.index(c.t),
+                                       cfg.m_grid.index(c.m),
+                                       cfg.deltas.index(c.delta)]
             assert (c.phi_hat, c.ci_low, c.ci_high) == (
-                sampled.p_hat, sampled.ci_low, sampled.ci_high)
-            assert c.phi_exact == exact.p_hat
+                sampled["k"] / sampled["n"], sampled["ci_low"],
+                sampled["ci_high"])
+            assert c.phi_exact == exact["k"] / exact["n"]
 
     def test_unenumerable_rejected(self):
         cfg = RunConfig(n_sites=60, m_grid=(30,), n_fragments=10,
@@ -847,7 +845,7 @@ class TestTrajectoryRecord:
 class TestPerCellRecords:
     @pytest.mark.parametrize("record", [
         AdequacyCell(t=1.5, m=3, delta=0.05, protocol="random", n=10, k=4,
-                     ci_low=0.1, ci_high=0.7, phi_iso=0.45),
+                     ci_low=0.1, ci_high=0.7),
         OnsetEstimate(t=1.5, delta=0.05, m_star=4, m_star_lo=3, m_star_hi=None,
                       r=3.0, r_eff=2.5, eta=0.1, fi=math.log2(3.0),
                       fi_eff=None),
@@ -887,34 +885,16 @@ class TestRunTable:
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(result.cells) == 7680
-        assert kept / len(result.cells) < 100, (
-            f"{kept / len(result.cells):.0f} B per cell")
+        assert result.cells.size == 7680
+        assert kept / result.cells.size < 100, (
+            f"{kept / result.cells.size:.0f} B per cell")
 
     def test_table_arrays_are_read_only(self):
-        cells = run_sweep(small_config()).cells
-        assert not cells.times.flags.writeable
-        assert not cells.columns.flags.writeable
+        result = run_sweep(small_config())
+        assert not result.time_grid.flags.writeable
+        assert not result.cells.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            cells.columns["k"][0, 0, 0, 0] = 0
-
-    def test_view_builds_cells_in_canonical_order(self):
-        # deltas and protocols listed out of order: the table sorts them
-        cfg = small_config(deltas=(0.1, 0.01, 0.05),
-                           protocols=("random", "disjoint"),
-                           time_grid=TimeGridSpec(n_dense=3, n_coarse=2))
-        cells = run_sweep(cfg).cells
-        listed = list(cells)
-        assert len(listed) == len(cells) == 5 * 8 * 3 * 2
-        keys = [(c.t, c.m, c.delta, c.protocol) for c in listed]
-        assert keys == sorted(keys)
-        assert [cells[i] for i in range(len(cells))] == listed
-        assert cells[-1] == listed[-1] and cells[2:9:3] == tuple(listed[2:9:3])
-        with pytest.raises(IndexError):
-            cells[len(cells)]
-        for cell in listed:
-            assert isinstance(cell, AdequacyCell)
-            assert cell.phi_iso is not None
+            result.cells["k"][0, 0, 0, 0] = 0
 
     def test_pooled_run_builds_no_cell_in_the_parent(self, tmp_path,
                                                      monkeypatch):
@@ -932,8 +912,61 @@ class TestRunTable:
         monkeypatch.setattr(AdequacyCell, "__post_init__", counted)
         cfg = small_config(protocols=("random", "disjoint"))
         result = run_sweep(cfg, threads=2)
-        assert len(result.cells) == 12 * 8 * 3 * 2
+        assert result.cells.size == 12 * 8 * 3 * 2
         write_tables(result, tmp_path)
         assert built == []
-        next(iter(result.cells))   # reading a cell builds it
-        assert len(built) == 1
+
+
+class TestOnsetCoverage:
+    # random fragments at N = 2000: eight times, two deltas, m = 1..32
+    CONFIG = dict(n_sites=2000, n_fragments=400, m_grid=tuple(range(1, 33)),
+                  time_grid=TimeGridSpec(0.3, 1.0, 3.0, 4, 4), theta=0.9,
+                  deltas=(0.01, 0.05), overlap_pairs=10, master_seed=0)
+    TRUTH_FRAGMENTS = 100_000
+    SEEDS = range(1, 11)
+
+    def test_interval_covers_true_onset(self, monkeypatch):
+        # the couplings stay pinned while the master seed, and with it
+        # every fragment seed, varies: each seed reports one interval per
+        # (t, delta) for the same environment
+        cfg = RunConfig(**self.CONFIG)
+        couplings, time_grid = qdfi.sweep._run_inputs(cfg)
+        monkeypatch.setattr(qdfi.sweep, "_run_inputs",
+                            lambda config: (couplings, time_grid))
+        entropy = binary_entropy(cfg.p0)
+        tols = [Tolerance.for_entropy(d, entropy) for d in cfg.deltas]
+        # the true adequate fraction at (t, m, delta), from one large
+        # family per m
+        phi = np.empty((time_grid.size, len(cfg.m_grid), len(tols)))
+        for m_index, m in enumerate(cfg.m_grid):
+            family = sample_random_fragments(cfg.n_sites, m,
+                                             self.TRUTH_FRAGMENTS,
+                                             seed=10_000 + m)
+            sums = qdfi.sweep._coupling_sums(couplings, family)
+            for t_index, t in enumerate(time_grid.tolist()):
+                flags = qdfi.sweep._adequacy(cfg, t, sums, tols)[1]
+                phi[t_index, m_index] = [f.mean() for f in flags]
+        # informative (t, delta): the true onset exists and no m has its
+        # fraction within 4 standard errors of theta
+        se = np.sqrt(phi * (1.0 - phi) / self.TRUTH_FRAGMENTS)
+        clear = (np.abs(phi - cfg.theta) >= 4.0 * se).all(axis=1)
+        crossed = phi >= cfg.theta
+        informative = clear & crossed.any(axis=1)
+        onset = np.asarray(cfg.m_grid)[crossed.argmax(axis=1)]
+
+        covered = groups = 0
+        for seed in self.SEEDS:
+            run = replace(cfg, master_seed=seed)
+            for t_index in range(time_grid.size):
+                onsets = qdfi.sweep._compute_time_point(
+                    run, "random", t_index).onsets
+                for d_index, p in enumerate(onsets):
+                    if not informative[t_index, d_index]:
+                        continue
+                    groups += 1
+                    covered += (p.m_star_lo is not None
+                                and p.m_star_hi is not None
+                                and p.m_star_lo <= onset[t_index, d_index]
+                                <= p.m_star_hi)
+        assert groups >= len(self.SEEDS) * informative.size // 2
+        assert covered >= 0.9 * groups, f"covered {covered} of {groups}"
