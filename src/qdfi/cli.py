@@ -236,7 +236,7 @@ def _cmd_plot_data(ns) -> int:
 def _cmd_oracle(ns) -> int:
     config = parse_config(ns.config)
     report = oracle_report(config)
-    print(f"oracle: {len(report.cells)} cells, "
+    print(f"oracle: {report.sampled.size} cells, "
           f"max |phi_hat - phi_exact| = {report.max_abs_deviation:.6g}, "
           f"within-band fraction = {report.fraction_within:.4f}")
     if not report.passed:

@@ -18,6 +18,7 @@ read_onset_table: each raises ConfigError naming the file it rejects.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 from operator import attrgetter
 from pathlib import Path
@@ -152,14 +153,19 @@ def write_csv(path: Path, header: str,
         f.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
+def _sorted_indices(values: Sequence) -> List[int]:
+    """The positions of ``values`` in value order: the order phi.csv lists
+    deltas in, and every table protocols in (by name), whatever order the
+    config lists them in."""
+    return sorted(range(len(values)), key=values.__getitem__)
+
+
 def _phi_rows(result: SweepResult) -> Iterator[Tuple[object, ...]]:
     """phi.csv's rows: by t, then m, then delta by value, then protocol by
-    name, whatever order the config lists deltas and protocols in.  The
-    run table is converted one time point at a time."""
+    name.  The run table is converted one time point at a time."""
     config = result.config
-    deltas = sorted(range(len(config.deltas)), key=config.deltas.__getitem__)
-    protocols = sorted(range(len(config.protocols)),
-                       key=config.protocols.__getitem__)
+    deltas = _sorted_indices(config.deltas)
+    protocols = _sorted_indices(config.protocols)
     keys = list(product(config.m_grid, [config.deltas[d] for d in deltas],
                         [config.protocols[p] for p in protocols]))
     for t, block in zip(result.time_grid.tolist(), result.cells):
@@ -168,6 +174,21 @@ def _phi_rows(result: SweepResult) -> Iterator[Tuple[object, ...]]:
                 keys, values):
             yield (t, m, delta, protocol, n, k, k / n, phi_iso, ci_low,
                    ci_high)
+
+
+def _overlap_rows(result: SweepResult) -> Iterator[Tuple[object, ...]]:
+    """overlap.csv's rows: by t, then m, then protocol by name, with no row
+    where the overlap array holds NaN (a family of a single fragment).
+    Every estimate stands for the config's overlap_pairs pairs.  The
+    array is converted one time point at a time."""
+    config = result.config
+    protocols = _sorted_indices(config.protocols)
+    names = [config.protocols[p] for p in protocols]
+    for t, block in zip(result.time_grid.tolist(), result.overlaps):
+        for m, etas in zip(config.m_grid, block[:, protocols].tolist()):
+            for protocol, eta in zip(names, etas):
+                if not math.isnan(eta):
+                    yield t, m, protocol, eta, config.overlap_pairs
 
 
 def _onset_rows(trajectories: Sequence[RedundancyTrajectory],
@@ -214,13 +235,11 @@ def write_tables(result: SweepResult, out_dir) -> Dict[str, Path]:
     Nothing that varies between reruns of one config (wall time, host,
     worker count) is written, so reruns are byte-identical.
     """
-    overlap = ((o.t, o.m, o.protocol, o.eta, o.pairs_used)
-               for o in result.overlaps)
     return _write_run(result.config, [
         ("phi", PHI_HEADER, _phi_rows(result)),
         ("onset", ONSET_HEADER,
          _onset_rows(result.trajectories, result.config.theta)),
-        ("overlap", OVERLAP_HEADER, overlap),
+        ("overlap", OVERLAP_HEADER, _overlap_rows(result)),
     ], out_dir)
 
 

@@ -18,11 +18,13 @@ combined.  A failed chi pass names every (t, m) of its block, a failed
 cell its own (t, m) and a failed onset its (t, delta).
 
 A unit returns its cells as one (m, delta) block of CELL_DTYPE rows (n,
-k, Wilson bounds, isotonic fraction), not as records, and run_sweep
-copies each block into one preallocated run table whose axes follow the
-config: the time grid, m_grid, deltas and protocols, each in the order
-the config lists it.  SweepResult.cells is that table, read-only; io
-decides the order of phi.csv's rows.
+k, Wilson bounds, isotonic fraction) and its measured overlaps as one
+(m,) block of floats, NaN for a family of a single fragment, not as
+records.  run_sweep copies each block into one preallocated array whose
+axes follow the config: the time grid, m_grid, deltas and protocols,
+each in the order the config lists it.  SweepResult.cells and
+SweepResult.overlaps are those arrays, read-only; io alone decides the
+order of phi.csv's and overlap.csv's rows.
 
 Determinism contract: every random decision derives its seed from the
 master seed and the cell coordinates through an avalanche mixer, and
@@ -42,7 +44,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,7 +63,6 @@ __all__ = [
     "TimeGridSpec",
     "RunConfig",
     "RedundancyTrajectory",
-    "OverlapRecord",
     "RunStats",
     "CELL_DTYPE",
     "SweepResult",
@@ -337,10 +337,10 @@ class RunConfig:
         if not self.protocols:
             raise ConfigError("protocols must be nonempty")
         for p in self.protocols:
-            if p not in _PROTOCOL_IDS:
+            # a tuple test needs no hash, so an unhashable entry is unknown
+            if p not in PROTOCOLS:
                 raise ConfigError(
-                    f"unknown protocol {p!r}; choose from "
-                    f"{sorted(_PROTOCOL_IDS)}")
+                    f"unknown protocol {p!r}; choose from {sorted(PROTOCOLS)}")
         if len(set(self.protocols)) != len(self.protocols):
             raise ConfigError("protocols must be distinct")
         if self.n_fragments < 1:
@@ -391,19 +391,6 @@ class RedundancyTrajectory:
             raise ConfigError("trajectory points carry a foreign delta")
 
 
-@dataclass(frozen=True, slots=True)
-class OverlapRecord:
-    t: float
-    m: int
-    protocol: str
-    eta: float
-    pairs_used: int
-
-    def __reduce__(self):
-        # as OnsetEstimate.__reduce__: the fast pickle path of a record
-        return type(self), tuple(map(self.__getattribute__, self.__slots__))
-
-
 @dataclass(frozen=True)
 class RunStats:
     """Cross-checks exposed by the engine, not part of the science output."""
@@ -426,7 +413,7 @@ class SweepResult:
     time_grid: np.ndarray
     cells: np.ndarray    # CELL_DTYPE, (t, m, delta, protocol), read-only
     trajectories: Tuple[RedundancyTrajectory, ...]
-    overlaps: Tuple[OverlapRecord, ...]
+    overlaps: np.ndarray    # float64 eta, (t, m, protocol), NaN = no estimate
     stats: RunStats
 
 
@@ -498,7 +485,7 @@ class _TimePayload:
 
     cells: np.ndarray    # CELL_DTYPE, (m, delta), deltas in config order
     onsets: List[OnsetEstimate]    # one per delta, in config order
-    overlaps: List[OverlapRecord]
+    overlaps: np.ndarray    # float64 eta, (m,), NaN for a single fragment
     holevo_evaluations: int
 
 
@@ -543,8 +530,7 @@ def _compute_time_point(config: RunConfig, protocol: str,
     # Per m: each family's coupling sums and overlap estimate; its index
     # block is dropped before the next draw, and the pending block is
     # evaluated before the family would take it past _CHI_BLOCK fragments.
-    eta_by_m: Dict[int, float] = {}
-    overlaps: List[OverlapRecord] = []
+    etas = np.full(len(config.m_grid), math.nan)
     for m_index, m in enumerate(config.m_grid):
         with _reported(errors, ("m", m)):
             sample = _sample_cell(config, t_index, m_index, protocol)
@@ -553,14 +539,8 @@ def _compute_time_point(config: RunConfig, protocol: str,
                 pair_seed = derive_cell_seed(config.master_seed, t_index,
                                              m_index, 0, proto_id,
                                              PURPOSE_PAIRS)
-                stat = estimate_overlap_eta(sample, config.overlap_pairs,
-                                            pair_seed)
-                overlaps.append(OverlapRecord(t=t, m=m, protocol=protocol,
-                                              eta=stat.eta,
-                                              pairs_used=stat.pairs_used))
-                # pairs that all saw one set (eta = 1, as at m = N) leave
-                # the onset uncorrected, like a single-fragment family
-                eta_by_m[m] = stat.eta if stat.eta < 1.0 else 0.0
+                etas[m_index] = estimate_overlap_eta(
+                    sample, config.overlap_pairs, pair_seed).eta
             del sample
             if block and (sum(s.size for _, s in block) + sums.size
                           > _CHI_BLOCK):
@@ -592,8 +572,10 @@ def _compute_time_point(config: RunConfig, protocol: str,
 
             eta = r = r_eff = fi = fi_eff = None
             if m_star is not None:
-                # a single-fragment family has no pair estimate
-                eta = eta_by_m.get(m_star, 0.0)
+                # a single-fragment family (NaN) and pairs that all saw one
+                # set (eta = 1, as at m = N) leave the onset uncorrected
+                eta = float(etas[config.m_grid.index(m_star)])
+                eta = eta if eta < 1.0 else 0.0
                 r, r_eff, fi, fi_eff = redundancy_fi(config.n_sites, m_star,
                                                      eta)
             onsets.append(OnsetEstimate(
@@ -605,7 +587,7 @@ def _compute_time_point(config: RunConfig, protocol: str,
         raise SweepCellError("cell failures: " + "; ".join(
             f"(t={t}, {key}={value}, {protocol}): {type(exc).__name__}: {exc}"
             for (key, value), exc in errors)) from errors[0][1]
-    return _TimePayload(cells=table, onsets=onsets, overlaps=overlaps,
+    return _TimePayload(cells=table, onsets=onsets, overlaps=etas,
                         holevo_evaluations=evaluations)
 
 
@@ -644,9 +626,10 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     coordinates, and each worker draws the couplings and time grid at
     most once (_run_inputs).  The result is identical for any thread
     count because all randomness is derived per cell and assembly order
-    is canonical.  Each unit's block of cells is copied into the run
-    table as it arrives, at its time and protocol; the table's axes
-    follow the config, and the table and the time grid are read-only.
+    is canonical.  Each unit's blocks of cells and overlaps are copied
+    into the run table and the overlap array as they arrive, at its time
+    and protocol; their axes follow the config, and they and the time
+    grid are read-only.
     """
     if threads < 1:
         raise ConfigError("threads must be >= 1")
@@ -658,8 +641,8 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
 
     table = np.empty((n_t, len(config.m_grid), len(config.deltas),
                       len(config.protocols)), dtype=CELL_DTYPE)
+    overlaps = np.empty((n_t, len(config.m_grid), len(config.protocols)))
     onsets: List[List[OnsetEstimate]] = []
-    overlaps: List[OverlapRecord] = []
     evaluations = 0
 
     def gather(payloads) -> None:
@@ -668,8 +651,8 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
         for task, payload in enumerate(payloads):
             p_index, t_index = divmod(task, n_t)
             table[t_index, :, :, p_index] = payload.cells
+            overlaps[t_index, :, p_index] = payload.overlaps
             onsets.append(payload.onsets)
-            overlaps.extend(payload.overlaps)
             evaluations += payload.holevo_evaluations
 
     if threads == 1:
@@ -680,7 +663,7 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
         with ProcessPoolExecutor(
                 max_workers=min(threads, len(protocols))) as pool:
             gather(pool.map(unit, protocols, t_indices))
-    table.flags.writeable = False
+    table.flags.writeable = overlaps.flags.writeable = False
 
     trajectories = [
         RedundancyTrajectory(
@@ -690,33 +673,24 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
         for p_index, protocol in enumerate(config.protocols)
         for d_index, delta in enumerate(config.deltas)]
 
-    overlaps.sort(key=lambda o: (o.t, o.m, o.protocol))
     stats = RunStats(
         holevo_evaluations=evaluations,
         fi_soft_violations=_fi_soft_violations(trajectories))
     return SweepResult(config=config, couplings=couplings,
                        time_grid=time_grid, cells=table,
                        trajectories=tuple(trajectories),
-                       overlaps=tuple(overlaps), stats=stats)
+                       overlaps=overlaps, stats=stats)
 
 
-@dataclass(frozen=True)
-class OracleCell:
-    t: float
-    m: int
-    delta: float
-    phi_hat: float
-    phi_exact: float
-    ci_low: float
-    ci_high: float
-    within: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleReport:
-    """Sampled-vs-exact adequacy comparison for an enumerable environment."""
+    """Sampled-vs-exact adequacy comparison for an enumerable environment:
+    the grid times checked and, at each, the random and the exhaustive
+    cells as CELL_DTYPE tables of shape (time, m, delta)."""
 
-    cells: Tuple[OracleCell, ...]
+    times: np.ndarray
+    sampled: np.ndarray
+    exact: np.ndarray
     max_abs_deviation: float
     fraction_within: float
     passed: bool
@@ -730,32 +704,27 @@ def oracle_report(config: RunConfig) -> OracleReport:
     and for the exhaustive family of all C(N, m) fragments, with the
     Wilson band at ORACLE_BAND_ALPHA; the config with those protocols
     must validate, so every C(N, m) on the grid must fit the enumeration
-    cap.  Both units return their cells as (m, delta) blocks, read here
-    row by row, so the report lists its cells by t, then m, then delta
-    in config order.  A cell passes when the exact fraction falls inside
-    the sampled (1 - ORACLE_BAND_ALPHA) Wilson band, and the report
-    passes when at least ORACLE_MIN_FRACTION of cells do.
+    cap.  Each protocol's (m, delta) blocks are stacked into one (time,
+    m, delta) table, with m and delta in config order.  A cell passes
+    when the exact fraction k/n falls inside the sampled (1 -
+    ORACLE_BAND_ALPHA) Wilson band, and the report passes when at least
+    ORACLE_MIN_FRACTION of cells do.
     """
     config = replace(config, protocols=("random", "exhaustive"),
                      alpha=ORACLE_BAND_ALPHA)
     time_grid = _run_inputs(config)[1]
     n_t = time_grid.size
-    keys = list(product(config.m_grid, config.deltas))
-    out: List[OracleCell] = []
-    for t_index in sorted({n_t // 4, n_t // 2, (3 * n_t) // 4}):
-        t = float(time_grid[t_index])
-        sampled, exact = (
-            _compute_time_point(config, protocol, t_index).cells.ravel()
-            .tolist() for protocol in config.protocols)
-        for (m, delta), (n, k, lo, hi, _), (n_e, k_e, *_) in zip(
-                keys, sampled, exact):
-            phi_exact = k_e / n_e
-            out.append(OracleCell(t=t, m=m, delta=delta, phi_hat=k / n,
-                                  phi_exact=phi_exact, ci_low=lo, ci_high=hi,
-                                  within=lo <= phi_exact <= hi))
-
-    max_dev = max(abs(c.phi_hat - c.phi_exact) for c in out)
-    frac = sum(c.within for c in out) / len(out)
-    return OracleReport(cells=tuple(out), max_abs_deviation=max_dev,
-                        fraction_within=frac,
-                        passed=frac >= ORACLE_MIN_FRACTION)
+    t_indices = sorted({n_t // 4, n_t // 2, (3 * n_t) // 4})
+    sampled, exact = (
+        np.stack([_compute_time_point(config, protocol, t_index).cells
+                  for t_index in t_indices])
+        for protocol in config.protocols)
+    phi_exact = exact["k"] / exact["n"]
+    within = ((sampled["ci_low"] <= phi_exact)
+              & (phi_exact <= sampled["ci_high"]))
+    frac = np.count_nonzero(within) / within.size
+    return OracleReport(
+        times=time_grid[t_indices], sampled=sampled, exact=exact,
+        max_abs_deviation=float(np.max(np.abs(
+            sampled["k"] / sampled["n"] - phi_exact))),
+        fraction_within=frac, passed=frac >= ORACLE_MIN_FRACTION)

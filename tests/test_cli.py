@@ -133,13 +133,13 @@ def _shift_times(rows):
 
 
 def _result_of(config, trajectories=()):
-    """A SweepResult holding only the given trajectories and an empty run
-    table (no times, so no cells)."""
-    shape = (0, len(config.m_grid), len(config.deltas), len(config.protocols))
+    """A SweepResult holding only the given trajectories, an empty run
+    table and an empty overlap array (no times, so no cells)."""
+    m, d, p = len(config.m_grid), len(config.deltas), len(config.protocols)
     return SweepResult(config=config, couplings=None, time_grid=np.empty(0),
-                       cells=np.empty(shape, CELL_DTYPE),
+                       cells=np.empty((0, m, d, p), CELL_DTYPE),
                        trajectories=tuple(trajectories),
-                       overlaps=(), stats=RunStats(0, 0))
+                       overlaps=np.empty((0, m, p)), stats=RunStats(0, 0))
 
 
 @pytest.fixture()
@@ -480,7 +480,9 @@ class TestCliCommands:
 
     def test_oracle_failure_exits_3(self, capsys, fast_cfg_file,
                                     monkeypatch):
-        failed = OracleReport(cells=(), max_abs_deviation=0.5,
+        no_cells = np.empty((0, 0, 0), CELL_DTYPE)
+        failed = OracleReport(times=np.empty(0), sampled=no_cells,
+                              exact=no_cells, max_abs_deviation=0.5,
                               fraction_within=0.5, passed=False)
         monkeypatch.setattr(qdfi.cli, "oracle_report", lambda config: failed)
         assert main(["oracle", "--config", str(fast_cfg_file)]) == 3

@@ -180,5 +180,5 @@ def test_phi_and_overlap_rows_ignore_delta_order(tmp_path):
 
 def test_oracle_report_numbers():
     report = oracle_report(parse_config_text(_config_text(ORACLE_RUN)))
-    assert (len(report.cells), report.max_abs_deviation,
+    assert (report.sampled.size, report.max_abs_deviation,
             report.fraction_within) == ORACLE_EXPECTED

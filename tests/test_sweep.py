@@ -16,11 +16,11 @@ import pytest
 
 import qdfi.sweep
 from qdfi import (AdequacyCell, ConfigError, CouplingSet, OnsetEstimate,
-                  OverlapRecord, RedundancyTrajectory, RunConfig,
-                  SweepCellError, TimeGridSpec, Tolerance, binary_entropy,
-                  build_time_grid, cell_chi_values, derive_cell_seed,
-                  enumerate_fragments, holevo_biased, oracle_report,
-                  run_sweep, sample_random_fragments, write_tables)
+                  RedundancyTrajectory, RunConfig, SweepCellError,
+                  TimeGridSpec, Tolerance, binary_entropy, build_time_grid,
+                  cell_chi_values, derive_cell_seed, enumerate_fragments,
+                  holevo_biased, oracle_report, run_sweep,
+                  sample_random_fragments, write_tables)
 from qdfi.sweep import PURPOSE_COUPLINGS
 
 
@@ -201,11 +201,14 @@ class TestRunConfig:
         (dict(bootstrap_replicates=0), r"^bootstrap_B must be >= 1$"),
         (dict(overlap_pairs=0), r"^overlap_pairs must be >= 1$"),
         (dict(master_seed=2 ** 64), r"^master_seed must fit in 64 bits$"),
-        (dict(n_sites=None), r"^N must be an integer, got None$")],
+        (dict(n_sites=None), r"^N must be an integer, got None$"),
+        # an unhashable entry used to escape as a bare TypeError
+        (dict(protocols=(["random"],)),
+         r"^unknown protocol \['random'\]; choose from ")],
         ids=["p0-0", "p0-1", "deltas-empty", "deltas-repeated", "theta-0",
              "theta-1", "protocols-empty", "protocols-repeated",
              "n_fragments-0", "bootstrap_B-0", "overlap_pairs-0",
-             "master_seed-2**64", "N-none"])
+             "master_seed-2**64", "N-none", "protocols-list-entry"])
     def test_rejects_out_of_range_values(self, kw, message):
         with pytest.raises(ConfigError, match=message):
             RunConfig(**{"n_sites": 12, **kw})
@@ -408,7 +411,7 @@ class TestSweepStructure:
                         bootstrap_replicates=20, overlap_pairs=20,
                         master_seed=0)
         res = run_sweep(cfg)
-        assert {o.eta for o in res.overlaps if o.m == 10} == {1.0}
+        assert np.all(res.overlaps[:, cfg.m_grid.index(10)] == 1.0)
         at_n = [p for traj in res.trajectories for p in traj.points
                 if p.m_star == 10]
         assert at_n
@@ -417,14 +420,40 @@ class TestSweepStructure:
             assert p.r_eff == p.r == 1.0
             assert p.fi_eff == p.fi == 0.0
 
+    def test_single_fragment_families_have_no_overlap(self, tmp_path):
+        # one random fragment per family, and one disjoint block of 7 or
+        # 12 sites in N = 12: no pair to estimate from, so the array holds
+        # NaN, overlap.csv has no row and the onset corrects nothing
+        cfg = RunConfig(n_sites=12, protocols=("random", "disjoint"),
+                        n_fragments=1, m_grid=(1, 2, 4, 6, 7, 12),
+                        time_grid=TimeGridSpec(n_dense=4, n_coarse=3),
+                        bootstrap_replicates=20, overlap_pairs=10,
+                        master_seed=3)
+        res = run_sweep(cfg)
+        assert np.isnan(res.overlaps[..., 0]).all()
+        assert np.isnan(res.overlaps[:, 4:, 1]).all()
+        assert not np.isnan(res.overlaps[:, :4, 1]).any()
+        header, *rows = write_tables(res, tmp_path)["overlap"].read_text(
+            ).splitlines()
+        assert header == "t,m,protocol,eta,pairs"
+        assert len(rows) == 7 * 4 == res.time_grid.size * 4
+        assert {tuple(r.split(",")[1:3]) for r in rows} == {
+            (m, "disjoint") for m in ("1", "2", "4", "6")}
+        onsets = [p for traj in res.trajectories if traj.protocol == "random"
+                  for p in traj.points if p.m_star is not None]
+        assert onsets
+        for p in onsets:
+            assert p.eta == 0.0
+            assert p.r_eff == p.r
+
     def test_overlap_vanishes_for_disjoint(self):
         res = run_sweep(small_config(protocols=("random", "disjoint")))
-        protos = {o.protocol for o in res.overlaps}
-        assert protos == {"random", "disjoint"}
-        for o in res.overlaps:
-            assert 0.0 <= o.eta <= 1.0
-            if o.protocol == "disjoint":
-                assert o.eta == 0.0
+        # NaN marks a family of one fragment (disjoint blocks of m > 6)
+        measured = ~np.isnan(res.overlaps)
+        assert measured[..., 0].any() and measured[..., 1].any()
+        eta = res.overlaps[measured]
+        assert np.all((0.0 <= eta) & (eta <= 1.0))
+        assert np.all(res.overlaps[..., 1][measured[..., 1]] == 0.0)
 
 
 class TestChiBlocks:
@@ -535,7 +564,7 @@ class TestDeterminism:
         b = run_sweep(cfg)
         assert np.array_equal(a.cells, b.cells)
         assert a.trajectories == b.trajectories
-        assert a.overlaps == b.overlaps
+        assert np.array_equal(a.overlaps, b.overlaps, equal_nan=True)
 
     def test_time_grid_is_read_only(self):
         # every unit of a run reads the one memoized grid
@@ -560,7 +589,8 @@ class TestDeterminism:
         parallel = run_sweep(cfg, threads=3)
         assert np.array_equal(serial.cells, parallel.cells)
         assert serial.trajectories == parallel.trajectories
-        assert serial.overlaps == parallel.overlaps
+        assert np.array_equal(serial.overlaps, parallel.overlaps,
+                              equal_nan=True)
 
     def test_pool_never_exceeds_the_task_count(self, monkeypatch):
         # a recorder stands in for the process pool and runs the tasks in
@@ -677,17 +707,13 @@ class TestOracleReport:
         res = run_sweep(cfg)
         report = oracle_report(replace(cfg, protocols=("disjoint",),
                                        alpha=0.2))
-        assert len(report.cells) == 3 * len(cfg.m_grid) * len(cfg.deltas)
-        assert len({c.t for c in report.cells}) == 3
-        times = res.time_grid.tolist()
-        for c in report.cells:
-            sampled, exact = res.cells[times.index(c.t),
-                                       cfg.m_grid.index(c.m),
-                                       cfg.deltas.index(c.delta)]
-            assert (c.phi_hat, c.ci_low, c.ci_high) == (
-                sampled["k"] / sampled["n"], sampled["ci_low"],
-                sampled["ci_high"])
-            assert c.phi_exact == exact["k"] / exact["n"]
+        assert report.sampled.shape == report.exact.shape == (
+            3, len(cfg.m_grid), len(cfg.deltas))
+        assert len(set(report.times.tolist())) == 3
+        t_indices = np.searchsorted(res.time_grid, report.times)
+        assert np.array_equal(res.time_grid[t_indices], report.times)
+        assert np.array_equal(report.sampled, res.cells[t_indices, ..., 0])
+        assert np.array_equal(report.exact, res.cells[t_indices, ..., 1])
 
     def test_unenumerable_rejected(self):
         cfg = RunConfig(n_sites=60, m_grid=(30,), n_fragments=10,
@@ -849,14 +875,12 @@ class TestPerCellRecords:
         OnsetEstimate(t=1.5, delta=0.05, m_star=4, m_star_lo=3, m_star_hi=None,
                       r=3.0, r_eff=2.5, eta=0.1, fi=math.log2(3.0),
                       fi_eff=None),
-        OverlapRecord(t=1.5, m=4, protocol="disjoint", eta=0.0,
-                      pairs_used=40),
     ], ids=lambda r: type(r).__name__)
     def test_slotted_and_pickles(self, record):
         # a run builds one of these per cell or grid point, so none
-        # carries a per-instance dict; worker processes send overlaps and
-        # onsets back pickled, and a cell still pickles through the
-        # slotted dataclass state
+        # carries a per-instance dict; worker processes send onsets back
+        # pickled, and a cell still pickles through the slotted dataclass
+        # state
         assert not hasattr(record, "__dict__")
         assert pickle.loads(pickle.dumps(record)) == record
 
@@ -873,8 +897,9 @@ class TestRunTable:
 
     def test_result_memory_per_cell(self):
         # the result keeps its cells as one table of five 8-byte columns,
-        # plus an overlap record per (t, m, protocol) and the onsets; a
-        # slotted record per cell kept about 215 bytes a cell
+        # an 8-byte overlap per (t, m, protocol) and the onsets; a slotted
+        # record per cell kept about 215 bytes a cell, and one overlap
+        # record per (t, m, protocol) with its sort key about 78
         cfg = RunConfig(**self.TABLE_CONFIG)
         # a first run does the imports and fills the caches that any run
         # would, so the traced run counts only what its result holds
@@ -886,15 +911,18 @@ class TestRunTable:
         finally:
             tracemalloc.stop()
         assert result.cells.size == 7680
-        assert kept / result.cells.size < 100, (
+        assert kept / result.cells.size < 64, (
             f"{kept / result.cells.size:.0f} B per cell")
 
     def test_table_arrays_are_read_only(self):
         result = run_sweep(small_config())
         assert not result.time_grid.flags.writeable
         assert not result.cells.flags.writeable
+        assert not result.overlaps.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             result.cells["k"][0, 0, 0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            result.overlaps[0, 0, 0] = 0.5
 
     def test_pooled_run_builds_no_cell_in_the_parent(self, tmp_path,
                                                      monkeypatch):
