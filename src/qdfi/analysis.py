@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .estimation import OnsetEstimate
 from .sweep import RedundancyTrajectory
 
 __all__ = [
@@ -44,7 +43,7 @@ class SlopeFit:
 
     kappa is the natural-log rate (ln R ~ kappa t), kappa_base2 the same
     rate in bits per unit time.  window_start/window_end index into the
-    trajectory's point sequence; t_start/t_end are the matching times.
+    trajectory's time grid; t_start/t_end are the matching times.
     """
 
     delta: float
@@ -95,11 +94,6 @@ def _ols_line(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
     return slope, intercept, r2
 
 
-def _present_points(traj: RedundancyTrajectory) -> List[Tuple[int,
-                                                              OnsetEstimate]]:
-    return [(i, p) for i, p in enumerate(traj.points) if p.m_star is not None]
-
-
 def fit_early_slope(traj: RedundancyTrajectory) -> Optional[SlopeFit]:
     """Fit ln R = kappa t + b on the earliest well-described window.
 
@@ -108,11 +102,11 @@ def fit_early_slope(traj: RedundancyTrajectory) -> Optional[SlopeFit]:
     Windows with zero response variance never qualify; returns None when
     no window does or fewer than MIN_POINTS onsets exist.
     """
-    present = _present_points(traj)
+    present = np.flatnonzero(traj.onsets["m_star"] > 0)
     if len(present) < MIN_POINTS:
         return None
-    xs = np.array([p.t for _, p in present])
-    ys = np.log(np.array([p.r for _, p in present]))
+    xs = traj.t[present]
+    ys = np.log(traj.onsets["r"][present])
 
     for start in range(0, len(present) - MIN_POINTS + 1):
         best = None
@@ -127,11 +121,10 @@ def fit_early_slope(traj: RedundancyTrajectory) -> Optional[SlopeFit]:
                 best = (length, slope, intercept, r2)
         if best is not None:
             length, slope, intercept, r2 = best
-            i_first = present[start][0]
-            i_last = present[start + length - 1][0]
             return SlopeFit(delta=traj.delta, kappa=slope,
                             kappa_base2=slope / _LN2, intercept=intercept,
-                            r2=r2, window_start=i_first, window_end=i_last,
+                            r2=r2, window_start=int(present[start]),
+                            window_end=int(present[start + length - 1]),
                             t_start=float(xs[start]),
                             t_end=float(xs[start + length - 1]),
                             n_points=length)
@@ -140,10 +133,10 @@ def fit_early_slope(traj: RedundancyTrajectory) -> Optional[SlopeFit]:
 
 def onset_time(traj: RedundancyTrajectory) -> Optional[float]:
     """Earliest grid time with a present onset, or None."""
-    present = _present_points(traj)
-    if not present:
+    present = np.flatnonzero(traj.onsets["m_star"] > 0)
+    if not present.size:
         return None
-    return float(present[0][1].t)
+    return float(traj.t[present[0]])
 
 
 def scaling_exponent(traj: RedundancyTrajectory,
@@ -155,16 +148,16 @@ def scaling_exponent(traj: RedundancyTrajectory,
     no scaling information.  Needs at least 4 qualifying points; the
     dephasing mean-field reference value is -2.
     """
-    pts = [(p.t, p.m_star) for _, p in _present_points(traj)
-           if 1 < p.m_star < m_cap]
-    if len(pts) < 4:
+    m_star = traj.onsets["m_star"]
+    keep = (1 < m_star) & (m_star < m_cap)
+    if np.count_nonzero(keep) < 4:
         return None
-    x = np.log(np.array([t for t, _ in pts]))
-    y = np.log(np.array([m for _, m in pts]))
+    x = np.log(traj.t[keep])
+    y = np.log(m_star[keep])
     if np.ptp(y) == 0.0:
         return None
     slope, _, _ = _ols_line(x, y)
-    return ScalingFit(exponent=slope, n_points=len(pts))
+    return ScalingFit(exponent=slope, n_points=y.size)
 
 
 def summary_table(trajectories: Sequence[RedundancyTrajectory],
@@ -177,12 +170,12 @@ def summary_table(trajectories: Sequence[RedundancyTrajectory],
     """
     rows: List[SummaryRow] = []
     for traj in trajectories:
-        present = [p for _, p in _present_points(traj)]
+        present = traj.onsets[traj.onsets["m_star"] > 0]
         fit = slope_fits.get(traj.delta)
         rows.append(SummaryRow(
             delta=traj.delta,
-            max_r=max((p.r for p in present), default=None),
-            final_fi=present[-1].fi if present else None,
+            max_r=max(present["r"].tolist(), default=None),
+            final_fi=float(present["fi"][-1]) if present.size else None,
             kappa=fit.kappa if fit is not None else None,
             r2=fit.r2 if fit is not None else None,
             t_star=onset_time(traj)))

@@ -199,35 +199,40 @@ def _cmd_plot_data(ns) -> int:
     trajectories = read_onset_table(ns.indir, config)
     primary_trajs = [t for t in trajectories if t.protocol == primary]
 
+    # Python scalars (.tolist()) keep math's arithmetic: np.log is not math.log
     if ns.figure in ("R_vs_t", "fi"):
         # fi is R_vs_t on a log2 scale: FI = log2 R bit for bit
         q, scale = ("FI", math.log2) if ns.figure == "fi" else ("R", float)
         rows = []
         for traj in primary_trajs:
-            for p in traj.points:
-                r_lo = n / p.m_star_hi if p.m_star_hi else None
-                r_hi = n / p.m_star_lo if p.m_star_lo else None
-                rows.append([p.t, p.delta] + [
-                    None if v is None else scale(v)
-                    for v in (p.r, p.r_eff, r_lo, r_hi)])
+            columns = traj.onsets[["r", "r_eff", "m_star_hi", "m_star_lo"]]
+            for t, (r, r_eff, m_hi, m_lo) in zip(traj.t.tolist(),
+                                                 columns.tolist()):
+                values = (r, r_eff, n / m_hi if m_hi else math.nan,
+                          n / m_lo if m_lo else math.nan)
+                rows.append([t, traj.delta] + [
+                    None if math.isnan(v) else scale(v) for v in values])
         write_csv(path, f"t,delta,{q},{q}_eff,{q}_lo,{q}_hi", rows)
     elif ns.figure == "growth":
         rows = []
         for traj in primary_trajs:
             fit = fit_early_slope(traj)
-            for i, p in enumerate(traj.points):
-                if p.r is None:
+            for i, (t, (m_star, r)) in enumerate(zip(
+                    traj.t.tolist(), traj.onsets[["m_star", "r"]].tolist())):
+                if not m_star:
                     continue
                 in_win = (fit is not None
                           and fit.window_start <= i <= fit.window_end)
-                pred = (fit.kappa * p.t + fit.intercept) if in_win else None
-                rows.append([p.delta, p.t, math.log(p.r), int(in_win), pred])
+                pred = (fit.kappa * t + fit.intercept) if in_win else None
+                rows.append([traj.delta, t, math.log(r), int(in_win), pred])
         write_csv(path, "delta,t,ln_R,in_window,fit", rows)
     else:  # protocol comparison
         rows = []
         for traj in trajectories:
-            for p in traj.points:
-                rows.append([p.t, p.delta, traj.protocol, p.r, p.r_eff])
+            columns = traj.onsets[["r", "r_eff"]].tolist()
+            for t, values in zip(traj.t.tolist(), columns):
+                rows.append([t, traj.delta, traj.protocol] + [
+                    None if math.isnan(v) else v for v in values])
         write_csv(path, "t,delta,protocol,R,R_eff", rows)
     print(path)
     return 0

@@ -14,9 +14,9 @@ flags.  This module turns those into:
   inversion and a percentile bootstrap, combined by keeping the tighter
   interval.
 
-Absent onsets (threshold never crossed on the m grid) are first-class:
-they are returned as None and serialized as empty fields, never as a
-sentinel grid value.
+Absent onsets (threshold never crossed on the m grid) are returned as
+None, never as a grid value; the sweep stores an absent m as 0 (no grid
+m is) and an absent real as NaN, and io writes both as empty fields.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "EstimationError",
     "AdequacyCell",
     "IsotonicCurve",
-    "OnsetEstimate",
     "RedundancyValues",
     "wilson_interval",
     "adequacy_cell",
@@ -388,32 +387,3 @@ def combine_onset_ci(
 
     return bootstrap if score(bootstrap) < score(inversion) else inversion
 
-
-@dataclass(frozen=True, slots=True)
-class OnsetEstimate:
-    """Onset and derived redundancy for one (t, delta) of a trajectory.
-
-    m_star is None when the smoothed curve never reaches theta on the m
-    grid; the derived fields are then None as well.  eta records the
-    overlap used for the corrected values: 0.0 when the onset family had
-    a single fragment or its sampled pairs all saw one set (eta = 1, as
-    at m* = N), leaving R_eff = R.
-    """
-
-    t: float
-    delta: float
-    m_star: Optional[int]
-    m_star_lo: Optional[int]
-    m_star_hi: Optional[int]
-    r: Optional[float]
-    r_eff: Optional[float]
-    eta: Optional[float]
-    fi: Optional[float]
-    fi_eff: Optional[float]
-
-    def __reduce__(self):
-        # Pickle as the class and its field values.  The __getstate__ and
-        # __setstate__ that dataclasses gives a frozen slotted class loop
-        # over fields() in Python for every record, which doubles the
-        # cost of sending a work unit's records back from a worker.
-        return type(self), tuple(map(self.__getattribute__, self.__slots__))

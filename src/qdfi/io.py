@@ -14,6 +14,8 @@ error propagates (simulate exits 2).
 
 Every file is read through _read_text, and every onset.csv row through
 read_onset_table: each raises ConfigError naming the file it rejects.
+Each CSV's row order is stated here once, and only here: the result's
+arrays keep their axes in config order.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ import numpy as np
 
 from ._version import __version__
 from .analysis import ScalingFit, SlopeFit, SummaryRow
-from .estimation import OnsetEstimate
-from .sweep import (CONFIG_KEYS, GRID_PREFIX, ConfigError,
+from .sweep import (CONFIG_KEYS, GRID_PREFIX, ONSET_DTYPE, ConfigError,
                     RedundancyTrajectory, RunConfig, SweepResult, TimeGridSpec,
                     build_time_grid)
 
@@ -154,9 +155,9 @@ def write_csv(path: Path, header: str,
 
 
 def _sorted_indices(values: Sequence) -> List[int]:
-    """The positions of ``values`` in value order: the order phi.csv lists
-    deltas in, and every table protocols in (by name), whatever order the
-    config lists them in."""
+    """The positions of ``values`` in value order: the order phi.csv and
+    onset.csv list deltas in, and every table protocols in (by name),
+    whatever order the config lists them in."""
     return sorted(range(len(values)), key=values.__getitem__)
 
 
@@ -191,16 +192,21 @@ def _overlap_rows(result: SweepResult) -> Iterator[Tuple[object, ...]]:
                     yield t, m, protocol, eta, config.overlap_pairs
 
 
-def _onset_rows(trajectories: Sequence[RedundancyTrajectory],
-                theta: float) -> Iterator[Tuple[object, ...]]:
-    entries = []
-    for traj in trajectories:
-        for p in traj.points:
-            entries.append((p.t, p.delta, traj.protocol, p))
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    return ((t, delta, protocol, theta, p.m_star, p.m_star_lo, p.m_star_hi,
-             p.r, p.r_eff, p.eta, p.fi, p.fi_eff)
-            for t, delta, protocol, p in entries)
+def _onset_rows(result: SweepResult) -> Iterator[Tuple[object, ...]]:
+    """onset.csv's rows: by t, then delta by value, then protocol by name,
+    with an absent m (0) or real (NaN) as an empty field.  The onset
+    array is converted one time point at a time."""
+    config = result.config
+    deltas = _sorted_indices(config.deltas)
+    protocols = _sorted_indices(config.protocols)
+    keys = list(product([config.deltas[d] for d in deltas],
+                        [config.protocols[p] for p in protocols]))
+    for t, block in zip(result.time_grid.tolist(), result.onsets):
+        values = block[deltas][:, protocols].ravel().tolist()
+        for (delta, protocol), row in zip(keys, values):
+            yield (t, delta, protocol, config.theta,
+                   *(m or None for m in row[:3]),
+                   *(None if math.isnan(v) else v for v in row[3:]))
 
 
 def _write_run(config: RunConfig,
@@ -237,8 +243,7 @@ def write_tables(result: SweepResult, out_dir) -> Dict[str, Path]:
     """
     return _write_run(result.config, [
         ("phi", PHI_HEADER, _phi_rows(result)),
-        ("onset", ONSET_HEADER,
-         _onset_rows(result.trajectories, result.config.theta)),
+        ("onset", ONSET_HEADER, _onset_rows(result)),
         ("overlap", OVERLAP_HEADER, _overlap_rows(result)),
     ], out_dir)
 
@@ -275,12 +280,18 @@ def read_metadata(run_dir) -> RunConfig:
     return parse_config(Path(run_dir) / METADATA_NAME)
 
 
-def _opt_float(text: str) -> Optional[float]:
-    return float(text) if text else None
-
-
-def _opt_int(text: str) -> Optional[int]:
-    return int(text) if text else None
+def _onset_value(name: str, text: str, m_grid: Sequence[int]):
+    """One value field of an onset.csv row: 0 (an m) or NaN (a real) when
+    empty; else ValueError unless an m is on m_grid and a real finite."""
+    is_m = name.startswith("m_star")
+    if not text:
+        return 0 if is_m else math.nan
+    value = int(text) if is_m else float(text)
+    if is_m and value not in m_grid:
+        raise ValueError(f"{name} {value} is not on the config's m grid")
+    if not (is_m or math.isfinite(value)):
+        raise ValueError(f"{name} {text} is not a finite number")
+    return value
 
 
 def read_onset_table(run_dir,
@@ -288,41 +299,59 @@ def read_onset_table(run_dir,
     """Rebuild trajectories from onset.csv, in (protocol, delta) config order.
 
     Rows may come in any order.  Each must parse into the header's 12
-    fields, with the config's theta and a configured protocol and delta,
-    and every (protocol, delta) must list each of the config's grid times
-    once; else ConfigError names the file, and the line of a bad row.
+    fields, with the config's theta, a configured protocol and delta, m
+    values empty or on the config's m grid, and R to FI_eff finite and
+    empty exactly when m_star is; every (protocol, delta) must list each
+    of the config's grid times once.  Else ConfigError names the file,
+    and the line of a bad row.  Each trajectory's onsets are one
+    read-only ONSET_DTYPE column, an empty m read as 0 and an empty real
+    as NaN, over the read-only time grid.
     """
     path = Path(run_dir) / "onset.csv"
     lines = _read_text(path).splitlines()
     if not lines or lines[0] != ONSET_HEADER:
         raise ConfigError(f"{path} has an unexpected header")
-    groups: Dict[Tuple[str, float], List[OnsetEstimate]] = {
-        (protocol, delta): [] for protocol in config.protocols
-        for delta in config.deltas}
+    names = ONSET_HEADER.split(",")
+    times = build_time_grid(config.time_grid)
+    times.flags.writeable = False
+    slots = {t: i for i, t in enumerate(times.tolist())}
+    groups = {(protocol, delta): (p_index, d_index)
+              for p_index, protocol in enumerate(config.protocols)
+              for d_index, delta in enumerate(config.deltas)}
+    # rows per (protocol, delta) and time; the last slot takes any time
+    # off the grid
+    shape = (len(config.protocols), len(config.deltas), times.size + 1)
+    table = np.empty(shape, dtype=ONSET_DTYPE)
+    listed = np.zeros(shape, dtype=np.int64)
     for lineno, line in enumerate(lines[1:], start=2):
         try:
-            (t, delta, protocol, theta, m_star, m_lo, m_hi, r, r_eff, eta,
-             fi, fi_eff) = line.split(",")
+            t, delta, protocol, theta, *values = fields = line.split(",")
+            if len(fields) != len(names):
+                raise ValueError(f"{len(fields)} fields, not {len(names)}")
             if float(theta) != config.theta:
                 raise ValueError(f"theta {theta} is not the config's "
                                  f"{config.theta}")
-            groups[protocol, float(delta)].append(OnsetEstimate(
-                float(t), float(delta),
-                *map(_opt_int, (m_star, m_lo, m_hi)),
-                *map(_opt_float, (r, r_eff, eta, fi, fi_eff))))
+            group = groups[protocol, float(delta)]
+            slot = slots.get(float(t), times.size)
+            row = tuple(_onset_value(name, text, config.m_grid)
+                        for name, text in zip(names[4:], values))
+            if {math.isnan(v) for v in row[3:]} != {row[0] == 0}:
+                raise ValueError("R, R_eff, eta, FI and FI_eff must be empty "
+                                 "exactly when m_star is")
         except ValueError as exc:
             raise ConfigError(f"{path}, line {lineno}: {exc}") from None
         except KeyError:
             raise ConfigError(
                 f"{path}, line {lineno}: protocol {protocol!r}, delta "
                 f"{delta} is not in the run's config") from None
-    times = build_time_grid(config.time_grid).tolist()
-    for (protocol, delta), pts in groups.items():
-        pts.sort(key=attrgetter("t"))
-        if [p.t for p in pts] != times:
+        table[group + (slot,)] = row
+        listed[group + (slot,)] += 1
+    for (protocol, delta), group in groups.items():
+        if listed[group].tolist() != [1] * times.size + [0]:
             raise ConfigError(
                 f"{path} lacks rows: protocol {protocol!r}, delta {delta} "
-                f"does not list the config's {len(times)} grid times")
-    return [RedundancyTrajectory(delta=delta, protocol=protocol,
-                                 points=tuple(pts))
-            for (protocol, delta), pts in groups.items()]
+                f"does not list the config's {times.size} grid times")
+    table = table[..., :-1]
+    table.flags.writeable = False
+    return [RedundancyTrajectory(delta, protocol, times, table[group])
+            for (protocol, delta), group in groups.items()]

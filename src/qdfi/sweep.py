@@ -18,13 +18,14 @@ combined.  A failed chi pass names every (t, m) of its block, a failed
 cell its own (t, m) and a failed onset its (t, delta).
 
 A unit returns its cells as one (m, delta) block of CELL_DTYPE rows (n,
-k, Wilson bounds, isotonic fraction) and its measured overlaps as one
-(m,) block of floats, NaN for a family of a single fragment, not as
-records.  run_sweep copies each block into one preallocated array whose
-axes follow the config: the time grid, m_grid, deltas and protocols,
-each in the order the config lists it.  SweepResult.cells and
-SweepResult.overlaps are those arrays, read-only; io alone decides the
-order of phi.csv's and overlap.csv's rows.
+k, Wilson bounds, isotonic fraction), its overlaps as one (m,) block of
+floats, NaN for a family of a single fragment, and its onsets as one
+(delta,) block of ONSET_DTYPE rows, not as records.  run_sweep copies
+each block into one preallocated array whose axes follow the config:
+the time grid, m_grid, deltas and protocols, in the config's order.
+SweepResult.cells, .overlaps and .onsets are those arrays, read-only,
+and a trajectory is a view of one onset column; io alone decides the
+order of every CSV's rows.
 
 Determinism contract: every random decision derives its seed from the
 master seed and the cell coordinates through an avalanche mixer, and
@@ -44,13 +45,13 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .estimation import (IsotonicCurve, OnsetEstimate, _bootstrap_counts,
-                         adequacy_cell, combine_onset_ci, isotonic_fit,
-                         onset_ci_inversion, onset_from_curve, redundancy_fi)
+from .estimation import (IsotonicCurve, _bootstrap_counts, adequacy_cell,
+                         combine_onset_ci, isotonic_fit, onset_ci_inversion,
+                         onset_from_curve, redundancy_fi)
 from .model import (ENTROPY_FLOOR, CouplingSet, Tolerance, binary_entropy,
                     holevo_biased, is_adequate)
 from .sampling import (ENUMERATION_CAP, PROTOCOLS, FragmentSample,
@@ -65,6 +66,7 @@ __all__ = [
     "RedundancyTrajectory",
     "RunStats",
     "CELL_DTYPE",
+    "ONSET_DTYPE",
     "SweepResult",
     "OracleReport",
     "build_time_grid",
@@ -375,20 +377,18 @@ class RunConfig:
                                        self.g, seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RedundancyTrajectory:
-    """Ordered onset estimates over the time grid for one (delta, protocol)."""
+    """One (delta, protocol)'s times t and ONSET_DTYPE onset at each."""
 
     delta: float
     protocol: str
-    points: Tuple[OnsetEstimate, ...]
+    t: np.ndarray
+    onsets: np.ndarray
 
     def __post_init__(self) -> None:
-        ts = [p.t for p in self.points]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        if np.any(self.t[1:] <= self.t[:-1]):
             raise ConfigError("trajectory times must be strictly increasing")
-        if any(p.delta != self.delta for p in self.points):
-            raise ConfigError("trajectory points carry a foreign delta")
 
 
 @dataclass(frozen=True)
@@ -405,6 +405,13 @@ CELL_DTYPE = np.dtype([("n", np.int64), ("k", np.int64),
                        ("ci_low", np.float64), ("ci_high", np.float64),
                        ("phi_iso", np.float64)])
 
+# One onset's numbers, at its (t, delta, protocol) in the result; an absent
+# m is 0 (every grid m is >= 1) and an absent real NaN.
+ONSET_DTYPE = np.dtype([("m_star", np.int64), ("m_star_lo", np.int64),
+                        ("m_star_hi", np.int64), ("r", np.float64),
+                        ("r_eff", np.float64), ("eta", np.float64),
+                        ("fi", np.float64), ("fi_eff", np.float64)])
+
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
@@ -412,9 +419,18 @@ class SweepResult:
     couplings: CouplingSet
     time_grid: np.ndarray
     cells: np.ndarray    # CELL_DTYPE, (t, m, delta, protocol), read-only
-    trajectories: Tuple[RedundancyTrajectory, ...]
+    onsets: np.ndarray    # ONSET_DTYPE, (t, delta, protocol), read-only
     overlaps: np.ndarray    # float64 eta, (t, m, protocol), NaN = no estimate
     stats: RunStats
+
+    @property
+    def trajectories(self) -> Tuple[RedundancyTrajectory, ...]:
+        """Per (protocol, delta) in config order, views of t and onsets."""
+        return tuple(
+            RedundancyTrajectory(delta, protocol, self.time_grid,
+                                 self.onsets[:, d_index, p_index])
+            for p_index, protocol in enumerate(self.config.protocols)
+            for d_index, delta in enumerate(self.config.deltas))
 
 
 @lru_cache(maxsize=1)
@@ -484,7 +500,7 @@ class _TimePayload:
     """Everything one (protocol, t) work unit produces."""
 
     cells: np.ndarray    # CELL_DTYPE, (m, delta), deltas in config order
-    onsets: List[OnsetEstimate]    # one per delta, in config order
+    onsets: np.ndarray    # ONSET_DTYPE, (delta,), in config order
     overlaps: np.ndarray    # float64 eta, (m,), NaN for a single fragment
     holevo_evaluations: int
 
@@ -549,7 +565,7 @@ def _compute_time_point(config: RunConfig, protocol: str,
     if block:
         evaluate_block()
 
-    onsets: List[OnsetEstimate] = []
+    onsets = np.empty(len(config.deltas), dtype=ONSET_DTYPE)
     m_arr = np.asarray(config.m_grid, dtype=np.int64)
     # Per delta: onsets need every cell of the time point, so none is
     # computed once a cell has failed.
@@ -570,7 +586,7 @@ def _compute_time_point(config: RunConfig, protocol: str,
                 config.bootstrap_replicates, boot_seed)
             m_lo, m_hi = combine_onset_ci((m_lo, m_hi), boot)
 
-            eta = r = r_eff = fi = fi_eff = None
+            eta = r = r_eff = fi = fi_eff = math.nan
             if m_star is not None:
                 # a single-fragment family (NaN) and pairs that all saw one
                 # set (eta = 1, as at m = N) leave the onset uncorrected
@@ -578,10 +594,8 @@ def _compute_time_point(config: RunConfig, protocol: str,
                 eta = eta if eta < 1.0 else 0.0
                 r, r_eff, fi, fi_eff = redundancy_fi(config.n_sites, m_star,
                                                      eta)
-            onsets.append(OnsetEstimate(
-                t=t, delta=delta, m_star=m_star, m_star_lo=m_lo,
-                m_star_hi=m_hi, r=r, r_eff=r_eff, eta=eta, fi=fi,
-                fi_eff=fi_eff))
+            onsets[d_index] = (m_star or 0, m_lo or 0, m_hi or 0, r, r_eff,
+                               eta, fi, fi_eff)
 
     if errors:
         raise SweepCellError("cell failures: " + "; ".join(
@@ -591,29 +605,25 @@ def _compute_time_point(config: RunConfig, protocol: str,
                         holevo_evaluations=evaluations)
 
 
-def _fi_soft_violations(
-        trajectories: Sequence[RedundancyTrajectory]) -> int:
-    """Count FI decreases along t that exceed the adjacent CI widths.
+def _fi_soft_violations(onsets: np.ndarray) -> int:
+    """Count FI decreases along t, onsets' first axis, that exceed the
+    adjacent CI widths.
 
-    Sampling noise can make FI dip; a dip is only flagged when it is
-    larger than the sum of the two points' FI interval widths, and the
-    count is advisory (exposed in RunStats, never fatal).
+    Sampling noise can make FI dip; a dip between consecutive present
+    onsets of a trajectory is only flagged when it is larger than the sum
+    of the two points' FI interval widths, and the count is advisory
+    (exposed in RunStats, never fatal).
     """
-    def width(p: OnsetEstimate) -> Optional[float]:
-        if p.m_star_lo is None or p.m_star_hi is None:
-            return None
-        return math.log2(p.m_star_hi / p.m_star_lo)
-
-    violations = 0
-    for traj in trajectories:
-        present = [p for p in traj.points if p.fi is not None]
-        for a, b in zip(present, present[1:]):
-            wa, wb = width(a), width(b)
-            if wa is None or wb is None:
-                continue
-            if b.fi < a.fi - (wa + wb):
-                violations += 1
-    return violations
+    rows = onsets.reshape(len(onsets), -1).T    # one per trajectory
+    present = rows["m_star"] > 0
+    owner, points = np.nonzero(present)[0], rows[present]
+    lo, hi, fi = points["m_star_lo"], points["m_star_hi"], points["fi"]
+    # math.log2, as np.log2 can be one ulp off; NaN without both bounds
+    log2_ratio = np.frompyfunc(
+        lambda a, b: math.log2(b / a) if a and b else math.nan, 2, 1)
+    width = log2_ratio(lo, hi).astype(float)
+    dip = fi[1:] < fi[:-1] - (width[:-1] + width[1:])
+    return int(np.count_nonzero(dip & (owner[1:] == owner[:-1])))
 
 
 def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
@@ -626,10 +636,10 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     coordinates, and each worker draws the couplings and time grid at
     most once (_run_inputs).  The result is identical for any thread
     count because all randomness is derived per cell and assembly order
-    is canonical.  Each unit's blocks of cells and overlaps are copied
-    into the run table and the overlap array as they arrive, at its time
-    and protocol; their axes follow the config, and they and the time
-    grid are read-only.
+    is canonical.  Each unit's blocks of cells, overlaps and onsets are
+    copied into the run table, the overlap array and the onset array as
+    they arrive, at its time and protocol; their axes follow the config,
+    and they and the time grid are read-only.
     """
     if threads < 1:
         raise ConfigError("threads must be >= 1")
@@ -642,7 +652,8 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     table = np.empty((n_t, len(config.m_grid), len(config.deltas),
                       len(config.protocols)), dtype=CELL_DTYPE)
     overlaps = np.empty((n_t, len(config.m_grid), len(config.protocols)))
-    onsets: List[List[OnsetEstimate]] = []
+    onsets = np.empty((n_t, len(config.deltas), len(config.protocols)),
+                      dtype=ONSET_DTYPE)
     evaluations = 0
 
     def gather(payloads) -> None:
@@ -652,7 +663,7 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
             p_index, t_index = divmod(task, n_t)
             table[t_index, :, :, p_index] = payload.cells
             overlaps[t_index, :, p_index] = payload.overlaps
-            onsets.append(payload.onsets)
+            onsets[t_index, :, p_index] = payload.onsets
             evaluations += payload.holevo_evaluations
 
     if threads == 1:
@@ -663,22 +674,13 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
         with ProcessPoolExecutor(
                 max_workers=min(threads, len(protocols))) as pool:
             gather(pool.map(unit, protocols, t_indices))
-    table.flags.writeable = overlaps.flags.writeable = False
+    for array in (table, overlaps, onsets):
+        array.flags.writeable = False
 
-    trajectories = [
-        RedundancyTrajectory(
-            delta=delta, protocol=protocol,
-            points=tuple(unit_onsets[d_index] for unit_onsets
-                         in onsets[p_index * n_t:(p_index + 1) * n_t]))
-        for p_index, protocol in enumerate(config.protocols)
-        for d_index, delta in enumerate(config.deltas)]
-
-    stats = RunStats(
-        holevo_evaluations=evaluations,
-        fi_soft_violations=_fi_soft_violations(trajectories))
+    stats = RunStats(holevo_evaluations=evaluations,
+                     fi_soft_violations=_fi_soft_violations(onsets))
     return SweepResult(config=config, couplings=couplings,
-                       time_grid=time_grid, cells=table,
-                       trajectories=tuple(trajectories),
+                       time_grid=time_grid, cells=table, onsets=onsets,
                        overlaps=overlaps, stats=stats)
 
 

@@ -46,12 +46,12 @@ def test_capacity_ceiling():
                             master_seed=11)
             res = run_sweep(cfg)
             for delta in cfg.deltas:
-                last = _trajectory(res, "random", delta).points[-1]
-                assert last.m_star == 1, (
+                last = _trajectory(res, "random", delta).onsets[-1]
+                assert last["m_star"] == 1, (
                     f"N={n_sites} delta={delta}: no full plateau, "
-                    f"final m*={last.m_star}")
-                assert abs(last.fi - math.log2(n_sites)) < 1e-9
-                finals[(n_sites, delta)] = last.fi
+                    f"final m*={last['m_star']}")
+                assert abs(last["fi"] - math.log2(n_sites)) < 1e-9
+                finals[(n_sites, delta)] = last["fi"]
         for n_sites in (64, 1024):
             a = finals[(n_sites, 0.01)]
             b = finals[(n_sites, 0.05)]
@@ -204,10 +204,10 @@ def _jaccard_moments(n_sites, m):
 
 def _fi_interval(n_sites, point, shift=0.0):
     """FI range spanned by the onset bounds, moved down by shift bits."""
-    if point.m_star_lo is None or point.m_star_hi is None:
+    if point["m_star_lo"] == 0 or point["m_star_hi"] == 0:
         return None
-    return (math.log2(n_sites / point.m_star_hi) - shift,
-            math.log2(n_sites / point.m_star_lo) - shift)
+    return (math.log2(n_sites / point["m_star_hi"]) - shift,
+            math.log2(n_sites / point["m_star_lo"]) - shift)
 
 
 def test_overlap_correction_reconciles_protocols():
@@ -251,36 +251,38 @@ def test_overlap_correction_reconciles_protocols():
         for delta in deltas:
             rnd = _trajectory(res, "random", delta)
             dis = _trajectory(res, "disjoint", delta)
-            final_r = rnd.points[-1].m_star
-            final_d = dis.points[-1].m_star
-            assert final_r is not None and final_d is not None
+            final_r = int(rnd.onsets[-1]["m_star"])
+            final_d = int(dis.onsets[-1]["m_star"])
+            assert final_r != 0 and final_d != 0
             assert abs(final_r - final_d) <= 1, (
                 f"delta={delta}: plateau onsets {final_r} vs {final_d}")
-            for pr, pd in zip(rnd.points, dis.points):
-                if pd.m_star is not None:
-                    assert pd.eta == 0.0 and pd.fi_eff == pd.fi, (
-                        f"delta={delta} t={pd.t}: disjoint eta {pd.eta}, "
-                        f"FI {pd.fi} vs FI_eff {pd.fi_eff}")
-                if pr.m_star is not None:
-                    discount = math.log2((1.0 + pr.eta) / (1.0 - pr.eta))
-                    assert abs(pr.fi - pr.fi_eff - discount) <= 1e-12, (
-                        f"delta={delta} t={pr.t}: FI - FI_eff = "
-                        f"{pr.fi - pr.fi_eff}, expected {discount}")
-                    if pr.m_star > 1:
-                        mean, var = _jaccard_moments(cfg.n_sites, pr.m_star)
-                        z = (pr.eta - mean) / math.sqrt(
+            for t, pr, pd in zip(rnd.t, rnd.onsets, dis.onsets):
+                if pd["m_star"] != 0:
+                    assert pd["eta"] == 0.0 and pd["fi_eff"] == pd["fi"], (
+                        f"delta={delta} t={t}: disjoint eta {pd['eta']}, "
+                        f"FI {pd['fi']} vs FI_eff {pd['fi_eff']}")
+                if pr["m_star"] != 0:
+                    eta, fi, fi_eff = pr["eta"], pr["fi"], pr["fi_eff"]
+                    discount = math.log2((1.0 + eta) / (1.0 - eta))
+                    assert abs(fi - fi_eff - discount) <= 1e-12, (
+                        f"delta={delta} t={t}: FI - FI_eff = "
+                        f"{fi - fi_eff}, expected {discount}")
+                    if pr["m_star"] > 1:
+                        mean, var = _jaccard_moments(cfg.n_sites,
+                                                     int(pr["m_star"]))
+                        z = (eta - mean) / math.sqrt(
                             var / cfg.overlap_pairs)
                         assert abs(z) <= 5.0, (
-                            f"delta={delta} t={pr.t} m*={pr.m_star}: eta "
-                            f"{pr.eta:.6f} vs exact {mean:.6f}, z={z:.1f}")
-                if pr.m_star is None or pd.m_star is None:
+                            f"delta={delta} t={t} m*={pr['m_star']}: eta "
+                            f"{eta:.6f} vs exact {mean:.6f}, z={z:.1f}")
+                if pr["m_star"] == 0 or pd["m_star"] == 0:
                     continue
-                if pr.m_star == 1 and pd.m_star == 1:
+                if pr["m_star"] == 1 and pd["m_star"] == 1:
                     continue
-                if pr.fi == pd.fi:
+                if pr["fi"] == pd["fi"]:
                     continue
                 examined += 1
-                got = _fi_interval(cfg.n_sites, pr, pr.fi - pr.fi_eff)
+                got = _fi_interval(cfg.n_sites, pr, pr["fi"] - pr["fi_eff"])
                 want = _fi_interval(cfg.n_sites, pd)
                 if (got is not None and want is not None
                         and got[0] <= want[1] and want[0] <= got[1]):

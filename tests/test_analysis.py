@@ -11,40 +11,40 @@ import math
 import numpy as np
 import pytest
 
-from qdfi import (OnsetEstimate, RedundancyTrajectory, RunConfig,
+from test_sweep import ABSENT
+
+from qdfi import (ONSET_DTYPE, RedundancyTrajectory, RunConfig,
                   TimeGridSpec, fit_early_slope, onset_time, run_sweep,
                   scaling_exponent, summary_table)
 
 LOG2_150000 = 17.194602975157967
 
 
+def trajectory(times, rows, delta=0.05):
+    """A trajectory over ``times`` from one ONSET_DTYPE row per time."""
+    return RedundancyTrajectory(delta=delta, protocol="random",
+                                t=np.asarray(times, dtype=float),
+                                onsets=np.array(rows, dtype=ONSET_DTYPE))
+
+
 def make_traj(times, m_stars, n_sites, delta=0.05):
     """Synthetic trajectory; r/fi follow m_star, CI fields stay empty."""
-    pts = []
-    for t, m in zip(times, m_stars):
+    rows = []
+    for m in m_stars:
         if m is None:
-            pts.append(OnsetEstimate(t=float(t), delta=delta, m_star=None,
-                                     m_star_lo=None, m_star_hi=None, r=None,
-                                     r_eff=None, eta=None, fi=None,
-                                     fi_eff=None))
+            rows.append(ABSENT)
         else:
             r = n_sites / m
-            pts.append(OnsetEstimate(t=float(t), delta=delta, m_star=int(m),
-                                     m_star_lo=None, m_star_hi=None, r=r,
-                                     r_eff=r, eta=0.0, fi=math.log2(r),
-                                     fi_eff=math.log2(r)))
-    return RedundancyTrajectory(delta=delta, protocol="random",
-                                points=tuple(pts))
+            rows.append((int(m), 0, 0, r, r, 0.0, math.log2(r),
+                         math.log2(r)))
+    return trajectory(times, rows, delta)
 
 
 def traj_from_lnr(times, lnr, delta=0.05):
     """Trajectory with prescribed ln R values (m_star pinned to 1)."""
-    pts = [OnsetEstimate(t=float(t), delta=delta, m_star=1, m_star_lo=None,
-                         m_star_hi=None, r=math.exp(v), r_eff=math.exp(v),
-                         eta=0.0, fi=v / math.log(2), fi_eff=v / math.log(2))
-           for t, v in zip(times, lnr)]
-    return RedundancyTrajectory(delta=delta, protocol="random",
-                                points=tuple(pts))
+    return trajectory(times, [
+        (1, 0, 0, math.exp(v), math.exp(v), 0.0, v / math.log(2),
+         v / math.log(2)) for v in lnr], delta)
 
 
 def window_rule_oracle(times, lnr, min_points=6, max_window=15,

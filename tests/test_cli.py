@@ -15,16 +15,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, reject, strategies as st
 
+from test_sweep import ABSENT, same_onsets
+
 import qdfi.cli
-from qdfi import (ConfigError, OnsetEstimate, OracleReport,
-                  RedundancyTrajectory, RunConfig, RunStats, SweepResult,
-                  TimeGridSpec, build_time_grid, parse_config,
+from qdfi import (ConfigError, OracleReport, RunConfig, RunStats,
+                  SweepResult, TimeGridSpec, build_time_grid, parse_config,
                   parse_config_text, read_metadata, read_onset_table,
                   run_sweep, serialize_config, write_csv, write_tables)
 from qdfi.cli import _parse_threads, main
 from qdfi.model import ENTROPY_FLOOR, binary_entropy
 from qdfi.sampling import PROTOCOLS
-from qdfi.sweep import CELL_DTYPE, CONFIG_KEYS
+from qdfi.sweep import CELL_DTYPE, CONFIG_KEYS, ONSET_DTYPE
 
 FAST_CFG = """
 # compact but real run
@@ -94,19 +95,17 @@ def valid_configs(draw):
 
 
 @st.composite
-def onset_estimates(draw, t, delta):
-    """One onset at (t, delta): absent, or present with optional bounds."""
+def onset_estimates(draw, m_grid):
+    """One ONSET_DTYPE row: absent (0 for each m, NaN for each real), or
+    present with optional bounds, its m values on m_grid and its reals
+    finite."""
     if not draw(st.booleans(), label="present"):
-        return OnsetEstimate(t=t, delta=delta, m_star=None, m_star_lo=None,
-                             m_star_hi=None, r=None, r_eff=None, eta=None,
-                             fi=None, fi_eff=None)
-    size = st.integers(1, 10 ** 6)
-    optional_size = st.none() | size
+        return ABSENT
+    size = st.sampled_from(m_grid)
+    optional_size = st.just(0) | size
     real = st.floats(allow_nan=False, allow_infinity=False)
-    return OnsetEstimate(
-        t=t, delta=delta, m_star=draw(size), m_star_lo=draw(optional_size),
-        m_star_hi=draw(optional_size), r=draw(real), r_eff=draw(real),
-        eta=draw(real), fi=draw(real), fi_eff=draw(real))
+    return (draw(size), draw(optional_size), draw(optional_size),
+            *(draw(real) for _ in range(5)))
 
 
 def _rename_protocol(rows):
@@ -132,14 +131,20 @@ def _shift_times(rows):
                        for t, rest in (row.split(",", 1) for row in body)]
 
 
-def _result_of(config, trajectories=()):
-    """A SweepResult holding only the given trajectories, an empty run
-    table and an empty overlap array (no times, so no cells)."""
+def _result_of(config, onsets=None):
+    """A SweepResult holding only the given (t, delta, protocol) onsets on
+    the config's time grid, an empty run table and an empty overlap array
+    (no cells); with no onsets, no times either."""
     m, d, p = len(config.m_grid), len(config.deltas), len(config.protocols)
-    return SweepResult(config=config, couplings=None, time_grid=np.empty(0),
+    times = np.empty(0)
+    if onsets is None:
+        onsets = np.empty((0, d, p), ONSET_DTYPE)
+    else:
+        times = build_time_grid(config.time_grid)
+    return SweepResult(config=config, couplings=None, time_grid=times,
                        cells=np.empty((0, m, d, p), CELL_DTYPE),
-                       trajectories=tuple(trajectories),
-                       overlaps=np.empty((0, m, p)), stats=RunStats(0, 0))
+                       onsets=onsets, overlaps=np.empty((0, m, p)),
+                       stats=RunStats(0, 0))
 
 
 @pytest.fixture()
@@ -301,10 +306,9 @@ class TestTableWriting:
         for got, want in zip(trajs, res.trajectories):
             assert got.delta == want.delta
             assert got.protocol == want.protocol
-            for a, b in zip(got.points, want.points):
-                assert a.m_star == b.m_star
-                assert a.r == b.r
-                assert a.fi == b.fi
+            assert np.array_equal(got.t, want.t)
+            assert same_onsets(got.onsets, want.onsets,
+                               names=("m_star", "r", "fi"))
 
     @given(st.data())
     def test_onset_table_round_trip_generated(self, tmp_path_factory, data):
@@ -326,17 +330,22 @@ class TestTableWriting:
             times = build_time_grid(cfg.time_grid).tolist()
         except ConfigError:   # ends too close for a strictly rising grid
             reject()
-        trajectories = [
-            RedundancyTrajectory(delta=delta, protocol=protocol, points=tuple(
-                data.draw(onset_estimates(t, delta)) for t in times))
-            for protocol in cfg.protocols for delta in cfg.deltas]
+        onsets = np.array(
+            [[[data.draw(onset_estimates(cfg.m_grid)) for _ in cfg.protocols]
+              for _ in cfg.deltas] for _ in times], dtype=ONSET_DTYPE)
+        result = _result_of(cfg, onsets)
         out = tmp_path_factory.mktemp("onsets")
-        write_tables(_result_of(cfg, trajectories), out)
-        # the reader sorts each trajectory by t, whatever the row order
+        write_tables(result, out)
+        # the reader places each row at its t, whatever the row order
         header, *rows = (out / "onset.csv").read_text().splitlines()
         rows = data.draw(st.permutations(rows), label="row order")
         (out / "onset.csv").write_text("\n".join([header, *rows]) + "\n")
-        assert read_onset_table(out, cfg) == trajectories
+        got = read_onset_table(out, cfg)
+        assert len(got) == len(result.trajectories)
+        for a, b in zip(got, result.trajectories):
+            assert (a.protocol, a.delta) == (b.protocol, b.delta)
+            assert a.t.tolist() == times
+            assert same_onsets(a.onsets, b.onsets)
 
     def test_write_csv_streams_rows(self, tmp_path):
         # 20,000 rows of ten fields make a file of about 2.1 MB.  A writer
@@ -358,6 +367,14 @@ class TestTableWriting:
         lines = path.read_text().splitlines()
         assert len(lines) == 20_001
         assert lines[1] == "0,0.0,random,,0.0,0.0,1.0,0.0,0,1.0"
+
+    def test_read_onsets_are_read_only(self, fast_run_dir):
+        config = read_metadata(fast_run_dir)
+        for traj in read_onset_table(fast_run_dir, config):
+            assert traj.onsets.dtype == ONSET_DTYPE
+            assert traj.onsets.shape == traj.t.shape == (12,)
+            assert not traj.t.flags.writeable
+            assert not traj.onsets.flags.writeable
 
     def test_theta_mismatch_detected(self, tmp_path):
         cfg = RunConfig(n_sites=10, n_fragments=50, m_grid=(1, 2),
@@ -616,11 +633,35 @@ class TestCliCommands:
 
     def test_corrupt_onset_table_exits_1(self, fast_run_dir, capsys):
         onset = fast_run_dir / "onset.csv"
-        header, first = onset.read_text().splitlines()[:2]
-        # a non-numeric t used to escape as ValueError (exit 2)
+        lines = onset.read_text().splitlines()
+        header, first = lines[:2]
+        last = len(lines)
+
+        def last_row_with(field, value):
+            fields = lines[-1].split(",")
+            fields[field] = value
+            return "\n".join(lines[:-1] + [",".join(fields)]) + "\n"
+
+        # a non-numeric t used to escape as ValueError and an onset
+        # without its R as TypeError (exit 2); an m off the grid 1..8 and a
+        # NaN or infinite real used to read (exit 0), so plot-data wrote
+        # R = nan and report a final FI of inf
         for text, why in [("t,broken\n1,2\n", "unexpected header"),
                           (f"{header}\nx{first}\n", "line 2: could not "
-                           "convert string to float")]:
+                           "convert string to float"),
+                          (last_row_with(4, "0"), f"line {last}: m_star 0 "
+                           "is not on the config's m grid"),
+                          (last_row_with(5, "0"), f"line {last}: m_star_lo "
+                           "0 is not on the config's m grid"),
+                          (last_row_with(4, "10"), f"line {last}: m_star 10 "
+                           "is not on the config's m grid"),
+                          (last_row_with(7, "nan"), f"line {last}: R nan is "
+                           "not a finite number"),
+                          (last_row_with(10, "inf"), f"line {last}: FI inf "
+                           "is not a finite number"),
+                          (last_row_with(7, ""), f"line {last}: R, R_eff, "
+                           "eta, FI and FI_eff must be empty exactly when "
+                           "m_star is")]:
             onset.write_text(text, encoding="utf-8")
             assert main(["report", "--in", str(fast_run_dir)]) == 1
             err = capsys.readouterr().err
@@ -633,11 +674,13 @@ class TestCliCommands:
         ("report", _rename_protocol,
          "protocol 'bogus', delta 0.05 is not in the run's config"),
         ("report", lambda rows: rows[:1], "lacks rows"),
+        # a repeated row fills its time twice
+        ("report", lambda rows: rows + rows[-1:], "lacks rows"),
         # every group still lists the same times as the others
         ("report", _drop_first_time, "lacks rows"),
         ("analyze", _shift_times, "config's 12 grid times"),
     ], ids=["deleted-row", "foreign-protocol", "header-only",
-            "dropped-time", "shifted-times"])
+            "repeated-row", "dropped-time", "shifted-times"])
     def test_onset_rows_that_do_not_fit_the_config_exit_1(
             self, tmp_path, fast_run_dir, capsys, command, edit, why):
         onset = fast_run_dir / "onset.csv"

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qdfi import (AdequacyCell, EstimationError, IsotonicCurve,
-                  OnsetEstimate, adequacy_cell, combine_onset_ci,
-                  isotonic_fit, onset_ci_inversion, onset_from_curve,
-                  redundancy_fi, wilson_interval)
+                  adequacy_cell, combine_onset_ci, isotonic_fit,
+                  onset_ci_inversion, onset_from_curve, redundancy_fi,
+                  wilson_interval)
 from qdfi import estimation
 from qdfi.estimation import (_bootstrap_counts, _first_clearing,
                              _window_onset_indices)
@@ -637,17 +637,3 @@ class TestCombineOnsetCi:
 
     def test_tie_prefers_inversion(self):
         assert combine_onset_ci((2, 4), (3, 5)) == (2, 4)
-
-
-class TestOnsetEstimateRecord:
-    def test_round_trips_fields(self):
-        est = OnsetEstimate(t=1.5, delta=0.05, m_star=4, m_star_lo=3,
-                            m_star_hi=5, r=12.5, r_eff=10.0, eta=0.1,
-                            fi=math.log2(12.5), fi_eff=math.log2(10.0))
-        assert est.m_star == 4 and est.r == 12.5
-
-    def test_absent_onset_allowed(self):
-        est = OnsetEstimate(t=0.1, delta=0.05, m_star=None, m_star_lo=None,
-                            m_star_hi=None, r=None, r_eff=None, eta=None,
-                            fi=None, fi_eff=None)
-        assert est.m_star is None

@@ -10,12 +10,14 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import qdfi.sweep
-from qdfi import (AdequacyCell, ConfigError, CouplingSet, OnsetEstimate,
+from qdfi import (AdequacyCell, ConfigError, CouplingSet, ONSET_DTYPE,
                   RedundancyTrajectory, RunConfig, SweepCellError,
                   TimeGridSpec, Tolerance, binary_entropy, build_time_grid,
                   cell_chi_values, derive_cell_seed, enumerate_fragments,
@@ -31,6 +33,17 @@ def small_config(**kw):
                 bootstrap_replicates=100, overlap_pairs=40, master_seed=5)
     base.update(kw)
     return RunConfig(**base)
+
+
+# an absent onset: 0 for each m, NaN for each real
+ABSENT = (0, 0, 0) + (math.nan,) * 5
+
+
+def same_onsets(a, b, names=ONSET_DTYPE.names):
+    """Two ONSET_DTYPE arrays hold the same values in the named fields,
+    NaN (an absent real) included."""
+    return a.shape == b.shape and all(
+        np.array_equal(a[name], b[name], equal_nan=True) for name in names)
 
 
 class TestDeriveCellSeed:
@@ -326,7 +339,7 @@ class TestSweepExactness:
         res = run_sweep(cfg)
         assert not res.cells["k"][0].any()
         for traj in res.trajectories:
-            assert traj.points[0].m_star is None
+            assert traj.onsets[0]["m_star"] == 0
 
 
 class TestSweepStructure:
@@ -354,6 +367,20 @@ class TestSweepStructure:
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys) == res.cells.size
 
+    def test_onsets_sorted_canonically(self, tmp_path):
+        # onset.csv lists its rows by t, then delta by value, then
+        # protocol by name, one row per onset of the result
+        cfg = small_config(deltas=(0.1, 0.01, 0.05),
+                           protocols=("random", "disjoint"))
+        res = run_sweep(cfg)
+        lines = write_tables(res, tmp_path)["onset"].read_text(
+            encoding="utf-8").splitlines()
+        keys = [(float(t), float(delta), protocol)
+                for t, delta, protocol, *_ in
+                (line.split(",") for line in lines[1:])]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys) == res.onsets.size
+
     def test_phi_iso_monotone_in_m(self):
         iso = run_sweep(small_config()).cells["phi_iso"]
         assert not np.isnan(iso).any()
@@ -363,20 +390,22 @@ class TestSweepStructure:
         cfg = small_config()
         res = run_sweep(cfg)
         for traj in res.trajectories:
-            for p in traj.points:
-                if p.m_star is None:
+            for p in traj.onsets:
+                if p["m_star"] == 0:
+                    assert np.isnan(p[["r", "r_eff", "eta", "fi",
+                                       "fi_eff"]].tolist()).all()
                     continue
-                assert p.m_star in cfg.m_grid
+                assert p["m_star"] in cfg.m_grid
                 # the upper bound may honestly sit beyond the m grid;
                 # the lower bound exists whenever the onset does
-                assert p.m_star_lo is not None
-                assert p.m_star_lo <= p.m_star
-                if p.m_star_hi is not None:
-                    assert p.m_star <= p.m_star_hi
-                assert abs(p.r * p.m_star - cfg.n_sites) < 1e-9
-                assert abs(p.fi - math.log2(p.r)) < 1e-12
-                assert p.r_eff <= p.r + 1e-12
-                assert abs(p.fi_eff - math.log2(p.r_eff)) < 1e-12
+                assert p["m_star_lo"] in cfg.m_grid
+                assert p["m_star_lo"] <= p["m_star"]
+                if p["m_star_hi"] != 0:
+                    assert p["m_star"] <= p["m_star_hi"]
+                assert abs(p["r"] * p["m_star"] - cfg.n_sites) < 1e-9
+                assert abs(p["fi"] - math.log2(p["r"])) < 1e-12
+                assert p["r_eff"] <= p["r"] + 1e-12
+                assert abs(p["fi_eff"] - math.log2(p["r_eff"])) < 1e-12
 
     def test_adequacy_flags_monotone_in_time(self):
         # model property behind the onset logic: with couplings and the
@@ -412,13 +441,11 @@ class TestSweepStructure:
                         master_seed=0)
         res = run_sweep(cfg)
         assert np.all(res.overlaps[:, cfg.m_grid.index(10)] == 1.0)
-        at_n = [p for traj in res.trajectories for p in traj.points
-                if p.m_star == 10]
-        assert at_n
-        for p in at_n:
-            assert p.eta == 0.0
-            assert p.r_eff == p.r == 1.0
-            assert p.fi_eff == p.fi == 0.0
+        at_n = res.onsets[res.onsets["m_star"] == 10]
+        assert at_n.size
+        assert np.all(at_n["eta"] == 0.0)
+        assert np.all((at_n["r_eff"] == at_n["r"]) & (at_n["r"] == 1.0))
+        assert np.all((at_n["fi_eff"] == at_n["fi"]) & (at_n["fi"] == 0.0))
 
     def test_single_fragment_families_have_no_overlap(self, tmp_path):
         # one random fragment per family, and one disjoint block of 7 or
@@ -439,12 +466,11 @@ class TestSweepStructure:
         assert len(rows) == 7 * 4 == res.time_grid.size * 4
         assert {tuple(r.split(",")[1:3]) for r in rows} == {
             (m, "disjoint") for m in ("1", "2", "4", "6")}
-        onsets = [p for traj in res.trajectories if traj.protocol == "random"
-                  for p in traj.points if p.m_star is not None]
-        assert onsets
-        for p in onsets:
-            assert p.eta == 0.0
-            assert p.r_eff == p.r
+        random = res.onsets[..., 0]
+        onsets = random[random["m_star"] > 0]
+        assert onsets.size
+        assert np.all(onsets["eta"] == 0.0)
+        assert np.all(onsets["r_eff"] == onsets["r"])
 
     def test_overlap_vanishes_for_disjoint(self):
         res = run_sweep(small_config(protocols=("random", "disjoint")))
@@ -563,7 +589,7 @@ class TestDeterminism:
         a = run_sweep(cfg)
         b = run_sweep(cfg)
         assert np.array_equal(a.cells, b.cells)
-        assert a.trajectories == b.trajectories
+        assert same_onsets(a.onsets, b.onsets)
         assert np.array_equal(a.overlaps, b.overlaps, equal_nan=True)
 
     def test_time_grid_is_read_only(self):
@@ -588,7 +614,7 @@ class TestDeterminism:
         serial = run_sweep(cfg, threads=1)
         parallel = run_sweep(cfg, threads=3)
         assert np.array_equal(serial.cells, parallel.cells)
-        assert serial.trajectories == parallel.trajectories
+        assert same_onsets(serial.onsets, parallel.onsets)
         assert np.array_equal(serial.overlaps, parallel.overlaps,
                               equal_nan=True)
 
@@ -814,73 +840,137 @@ class TestCellErrors:
             assert f"ValueError: {name} broke" in str(cause)
 
 
+def absent_onsets(shape):
+    """An ONSET_DTYPE array of absent onsets."""
+    onsets = np.empty(shape, dtype=ONSET_DTYPE)
+    onsets[...] = ABSENT
+    return onsets
+
+
+def onset_column(*points):
+    """An ONSET_DTYPE column, one row per (m_star, m_star_lo, m_star_hi,
+    fi) with 0 for an absent m and NaN for an absent fi; the other reals
+    are NaN."""
+    column = absent_onsets(len(points))
+    for name, values in zip(("m_star", "m_star_lo", "m_star_hi", "fi"),
+                            zip(*points)):
+        column[name] = values
+    return column
+
+
+def reference_fi_soft_violations(trajectories):
+    """The count as the sweep took it over one record per onset, each
+    trajectory a list of records with None for an absent value."""
+    def width(p):
+        if p.m_star_lo is None or p.m_star_hi is None:
+            return None
+        return math.log2(p.m_star_hi / p.m_star_lo)
+
+    violations = 0
+    for points in trajectories:
+        present = [p for p in points if p.fi is not None]
+        for a, b in zip(present, present[1:]):
+            wa, wb = width(a), width(b)
+            if wa is None or wb is None:
+                continue
+            if b.fi < a.fi - (wa + wb):
+                violations += 1
+    return violations
+
+
+def onset_records(column):
+    """An ONSET_DTYPE column as the reference's records."""
+    return [SimpleNamespace(m_star_lo=lo or None, m_star_hi=hi or None,
+                            fi=None if math.isnan(fi) else fi)
+            for lo, hi, fi in column[["m_star_lo", "m_star_hi",
+                                      "fi"]].tolist()]
+
+
+@st.composite
+def onset_arrays(draw):
+    """(t, delta, protocol) onset arrays of up to 3 x 2 trajectories over
+    up to 8 times: absent and present onsets, missing bounds, and FI steps
+    that land on the two points' width sum, one ulp either side of it, or
+    anywhere."""
+    # (m_star_lo, m_star_hi) pairs, 0 for a missing bound; on an AVX-512
+    # host np.log2 is one ulp off math.log2 at 49 / 44 and 107 / 106
+    bounds = [(0, 0), (0, 8), (2, 0), (4, 4), (2, 3), (3, 8), (6, 16),
+              (44, 49), (106, 107)]
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 3)),
+             draw(st.integers(1, 2)))
+    onsets = absent_onsets(shape)
+    anywhere = st.floats(-30.0, 30.0)
+    for column in np.ndindex(*shape[1:]):
+        last = None   # fi and width of the last present onset
+        for t in range(shape[0]):
+            if not draw(st.booleans(), label="present"):
+                continue
+            lo, hi = draw(st.sampled_from(bounds), label="bounds")
+            width = math.log2(hi / lo) if lo and hi else None
+            fi = anywhere
+            if last is not None and None not in (last[1], width):
+                edge = last[0] - (last[1] + width)
+                fi = st.sampled_from([np.nextafter(edge, -np.inf), edge,
+                                      np.nextafter(edge, np.inf)]) | anywhere
+            fi = float(draw(fi, label="fi"))
+            onsets[(t,) + column] = (4, lo, hi, np.nan, np.nan, 0.0, fi,
+                                     fi)
+            last = (fi, width)
+    return onsets
+
+
 class TestFiSoftViolations:
     @staticmethod
-    def _traj(*points):
-        """Trajectory at t = 1, 2, ... from (fi, m_star_lo, m_star_hi)."""
-        from qdfi import OnsetEstimate
-        estimates = tuple(
-            OnsetEstimate(t=float(t), delta=0.05, m_star=4, m_star_lo=lo,
-                          m_star_hi=hi, r=None, r_eff=None, eta=0.0, fi=fi,
-                          fi_eff=fi)
-            for t, (fi, lo, hi) in enumerate(points, start=1))
-        return RedundancyTrajectory(delta=0.05, protocol="random",
-                                    points=estimates)
+    def _onsets(*points):
+        """One trajectory at t = 1, 2, ... from (fi, m_star_lo, m_star_hi),
+        its onset at m* = 4, as a (t, delta, protocol) array."""
+        column = onset_column(*((4, lo, hi, fi) for fi, lo, hi in points))
+        return column[:, None, None]
 
     def test_dip_wider_than_both_widths_counts(self):
         # each width is log2(20 / 10) = 1 bit, so a dip of 3 > 1 + 1 counts
-        traj = self._traj((5.0, 10, 20), (2.0, 10, 20))
-        assert qdfi.sweep._fi_soft_violations([traj]) == 1
+        onsets = self._onsets((5.0, 10, 20), (2.0, 10, 20))
+        assert qdfi.sweep._fi_soft_violations(onsets) == 1
 
     def test_dip_within_widths_is_noise(self):
-        traj = self._traj((5.0, 10, 20), (3.5, 10, 20))
-        assert qdfi.sweep._fi_soft_violations([traj]) == 0
+        onsets = self._onsets((5.0, 10, 20), (3.5, 10, 20))
+        assert qdfi.sweep._fi_soft_violations(onsets) == 0
 
     def test_missing_bound_is_skipped(self):
-        traj = self._traj((5.0, 10, 20), (0.0, None, 20))
-        assert qdfi.sweep._fi_soft_violations([traj]) == 0
+        onsets = self._onsets((5.0, 10, 20), (0.0, 0, 20))
+        assert qdfi.sweep._fi_soft_violations(onsets) == 0
 
     def test_run_stats_report_the_count(self):
         result = run_sweep(small_config())
         assert result.stats.fi_soft_violations == (
-            qdfi.sweep._fi_soft_violations(result.trajectories))
+            qdfi.sweep._fi_soft_violations(result.onsets))
+
+    @given(onset_arrays())
+    def test_counts_as_the_record_loop(self, onsets):
+        trajectories = [onset_records(onsets[:, d_index, p_index])
+                        for d_index in range(onsets.shape[1])
+                        for p_index in range(onsets.shape[2])]
+        assert qdfi.sweep._fi_soft_violations(onsets) == (
+            reference_fi_soft_violations(trajectories))
 
 
 class TestTrajectoryRecord:
-    @staticmethod
-    def _absent(t, delta=0.05):
-        from qdfi import OnsetEstimate
-        return OnsetEstimate(t=t, delta=delta, m_star=None, m_star_lo=None,
-                             m_star_hi=None, r=None, r_eff=None, eta=None,
-                             fi=None, fi_eff=None)
-
     def test_times_must_increase(self):
         with pytest.raises(ConfigError):
             RedundancyTrajectory(delta=0.05, protocol="random",
-                                 points=(self._absent(2.0),
-                                         self._absent(1.0)))
-
-    def test_points_must_carry_the_trajectory_delta(self):
-        with pytest.raises(ConfigError, match=r"^trajectory points carry a "
-                                              r"foreign delta$"):
-            RedundancyTrajectory(delta=0.05, protocol="random",
-                                 points=(self._absent(1.0),
-                                         self._absent(2.0, delta=0.1)))
+                                 t=np.array([2.0, 1.0]),
+                                 onsets=absent_onsets(2))
 
 
 class TestPerCellRecords:
     @pytest.mark.parametrize("record", [
         AdequacyCell(t=1.5, m=3, delta=0.05, protocol="random", n=10, k=4,
                      ci_low=0.1, ci_high=0.7),
-        OnsetEstimate(t=1.5, delta=0.05, m_star=4, m_star_lo=3, m_star_hi=None,
-                      r=3.0, r_eff=2.5, eta=0.1, fi=math.log2(3.0),
-                      fi_eff=None),
     ], ids=lambda r: type(r).__name__)
     def test_slotted_and_pickles(self, record):
-        # a run builds one of these per cell or grid point, so none
-        # carries a per-instance dict; worker processes send onsets back
-        # pickled, and a cell still pickles through the slotted dataclass
-        # state
+        # a run builds one of these per cell, so none carries a
+        # per-instance dict, and a cell still pickles through the slotted
+        # dataclass state
         assert not hasattr(record, "__dict__")
         assert pickle.loads(pickle.dumps(record)) == record
 
@@ -897,9 +987,11 @@ class TestRunTable:
 
     def test_result_memory_per_cell(self):
         # the result keeps its cells as one table of five 8-byte columns,
-        # an 8-byte overlap per (t, m, protocol) and the onsets; a slotted
-        # record per cell kept about 215 bytes a cell, and one overlap
-        # record per (t, m, protocol) with its sort key about 78
+        # an 8-byte overlap per (t, m, protocol) and one row of eight
+        # 8-byte fields per onset; a slotted record per cell kept about
+        # 215 bytes a cell, one overlap record per (t, m, protocol) with
+        # its sort key about 78, and one onset record per (t, delta,
+        # protocol) with the trajectories about 50
         cfg = RunConfig(**self.TABLE_CONFIG)
         # a first run does the imports and fills the caches that any run
         # would, so the traced run counts only what its result holds
@@ -911,7 +1003,7 @@ class TestRunTable:
         finally:
             tracemalloc.stop()
         assert result.cells.size == 7680
-        assert kept / result.cells.size < 64, (
+        assert kept / result.cells.size < 48, (
             f"{kept / result.cells.size:.0f} B per cell")
 
     def test_table_arrays_are_read_only(self):
@@ -919,10 +1011,33 @@ class TestRunTable:
         assert not result.time_grid.flags.writeable
         assert not result.cells.flags.writeable
         assert not result.overlaps.flags.writeable
+        assert not result.onsets.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             result.cells["k"][0, 0, 0, 0] = 0
         with pytest.raises(ValueError, match="read-only"):
             result.overlaps[0, 0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            result.onsets["m_star"][0, 0, 0] = 1
+        for traj in result.trajectories:
+            assert not traj.t.flags.writeable
+            assert not traj.onsets.flags.writeable
+            assert np.shares_memory(traj.onsets, result.onsets)
+
+    def test_trajectories_follow_config_order(self):
+        # one trajectory per (protocol, delta), protocols then deltas as
+        # the config lists them, each the onset column at its indices
+        cfg = small_config(deltas=(0.1, 0.01),
+                           protocols=("random", "disjoint"))
+        result = run_sweep(cfg)
+        trajs = result.trajectories
+        assert [(t.protocol, t.delta) for t in trajs] == [
+            ("random", 0.1), ("random", 0.01), ("disjoint", 0.1),
+            ("disjoint", 0.01)]
+        for i, traj in enumerate(trajs):
+            p_index, d_index = divmod(i, len(cfg.deltas))
+            assert traj.t is result.time_grid
+            assert same_onsets(traj.onsets,
+                               result.onsets[:, d_index, p_index])
 
     def test_pooled_run_builds_no_cell_in_the_parent(self, tmp_path,
                                                      monkeypatch):
@@ -992,9 +1107,10 @@ class TestOnsetCoverage:
                     if not informative[t_index, d_index]:
                         continue
                     groups += 1
-                    covered += (p.m_star_lo is not None
-                                and p.m_star_hi is not None
-                                and p.m_star_lo <= onset[t_index, d_index]
-                                <= p.m_star_hi)
+                    covered += bool(p["m_star_lo"] > 0
+                                    and p["m_star_hi"] > 0
+                                    and p["m_star_lo"]
+                                    <= onset[t_index, d_index]
+                                    <= p["m_star_hi"])
         assert groups >= len(self.SEEDS) * informative.size // 2
         assert covered >= 0.9 * groups, f"covered {covered} of {groups}"
