@@ -4,7 +4,8 @@ Per cell (t, m, delta) the engine produces a Bernoulli sample of adequacy
 flags.  This module turns those into:
 
 * Wilson score intervals for the adequate fraction (robust at 0/1 counts,
-  unlike the Wald interval),
+  unlike the Wald interval), as an AdequacyCell of numbers only: a
+  cell's coordinates are the axes of the arrays the sweep stores it in,
 * an isotonic (PAVA) smoothing of the fraction along m, legitimate
   because adding sites never destroys adequacy in expectation,
 * the onset size m* = min{m : smoothed fraction >= theta} and the derived
@@ -87,12 +88,9 @@ def _normal_quantile(q: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class AdequacyCell:
-    """Estimated adequate fraction for one (t, m, delta, protocol) cell."""
+    """One cell's count k of adequate fragments among n and its Wilson
+    band; its (t, m, delta, protocol) are where the caller stores it."""
 
-    t: float
-    m: int
-    delta: float
-    protocol: str
     n: int
     k: int
     ci_low: float
@@ -113,8 +111,7 @@ class AdequacyCell:
                                   "within [0, 1]")
 
 
-def adequacy_cell(flags, t: float, m: int, delta: float, protocol: str,
-                  alpha: float = 0.05) -> AdequacyCell:
+def adequacy_cell(flags, alpha: float = 0.05) -> AdequacyCell:
     """Summarize a Bernoulli adequacy sample into an AdequacyCell."""
     arr = np.asarray(flags, dtype=bool)
     if arr.ndim != 1 or arr.size < 1:
@@ -122,8 +119,7 @@ def adequacy_cell(flags, t: float, m: int, delta: float, protocol: str,
     n = int(arr.size)
     k = int(np.count_nonzero(arr))
     lo, hi = wilson_interval(k, n, alpha)
-    return AdequacyCell(t=t, m=m, delta=delta, protocol=protocol, n=n, k=k,
-                        ci_low=lo, ci_high=hi)
+    return AdequacyCell(n=n, k=k, ci_low=lo, ci_high=hi)
 
 
 def isotonic_fit(values, weights=None) -> np.ndarray:

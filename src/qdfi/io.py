@@ -12,10 +12,11 @@ once and written one at a time, so a table never sits in memory whole.
 A row that fails to format leaves the file written up to it, and the
 error propagates (simulate exits 2).
 
-Every file is read through _read_text, and every onset.csv row through
-read_onset_table: each raises ConfigError naming the file it rejects.
-Each CSV's row order is stated here once, and only here: the result's
-arrays keep their axes in config order.
+Every file is read through _read_text, every config through parse_config
+and every onset.csv row through read_onset_table: each raises ConfigError
+naming the file it rejects.  Each CSV's row order is stated here once, and
+only here: the result's arrays keep their axes in config order, and
+onset.csv reads back into the onsets' (t, delta, protocol) layout.
 """
 
 from __future__ import annotations
@@ -97,11 +98,15 @@ def parse_config(path) -> RunConfig:
     """Read a flat key = value config file into a RunConfig.
 
     An empty file yields the full-default configuration.  Unknown keys,
-    duplicate keys, and malformed values raise ConfigError with the
-    offending line number, and a file that cannot be read or is not UTF-8
-    one naming it.
+    duplicate keys, malformed values and invalid configs raise ConfigError
+    naming the file, and the line where there is one; so does a file that
+    cannot be read or is not UTF-8.
     """
-    return parse_config_text(_read_text(Path(path)))
+    text = _read_text(Path(path))
+    try:
+        return parse_config_text(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _read_text(path: Path) -> str:
@@ -299,13 +304,14 @@ def read_onset_table(run_dir,
     """Rebuild trajectories from onset.csv, in (protocol, delta) config order.
 
     Rows may come in any order.  Each must parse into the header's 12
-    fields, with the config's theta, a configured protocol and delta, m
-    values empty or on the config's m grid, and R to FI_eff finite and
-    empty exactly when m_star is; every (protocol, delta) must list each
-    of the config's grid times once.  Else ConfigError names the file,
-    and the line of a bad row.  Each trajectory's onsets are one
-    read-only ONSET_DTYPE column, an empty m read as 0 and an empty real
-    as NaN, over the read-only time grid.
+    fields, with the config's theta, a grid t, a configured delta and
+    protocol, m values empty or on the config's m grid, and R to FI_eff
+    finite and empty exactly when m_star is, and be the first row of its
+    (t, delta, protocol); else ConfigError names the file and the line.
+    A (t, delta, protocol) with no row is named after the last line.
+    The rows fill one read-only ONSET_DTYPE array in SweepResult.onsets'
+    (t, delta, protocol) layout, an empty m read as 0 and an empty real
+    as NaN; a trajectory's onsets are a view of one of its columns.
     """
     path = Path(run_dir) / "onset.csv"
     lines = _read_text(path).splitlines()
@@ -314,15 +320,11 @@ def read_onset_table(run_dir,
     names = ONSET_HEADER.split(",")
     times = build_time_grid(config.time_grid)
     times.flags.writeable = False
-    slots = {t: i for i, t in enumerate(times.tolist())}
-    groups = {(protocol, delta): (p_index, d_index)
-              for p_index, protocol in enumerate(config.protocols)
-              for d_index, delta in enumerate(config.deltas)}
-    # rows per (protocol, delta) and time; the last slot takes any time
-    # off the grid
-    shape = (len(config.protocols), len(config.deltas), times.size + 1)
+    t_at, d_at, p_at = ({v: i for i, v in enumerate(values)} for values in
+                        (times.tolist(), config.deltas, config.protocols))
+    shape = (times.size, len(config.deltas), len(config.protocols))
     table = np.empty(shape, dtype=ONSET_DTYPE)
-    listed = np.zeros(shape, dtype=np.int64)
+    read = np.zeros(shape, dtype=bool)
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             t, delta, protocol, theta, *values = fields = line.split(",")
@@ -331,8 +333,13 @@ def read_onset_table(run_dir,
             if float(theta) != config.theta:
                 raise ValueError(f"theta {theta} is not the config's "
                                  f"{config.theta}")
-            group = groups[protocol, float(delta)]
-            slot = slots.get(float(t), times.size)
+            if float(t) not in t_at:
+                raise ValueError(f"t {t} is not one of the config's "
+                                 f"{times.size} grid times")
+            at = t_at[float(t)], d_at[float(delta)], p_at[protocol]
+            if read[at]:
+                raise ValueError(f"a second row for t {t}, delta {delta}, "
+                                 f"protocol {protocol!r}")
             row = tuple(_onset_value(name, text, config.m_grid)
                         for name, text in zip(names[4:], values))
             if {math.isnan(v) for v in row[3:]} != {row[0] == 0}:
@@ -344,14 +351,14 @@ def read_onset_table(run_dir,
             raise ConfigError(
                 f"{path}, line {lineno}: protocol {protocol!r}, delta "
                 f"{delta} is not in the run's config") from None
-        table[group + (slot,)] = row
-        listed[group + (slot,)] += 1
-    for (protocol, delta), group in groups.items():
-        if listed[group].tolist() != [1] * times.size + [0]:
-            raise ConfigError(
-                f"{path} lacks rows: protocol {protocol!r}, delta {delta} "
-                f"does not list the config's {times.size} grid times")
-    table = table[..., :-1]
+        table[at] = row
+        read[at] = True
+    if not read.all():
+        t, d, p = np.argwhere(~read)[0]
+        raise ConfigError(
+            f"{path} lacks rows: none for t {float(times[t])}, delta "
+            f"{config.deltas[d]}, protocol {config.protocols[p]!r}")
     table.flags.writeable = False
-    return [RedundancyTrajectory(delta, protocol, times, table[group])
-            for (protocol, delta), group in groups.items()]
+    return [RedundancyTrajectory(delta, protocol, times, table[:, d, p])
+            for p, protocol in enumerate(config.protocols)
+            for d, delta in enumerate(config.deltas)]

@@ -18,10 +18,10 @@ stays O(n_fragments * m) beyond a fixed chunk.  The overlap estimate
 gathers both fragments of every pair in one step and counts shared sites
 in the sorted merged rows.
 
-Fragments are stored as rows of a 2-d index array, each row sorted
-strictly increasing.  All draws run through numpy PCG64 generators seeded
-explicitly, so identical arguments give byte-identical samples on any
-machine and thread count.
+Fragments are stored as rows of a 2-d index array (its shape gives a
+family's n_fragments and m), each row sorted strictly increasing.  All
+draws run through numpy PCG64 generators seeded explicitly, so identical
+arguments give byte-identical samples on any machine and thread count.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class FragmentSample:
 
     indices: np.ndarray
     protocol: str
-    m: int
+    m: int = field(init=False)
     n_fragments: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -78,11 +78,10 @@ class FragmentSample:
             raise SamplingError("fragment indices must be a 2-d array")
         if self.protocol not in PROTOCOLS:
             raise SamplingError(f"unknown protocol {self.protocol!r}")
-        if idx.shape[1] != self.m:
-            raise SamplingError("row width does not match fragment size m")
         idx = np.ascontiguousarray(idx, dtype=np.int64)
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "m", int(idx.shape[1]))
         object.__setattr__(self, "n_fragments", int(idx.shape[0]))
 
     def validate(self, n_sites: int) -> None:
@@ -218,7 +217,7 @@ def sample_random_fragments(n_sites: int, m: int, n_fragments: int,
         rows = _distinct_rows_by_redraw(rng, n_sites, m, n_fragments)
     else:
         rows = _distinct_rows_by_keys(rng, n_sites, m, n_fragments)
-    return FragmentSample(indices=rows, protocol="random", m=m)
+    return FragmentSample(indices=rows, protocol="random")
 
 
 def partition_disjoint(n_sites: int, m: int, seed: int) -> FragmentSample:
@@ -238,7 +237,7 @@ def partition_disjoint(n_sites: int, m: int, seed: int) -> FragmentSample:
                                   replace=False))
         blocks = blocks[keep]
     rows = np.sort(blocks, axis=1)
-    return FragmentSample(indices=rows, protocol="disjoint", m=m)
+    return FragmentSample(indices=rows, protocol="disjoint")
 
 
 def enumerate_fragments(n_sites: int, m: int) -> FragmentSample:
@@ -258,7 +257,7 @@ def enumerate_fragments(n_sites: int, m: int) -> FragmentSample:
             itertools.combinations(range(n_sites), m)),
         dtype=np.int64, count=count * m)
     rows = flat.reshape(count, m)
-    return FragmentSample(indices=rows, protocol="exhaustive", m=m)
+    return FragmentSample(indices=rows, protocol="exhaustive")
 
 
 def estimate_overlap_eta(sample: FragmentSample, n_pairs: int,

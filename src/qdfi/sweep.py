@@ -531,13 +531,10 @@ def _compute_time_point(config: RunConfig, protocol: str,
             evaluations += int(chi.size)
             start = 0
             for m_index, sums in block:
-                m = config.m_grid[m_index]
                 stop = start + sums.size
-                with _reported(errors, ("m", m)):
-                    cells = [adequacy_cell(f[start:stop], t=t, m=m,
-                                           delta=tol.delta, protocol=protocol,
-                                           alpha=config.alpha)
-                             for f, tol in zip(flags, tols)]
+                with _reported(errors, ("m", config.m_grid[m_index])):
+                    cells = [adequacy_cell(f[start:stop], config.alpha)
+                             for f in flags]
                     table[m_index] = [(c.n, c.k, c.ci_low, c.ci_high,
                                        math.nan) for c in cells]
                 start = stop

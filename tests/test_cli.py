@@ -124,6 +124,15 @@ def _drop_first_time(rows):
     return [row for row in rows if row.split(",")[0] != t]
 
 
+def _set_time(line, text):
+    """An edit that writes ``text`` as the t of onset.csv's row on ``line``
+    (the header is line 1)."""
+    def edit(rows):
+        rows[line - 1] = f"{text},{rows[line - 1].split(',', 1)[1]}"
+        return rows
+    return edit
+
+
 def _shift_times(rows):
     """Move the time of every onset.csv row by the same 1e-3."""
     header, *body = rows
@@ -307,6 +316,8 @@ class TestTableWriting:
             assert got.delta == want.delta
             assert got.protocol == want.protocol
             assert np.array_equal(got.t, want.t)
+            # read back into the result's own (t, delta, protocol) layout
+            assert got.onsets.strides == want.onsets.strides
             assert same_onsets(got.onsets, want.onsets,
                                names=("m_star", "r", "fi"))
 
@@ -576,6 +587,28 @@ class TestCliCommands:
                      "--out", str(tmp_path / "o")]) == 1
         assert f"{cfg} is not UTF-8" in capsys.readouterr().err
 
+    def test_config_content_error_names_the_file(self, tmp_path, capsys):
+        # the message named the line but not the file
+        cfg = tmp_path / "bad.cfg"
+        text = FAST_CFG.lstrip()
+        lineno = text.count("\n") + 1
+        cfg.write_text(text + "bogus = 3\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert (f"config error: {cfg}: line {lineno}: unknown key 'bogus'"
+                in capsys.readouterr().err)
+
+    def test_run_metadata_content_error_names_the_file(
+            self, tmp_path, fast_run_dir, capsys):
+        meta = fast_run_dir / "run_metadata.txt"
+        lineno = len(meta.read_text(encoding="utf-8").splitlines()) + 1
+        with open(meta, "a", encoding="utf-8") as fh:
+            fh.write("junk = 1\n")
+        assert main(["analyze", "--in", str(fast_run_dir),
+                     "--out", str(tmp_path / "analysis")]) == 1
+        assert (f"config error: {meta}: line {lineno}: unknown key 'junk'"
+                in capsys.readouterr().err)
+
     def test_config_with_a_byte_order_mark_runs(self, tmp_path, capsys):
         # some editors save one; it used to read as part of the first key
         cfg = tmp_path / "bom.cfg"
@@ -669,18 +702,27 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("command, edit, why", [
         # analyze used to fit the shortened trajectory (exit 0)
-        ("analyze", lambda rows: rows[:5] + rows[6:], "lacks rows"),
+        ("analyze", lambda rows: rows[:5] + rows[6:],
+         "lacks rows: none for t 0.01, delta 0.1, protocol 'disjoint'"),
         # report used to drop the row (exit 0)
         ("report", _rename_protocol,
          "protocol 'bogus', delta 0.05 is not in the run's config"),
         ("report", lambda rows: rows[:1], "lacks rows"),
-        # a repeated row fills its time twice
-        ("report", lambda rows: rows + rows[-1:], "lacks rows"),
+        # a repeated row, and a t that is off the grid or not a number,
+        # used to be found only as a group that lacks rows, with no line
+        ("report", lambda rows: rows + rows[-1:],
+         "line 74: a second row for t 6.0, delta 0.1, protocol 'random'"),
+        ("report", _set_time(6, "nan"),
+         "line 6: t nan is not one of the config's 12 grid times"),
+        ("report", _set_time(6, "0.5"),
+         "line 6: t 0.5 is not one of the config's 12 grid times"),
         # every group still lists the same times as the others
         ("report", _drop_first_time, "lacks rows"),
-        ("analyze", _shift_times, "config's 12 grid times"),
+        ("analyze", _shift_times,
+         "line 2: t 0.011 is not one of the config's 12 grid times"),
     ], ids=["deleted-row", "foreign-protocol", "header-only",
-            "repeated-row", "dropped-time", "shifted-times"])
+            "repeated-row", "nan-time", "off-grid-time", "dropped-time",
+            "shifted-times"])
     def test_onset_rows_that_do_not_fit_the_config_exit_1(
             self, tmp_path, fast_run_dir, capsys, command, edit, why):
         onset = fast_run_dir / "onset.csv"

@@ -6,9 +6,11 @@ grids this short that search is exact, so isotonic_fit is checked against
 the true optimum rather than against another PAVA.
 """
 
+import inspect
 import itertools
 import math
 import tracemalloc
+from dataclasses import fields
 from statistics import NormalDist
 
 import numpy as np
@@ -178,34 +180,36 @@ class TestWilsonInterval:
 
 class TestAdequacyCell:
     def test_all_true(self):
-        cell = adequacy_cell([True] * 10, t=1.0, m=2, delta=0.05,
-                             protocol="random")
+        cell = adequacy_cell([True] * 10)
         assert cell.p_hat == 1.0 and cell.k == 10 and cell.n == 10
 
     def test_all_false(self):
-        cell = adequacy_cell([False] * 10, t=1.0, m=2, delta=0.05,
-                             protocol="random")
+        cell = adequacy_cell([False] * 10)
         assert cell.p_hat == 0.0
 
     def test_mixed_matches_wilson(self):
         flags = [True] * 50 + [False] * 50
-        cell = adequacy_cell(flags, t=2.0, m=3, delta=0.01,
-                             protocol="random")
+        cell = adequacy_cell(flags)
         assert cell.p_hat == 0.5
         assert abs(cell.ci_low - WILSON_50_100[0]) < 1e-9
         assert abs(cell.ci_high - WILSON_50_100[1]) < 1e-9
 
     def test_empty_rejected(self):
         with pytest.raises(EstimationError):
-            adequacy_cell([], t=1.0, m=2, delta=0.05, protocol="random")
+            adequacy_cell([])
+
+    def test_record_holds_only_its_numbers(self):
+        # a cell's (t, m, delta, protocol) are where the sweep stores it
+        assert [f.name for f in fields(AdequacyCell)] == [
+            "n", "k", "ci_low", "ci_high"]
+        assert list(inspect.signature(adequacy_cell).parameters) == [
+            "flags", "alpha"]
 
     def test_record_invariants_enforced(self):
         with pytest.raises(EstimationError):
-            AdequacyCell(t=1.0, m=1, delta=0.05, protocol="random",
-                         n=10, k=11, ci_low=0.0, ci_high=1.0)
+            AdequacyCell(n=10, k=11, ci_low=0.0, ci_high=1.0)
         with pytest.raises(EstimationError):
-            AdequacyCell(t=1.0, m=1, delta=0.05, protocol="random",
-                         n=10, k=5, ci_low=0.6, ci_high=0.9)
+            AdequacyCell(n=10, k=5, ci_low=0.6, ci_high=0.9)
 
 
 class TestIsotonicFit:
@@ -324,24 +328,21 @@ class TestRedundancyFi:
             redundancy_fi(10, 2, eta=1.0)
 
 
-def _band(cells):
-    """The (m_grid, n, ci_low, ci_high) columns of cells, as the sweep
-    passes them to onset_ci_inversion."""
-    return (np.array([c.m for c in cells], dtype=np.int64),
+def _band(ms, cells):
+    """The (m_grid, n, ci_low, ci_high) columns of the cells at ms, as the
+    sweep passes them to onset_ci_inversion."""
+    return (np.array(ms, dtype=np.int64),
             np.array([c.n for c in cells], dtype=float),
             np.array([c.ci_low for c in cells], dtype=float),
             np.array([c.ci_high for c in cells], dtype=float))
 
 
 def _band_from_probs(rng, m_grid, probs, n):
-    return _band([adequacy_cell(rng.random(n) < p, t=1.0, m=m, delta=0.05,
-                                protocol="random")
-                  for m, p in zip(m_grid, probs)])
+    return _band(m_grid, [adequacy_cell(rng.random(n) < p) for p in probs])
 
 
 def _uniform_band(ms, flags):
-    return _band([adequacy_cell(flags, t=1.0, m=m, delta=0.05,
-                                protocol="random") for m in ms])
+    return _band(ms, [adequacy_cell(flags) for _ in ms])
 
 
 class TestOnsetInversion:

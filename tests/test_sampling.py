@@ -85,28 +85,34 @@ def _draw_random_shape(data):
 class TestFragmentSampleValidation:
     def test_accepts_sorted_rows(self):
         s = FragmentSample(indices=np.array([[0, 2], [1, 3]]),
-                           protocol="random", m=2)
+                           protocol="random")
         s.validate(4)
 
-    def test_rejects_out_of_range(self):
-        s = FragmentSample(indices=np.array([[0, 5]]), protocol="random",
+    def test_size_and_count_are_the_index_shape(self):
+        s = FragmentSample(indices=np.array([[0, 2, 3], [1, 3, 4]]),
+                           protocol="random")
+        assert (s.m, s.n_fragments) == (3, 2)
+        with pytest.raises(TypeError):
+            FragmentSample(indices=np.array([[0, 2]]), protocol="random",
                            m=2)
+
+    def test_rejects_out_of_range(self):
+        s = FragmentSample(indices=np.array([[0, 5]]), protocol="random")
         with pytest.raises(SamplingError):
             s.validate(4)
 
     def test_rejects_duplicate_within_row(self):
         with pytest.raises(SamplingError):
-            FragmentSample(indices=np.array([[1, 1]]), protocol="random",
-                           m=2).validate(4)
+            FragmentSample(indices=np.array([[1, 1]]),
+                           protocol="random").validate(4)
 
     def test_rejects_unknown_protocol(self):
         with pytest.raises(SamplingError):
-            FragmentSample(indices=np.array([[0, 1]]), protocol="fancy",
-                           m=2)
+            FragmentSample(indices=np.array([[0, 1]]), protocol="fancy")
 
     def test_disjoint_claim_is_checked(self):
         s = FragmentSample(indices=np.array([[0, 1], [1, 2]]),
-                           protocol="disjoint", m=2)
+                           protocol="disjoint")
         with pytest.raises(SamplingError):
             s.validate(4)
 
@@ -186,7 +192,7 @@ class TestRandomFragments:
         # redraw path whatever the share of rows that repeat
         n = 120_000
         rows = _distinct_rows_by_redraw(sampling._rng(37), n_sites, m, n)
-        FragmentSample(indices=rows, protocol="random", m=m).validate(n_sites)
+        FragmentSample(indices=rows, protocol="random").validate(n_sites)
         subsets = math.comb(n_sites, m)
         codes = (rows * n_sites ** np.arange(m)).sum(axis=1)
         counts = np.unique(codes, return_counts=True)[1]
@@ -415,18 +421,18 @@ class TestOverlapEta:
         idx = sample_random_fragments(12, 4, 30, seed=2).indices
         assert np.unique(idx).size < idx.size
         labelled = estimate_overlap_eta(
-            FragmentSample(indices=idx, protocol="disjoint", m=4), 200, seed=6)
+            FragmentSample(indices=idx, protocol="disjoint"), 200, seed=6)
         sampled = estimate_overlap_eta(
-            FragmentSample(indices=idx, protocol="random", m=4), 200, seed=6)
+            FragmentSample(indices=idx, protocol="random"), 200, seed=6)
         assert labelled == sampled
         assert labelled.eta > 0.0
 
     @pytest.mark.parametrize("protocol", ["random", "disjoint"])
     def test_argument_errors_come_first(self, protocol):
         one = FragmentSample(indices=np.array([[0, 1, 2]]),
-                             protocol=protocol, m=3)
+                             protocol=protocol)
         two = FragmentSample(indices=np.array([[0, 1], [2, 3]]),
-                             protocol=protocol, m=2)
+                             protocol=protocol)
         with pytest.raises(SamplingError, match="needs >= 2 fragments"):
             estimate_overlap_eta(one, 10, seed=0)
         with pytest.raises(SamplingError, match="n_pairs must be >= 1"):
@@ -434,14 +440,14 @@ class TestOverlapEta:
 
     def test_identical_fragments_full_overlap(self):
         idx = np.tile(np.array([2, 5, 9]), (4, 1))
-        s = FragmentSample(indices=idx, protocol="random", m=3)
+        s = FragmentSample(indices=idx, protocol="random")
         stat = estimate_overlap_eta(s, 20, seed=1)
         assert stat.eta == 1.0
 
     def test_single_pair_value(self):
         # {1,2} vs {2,3}: intersection 1, union 3
         idx = np.array([[1, 2], [2, 3]])
-        s = FragmentSample(indices=idx, protocol="random", m=2)
+        s = FragmentSample(indices=idx, protocol="random")
         stat = estimate_overlap_eta(s, 1, seed=4)
         assert abs(stat.eta - 1 / 3) < 1e-15
 

@@ -1,6 +1,7 @@
 """Engine tests: seeds, time grid, sweep correctness, determinism."""
 
 import concurrent.futures
+import gc
 import math
 import os
 import pickle
@@ -771,15 +772,20 @@ class TestCellErrors:
 
     def test_cell_failure_names_only_its_cell(self, monkeypatch):
         real = qdfi.sweep.adequacy_cell
+        cfg = self._config()
+        calls = []
 
-        def broken_at_m2(flags, **kwargs):
-            if kwargs["m"] == 2:
+        def broken_at_m2(*args):
+            # a unit counts its cells m by m, one call per delta, so the
+            # m = 2 family's first call follows the m = 1 family's calls
+            calls.append(args)
+            if len(calls) == len(cfg.deltas) + 1:
                 raise ValueError("no cell")
-            return real(flags, **kwargs)
+            return real(*args)
 
         monkeypatch.setattr(qdfi.sweep, "adequacy_cell", broken_at_m2)
         with pytest.raises(SweepCellError) as err:
-            run_sweep(self._config())
+            run_sweep(cfg)
         message = str(err.value)
         assert message.count("ValueError: no cell") == 1
         assert "m=2, random" in message
@@ -964,8 +970,7 @@ class TestTrajectoryRecord:
 
 class TestPerCellRecords:
     @pytest.mark.parametrize("record", [
-        AdequacyCell(t=1.5, m=3, delta=0.05, protocol="random", n=10, k=4,
-                     ci_low=0.1, ci_high=0.7),
+        AdequacyCell(n=10, k=4, ci_low=0.1, ci_high=0.7),
     ], ids=lambda r: type(r).__name__)
     def test_slotted_and_pickles(self, record):
         # a run builds one of these per cell, so none carries a
@@ -996,15 +1001,20 @@ class TestRunTable:
         # a first run does the imports and fills the caches that any run
         # would, so the traced run counts only what its result holds
         run_sweep(small_config(protocols=("random", "disjoint")))
+        # and what the result holds is what deleting it frees, not the
+        # leftovers of the run that it does not reference
         tracemalloc.start()
         try:
             result = run_sweep(cfg)
-            kept, _ = tracemalloc.get_traced_memory()
+            cells = result.cells.size
+            alive, _ = tracemalloc.get_traced_memory()
+            del result
+            gc.collect()
+            kept = alive - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert result.cells.size == 7680
-        assert kept / result.cells.size < 48, (
-            f"{kept / result.cells.size:.0f} B per cell")
+        assert cells == 7680
+        assert kept / cells < 44.5, f"{kept / cells:.1f} B per cell"
 
     def test_table_arrays_are_read_only(self):
         result = run_sweep(small_config())
@@ -1049,7 +1059,7 @@ class TestRunTable:
 
         def counted(cell):
             if os.getpid() == parent:
-                built.append((cell.t, cell.m))
+                built.append(cell)
             check(cell)
 
         monkeypatch.setattr(AdequacyCell, "__post_init__", counted)
