@@ -4,8 +4,7 @@ Per cell (t, m, delta) the engine produces a Bernoulli sample of adequacy
 flags.  This module turns those into:
 
 * Wilson score intervals for the adequate fraction (robust at 0/1 counts,
-  unlike the Wald interval), as an AdequacyCell of numbers only: a
-  cell's coordinates are the axes of the arrays the sweep stores it in,
+  unlike the Wald interval), in an AdequacyCell that holds no coordinates,
 * an isotonic (PAVA) smoothing of the fraction along m, legitimate
   because adding sites never destroys adequacy in expectation,
 * the onset size m* = min{m : smoothed fraction >= theta} and the derived

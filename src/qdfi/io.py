@@ -327,9 +327,10 @@ def read_onset_table(run_dir,
     read = np.zeros(shape, dtype=bool)
     for lineno, line in enumerate(lines[1:], start=2):
         try:
-            t, delta, protocol, theta, *values = fields = line.split(",")
+            fields = line.split(",")
             if len(fields) != len(names):
                 raise ValueError(f"{len(fields)} fields, not {len(names)}")
+            t, delta, protocol, theta, *values = fields
             if float(theta) != config.theta:
                 raise ValueError(f"theta {theta} is not the config's "
                                  f"{config.theta}")

@@ -682,6 +682,9 @@ class TestCliCommands:
         for text, why in [("t,broken\n1,2\n", "unexpected header"),
                           (f"{header}\nx{first}\n", "line 2: could not "
                            "convert string to float"),
+                          # a blank line used to fail on its unpacking
+                          (f"{header}\n{first}\n\n", "line 3: 1 fields, "
+                           "not 12"),
                           (last_row_with(4, "0"), f"line {last}: m_star 0 "
                            "is not on the config's m grid"),
                           (last_row_with(5, "0"), f"line {last}: m_star_lo "
