@@ -14,9 +14,11 @@ error propagates (simulate exits 2).
 
 Every file is read through _read_text, every config through parse_config
 and every onset.csv row through read_onset_table: each raises ConfigError
-naming the file it rejects.  Each CSV's row order is stated here once, and
-only here: the result's arrays keep their axes in config order, and
-onset.csv reads back into the onsets' (t, delta, protocol) layout.
+naming the file it rejects.  The result's arrays keep their axes in
+config order, and one walker, _in_csv_order, gives every simulate table
+its row order: by t, then m, then delta by value, then protocol by name.
+onset.csv reads back into the onsets' (t, delta, protocol) layout and the
+run's own trajectories (RedundancyTrajectory.of).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from itertools import product
 from operator import attrgetter
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -159,59 +161,51 @@ def write_csv(path: Path, header: str,
         f.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
-def _sorted_indices(values: Sequence) -> List[int]:
-    """The positions of ``values`` in value order: the order phi.csv and
-    onset.csv list deltas in, and every table protocols in (by name),
-    whatever order the config lists them in."""
-    return sorted(range(len(values)), key=values.__getitem__)
+def _in_csv_order(time_grid: np.ndarray, array: np.ndarray,
+                  *axes: Sequence) -> Iterator[Tuple[float, tuple, object]]:
+    """Yield (t, key, entry) for every entry of ``array`` in the row order
+    of every simulate table: by t, then by each later axis in value order
+    (protocols by name).  ``array``'s axes are the time grid and then
+    ``axes``, each in config order; key is the entry's axis values.  The
+    array is converted one time point at a time."""
+    orders = [sorted(range(len(axis)), key=axis.__getitem__)
+              for axis in axes]
+    keys = list(product(*([axis[i] for i in order]
+                          for axis, order in zip(axes, orders))))
+    gather = np.ix_(*orders)
+    for t, block in zip(time_grid.tolist(), array):
+        for key, entry in zip(keys, block[gather].ravel().tolist()):
+            yield t, key, entry
 
 
 def _phi_rows(result: SweepResult) -> Iterator[Tuple[object, ...]]:
-    """phi.csv's rows: by t, then m, then delta by value, then protocol by
-    name.  The run table is converted one time point at a time."""
+    """phi.csv's rows, one per cell."""
     config = result.config
-    deltas = _sorted_indices(config.deltas)
-    protocols = _sorted_indices(config.protocols)
-    keys = list(product(config.m_grid, [config.deltas[d] for d in deltas],
-                        [config.protocols[p] for p in protocols]))
-    for t, block in zip(result.time_grid.tolist(), result.cells):
-        values = block[:, deltas][:, :, protocols].ravel().tolist()
-        for (m, delta, protocol), (n, k, ci_low, ci_high, phi_iso) in zip(
-                keys, values):
-            yield (t, m, delta, protocol, n, k, k / n, phi_iso, ci_low,
-                   ci_high)
+    for t, key, (n, k, ci_low, ci_high, phi_iso) in _in_csv_order(
+            result.time_grid, result.cells, config.m_grid, config.deltas,
+            config.protocols):
+        yield (t, *key, n, k, k / n, phi_iso, ci_low, ci_high)
 
 
 def _overlap_rows(result: SweepResult) -> Iterator[Tuple[object, ...]]:
-    """overlap.csv's rows: by t, then m, then protocol by name, with no row
-    where the overlap array holds NaN (a family of a single fragment).
-    Every estimate stands for the config's overlap_pairs pairs.  The
-    array is converted one time point at a time."""
+    """overlap.csv's rows, with none where the overlap array holds NaN (a
+    family of a single fragment).  Every estimate stands for the config's
+    overlap_pairs pairs."""
     config = result.config
-    protocols = _sorted_indices(config.protocols)
-    names = [config.protocols[p] for p in protocols]
-    for t, block in zip(result.time_grid.tolist(), result.overlaps):
-        for m, etas in zip(config.m_grid, block[:, protocols].tolist()):
-            for protocol, eta in zip(names, etas):
-                if not math.isnan(eta):
-                    yield t, m, protocol, eta, config.overlap_pairs
+    for t, key, eta in _in_csv_order(result.time_grid, result.overlaps,
+                                     config.m_grid, config.protocols):
+        if not math.isnan(eta):
+            yield (t, *key, eta, config.overlap_pairs)
 
 
 def _onset_rows(result: SweepResult) -> Iterator[Tuple[object, ...]]:
-    """onset.csv's rows: by t, then delta by value, then protocol by name,
-    with an absent m (0) or real (NaN) as an empty field.  The onset
-    array is converted one time point at a time."""
+    """onset.csv's rows, with an absent m (0) or real (NaN) as an empty
+    field."""
     config = result.config
-    deltas = _sorted_indices(config.deltas)
-    protocols = _sorted_indices(config.protocols)
-    keys = list(product([config.deltas[d] for d in deltas],
-                        [config.protocols[p] for p in protocols]))
-    for t, block in zip(result.time_grid.tolist(), result.onsets):
-        values = block[deltas][:, protocols].ravel().tolist()
-        for (delta, protocol), row in zip(keys, values):
-            yield (t, delta, protocol, config.theta,
-                   *(m or None for m in row[:3]),
-                   *(None if math.isnan(v) else v for v in row[3:]))
+    for t, key, row in _in_csv_order(result.time_grid, result.onsets,
+                                     config.deltas, config.protocols):
+        yield (t, *key, config.theta, *(m or None for m in row[:3]),
+               *(None if math.isnan(v) else v for v in row[3:]))
 
 
 def _write_run(config: RunConfig,
@@ -299,8 +293,8 @@ def _onset_value(name: str, text: str, m_grid: Sequence[int]):
     return value
 
 
-def read_onset_table(run_dir,
-                     config: RunConfig) -> List[RedundancyTrajectory]:
+def read_onset_table(
+        run_dir, config: RunConfig) -> Tuple[RedundancyTrajectory, ...]:
     """Rebuild trajectories from onset.csv, in (protocol, delta) config order.
 
     Rows may come in any order.  Each must parse into the header's 12
@@ -319,7 +313,6 @@ def read_onset_table(run_dir,
         raise ConfigError(f"{path} has an unexpected header")
     names = ONSET_HEADER.split(",")
     times = build_time_grid(config.time_grid)
-    times.flags.writeable = False
     t_at, d_at, p_at = ({v: i for i, v in enumerate(values)} for values in
                         (times.tolist(), config.deltas, config.protocols))
     shape = (times.size, len(config.deltas), len(config.protocols))
@@ -360,6 +353,4 @@ def read_onset_table(run_dir,
             f"{path} lacks rows: none for t {float(times[t])}, delta "
             f"{config.deltas[d]}, protocol {config.protocols[p]!r}")
     table.flags.writeable = False
-    return [RedundancyTrajectory(delta, protocol, times, table[:, d, p])
-            for p, protocol in enumerate(config.protocols)
-            for d, delta in enumerate(config.deltas)]
+    return RedundancyTrajectory.of(config, times, table)

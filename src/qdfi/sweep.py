@@ -1,8 +1,9 @@
 """Sweep orchestration: quenched couplings, adaptive time grid, cell loop.
 
 One run draws couplings once and walks an adaptive time grid (geometric
-before the knee where onsets move fast, linear after); _run_inputs keeps
-both, per process, for the last config asked for.  Each (protocol, t)
+before the knee where onsets move fast, linear after), which
+build_time_grid returns read-only; _run_inputs keeps both, per process,
+for the last config asked for.  Each (protocol, t)
 work unit takes the config and its coordinates and runs in two phases.
 Per m, it samples the fragment family, keeps only each fragment's
 coupling sum and estimates the pair overlap.  The sums of consecutive
@@ -23,9 +24,9 @@ floats, NaN for a family of a single fragment, and its onsets as one
 (delta,) block of ONSET_DTYPE rows, not as records.  run_sweep copies
 each block into one preallocated array whose axes follow the config:
 the time grid, m_grid, deltas and protocols, in the config's order.
-SweepResult.cells, .overlaps and .onsets are those arrays, read-only,
-and a trajectory is a view of one onset column; io alone decides the
-order of every CSV's rows.
+SweepResult.cells, .overlaps and .onsets are those arrays, read-only;
+RedundancyTrajectory.of views onset columns as trajectories, for a run
+and for io's read-back, and io alone orders every CSV's rows.
 
 Determinism contract: every random decision derives its seed from the
 master seed and the cell coordinates through an avalanche mixer, and
@@ -197,16 +198,19 @@ class TimeGridSpec:
             raise ConfigError("n_dense must be >= 2")
         if self.n_coarse < 1:
             raise ConfigError("n_coarse must be >= 1")
+        build_time_grid(self)    # anchors too close for a rising grid fail
 
 
 def build_time_grid(spec: TimeGridSpec) -> np.ndarray:
-    """Materialize the grid; strictly increasing, endpoints included."""
+    """Materialize the grid, read-only; strictly increasing, endpoints
+    included."""
     dense = np.geomspace(spec.t_min, spec.t_knee, spec.n_dense)
     steps = np.arange(1, spec.n_coarse + 1, dtype=float) / spec.n_coarse
     coarse = spec.t_knee + (spec.t_max - spec.t_knee) * steps
     grid = np.concatenate([dense, coarse])
     if not np.all(np.diff(grid) > 0.0):
         raise ConfigError("time grid failed to be strictly increasing")
+    grid.flags.writeable = False
     return grid
 
 
@@ -390,6 +394,15 @@ class RedundancyTrajectory:
         if np.any(self.t[1:] <= self.t[:-1]):
             raise ConfigError("trajectory times must be strictly increasing")
 
+    @classmethod
+    def of(cls, config: RunConfig, t: np.ndarray,
+           onsets: np.ndarray) -> Tuple[RedundancyTrajectory, ...]:
+        """The trajectories of a (t, delta, protocol) onset array, one per
+        (protocol, delta) in config order: views of t and of one column."""
+        return tuple(cls(delta, protocol, t, onsets[:, d_index, p_index])
+                     for p_index, protocol in enumerate(config.protocols)
+                     for d_index, delta in enumerate(config.deltas))
+
 
 @dataclass(frozen=True)
 class RunStats:
@@ -426,20 +439,15 @@ class SweepResult:
     @property
     def trajectories(self) -> Tuple[RedundancyTrajectory, ...]:
         """Per (protocol, delta) in config order, views of t and onsets."""
-        return tuple(
-            RedundancyTrajectory(delta, protocol, self.time_grid,
-                                 self.onsets[:, d_index, p_index])
-            for p_index, protocol in enumerate(self.config.protocols)
-            for d_index, delta in enumerate(self.config.deltas))
+        return RedundancyTrajectory.of(self.config, self.time_grid,
+                                       self.onsets)
 
 
 @lru_cache(maxsize=1)
 def _run_inputs(config: RunConfig) -> Tuple[CouplingSet, np.ndarray]:
     """The run's couplings and read-only time grid, drawn once per process
     for the last config asked for; a forked worker inherits them."""
-    time_grid = build_time_grid(config.time_grid)
-    time_grid.flags.writeable = False
-    return config.couplings(), time_grid
+    return config.couplings(), build_time_grid(config.time_grid)
 
 
 def _sample_cell(config: RunConfig, t_index: int, m_index: int,

@@ -325,22 +325,23 @@ class TestTableWriting:
     def test_onset_table_round_trip_generated(self, tmp_path_factory, data):
         deltas = data.draw(_deltas(3), label="deltas")
         _assume_threshold_clears_floor(RunConfig.p0, deltas)
+        try:
+            time_grid = TimeGridSpec(
+                *sorted(data.draw(st.lists(st.floats(1e-6, 1e3), min_size=3,
+                                           max_size=3, unique=True),
+                                  label="grid ends")),
+                n_dense=data.draw(st.integers(2, 3), label="n_dense"),
+                n_coarse=data.draw(st.integers(1, 2), label="n_coarse"))
+        except ConfigError:   # ends too close for a strictly rising grid
+            reject()
         cfg = RunConfig(
             n_sites=10, deltas=deltas,
             protocols=data.draw(st.lists(st.sampled_from(PROTOCOLS),
                                          min_size=1, max_size=3, unique=True),
                                 label="protocols"),
             theta=data.draw(_open_unit(), label="theta"),
-            time_grid=TimeGridSpec(
-                *sorted(data.draw(st.lists(st.floats(1e-6, 1e3), min_size=3,
-                                           max_size=3, unique=True),
-                                  label="grid ends")),
-                n_dense=data.draw(st.integers(2, 3), label="n_dense"),
-                n_coarse=data.draw(st.integers(1, 2), label="n_coarse")))
-        try:
-            times = build_time_grid(cfg.time_grid).tolist()
-        except ConfigError:   # ends too close for a strictly rising grid
-            reject()
+            time_grid=time_grid)
+        times = build_time_grid(cfg.time_grid).tolist()
         onsets = np.array(
             [[[data.draw(onset_estimates(cfg.m_grid)) for _ in cfg.protocols]
               for _ in cfg.deltas] for _ in times], dtype=ONSET_DTYPE)

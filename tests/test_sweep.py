@@ -22,7 +22,7 @@ from qdfi import (AdequacyCell, ConfigError, CouplingSet, ONSET_DTYPE,
                   RedundancyTrajectory, RunConfig, SweepCellError,
                   TimeGridSpec, Tolerance, binary_entropy, build_time_grid,
                   cell_chi_values, derive_cell_seed, enumerate_fragments,
-                  holevo_biased, oracle_report, run_sweep,
+                  holevo_biased, oracle_report, read_onset_table, run_sweep,
                   sample_random_fragments, write_tables)
 from qdfi.sweep import PURPOSE_COUPLINGS
 
@@ -109,6 +109,13 @@ class TestTimeGrid:
         # trajectory times, or, with n_coarse = 1, write t = inf rows
         with pytest.raises(ConfigError, match=rf"^{key} must be finite"):
             RunConfig(n_sites=12, time_grid=TimeGridSpec(**{key: value}))
+
+    def test_anchors_too_close_for_a_rising_grid_rejected(self):
+        # t_knee one ulp past t_min passes the anchor check, but the
+        # geometric points between them cannot all differ; the spec
+        # builds its grid, so the config fails before any run
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            TimeGridSpec(t_min=0.01, t_knee=math.nextafter(0.01, 1.0))
 
     def test_grid_check_catches_nan(self):
         spec = TimeGridSpec()
@@ -355,32 +362,33 @@ class TestSweepStructure:
         assert res.stats.holevo_evaluations == (n_t * len(cfg.m_grid)
                                                 * cfg.n_fragments)
 
-    def test_cells_sorted_canonically(self, tmp_path):
-        # deltas and protocols listed out of order: phi.csv lists its rows
-        # by t, then m, then delta by value, then protocol by name
-        res = run_sweep(small_config(deltas=(0.1, 0.01, 0.05),
-                                     protocols=("random", "disjoint")))
-        write_tables(res, tmp_path)
-        lines = (tmp_path / "phi.csv").read_text(encoding="utf-8")
-        keys = [(float(t), int(m), float(delta), protocol)
-                for t, m, delta, protocol, *_ in
-                (line.split(",") for line in lines.splitlines()[1:])]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys) == res.cells.size
+    @pytest.fixture(scope="class")
+    def unordered_run(self, tmp_path_factory):
+        # deltas and protocols listed out of order, and disjoint families
+        # of m > 6 with a single fragment and so no overlap row
+        result = run_sweep(small_config(deltas=(0.1, 0.01, 0.05),
+                                        protocols=("random", "disjoint")))
+        out = tmp_path_factory.mktemp("unordered")
+        write_tables(result, out)
+        return result, out
 
-    def test_onsets_sorted_canonically(self, tmp_path):
-        # onset.csv lists its rows by t, then delta by value, then
-        # protocol by name, one row per onset of the result
-        cfg = small_config(deltas=(0.1, 0.01, 0.05),
-                           protocols=("random", "disjoint"))
-        res = run_sweep(cfg)
-        lines = write_tables(res, tmp_path)["onset"].read_text(
-            encoding="utf-8").splitlines()
-        keys = [(float(t), float(delta), protocol)
-                for t, delta, protocol, *_ in
-                (line.split(",") for line in lines[1:])]
+    @pytest.mark.parametrize("name, key_types, row_count", [
+        ("phi", (float, int, float, str), lambda r: r.cells.size),
+        ("onset", (float, float, str), lambda r: r.onsets.size),
+        ("overlap", (float, int, str),
+         lambda r: np.count_nonzero(~np.isnan(r.overlaps))),
+    ], ids=["phi", "onset", "overlap"])
+    def test_rows_sorted_canonically(self, unordered_run, name, key_types,
+                                     row_count):
+        # every simulate table lists its rows by t, then m, then delta by
+        # value, then protocol by name, one row per entry it writes
+        result, out = unordered_run
+        lines = (out / f"{name}.csv").read_text(encoding="utf-8")
+        keys = [tuple(parse(field) for parse, field in
+                      zip(key_types, line.split(",")))
+                for line in lines.splitlines()[1:]]
         assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys) == res.onsets.size
+        assert len(set(keys)) == len(keys) == row_count(result)
 
     def test_phi_iso_monotone_in_m(self):
         iso = run_sweep(small_config()).cells["phi_iso"]
@@ -593,11 +601,17 @@ class TestDeterminism:
         assert same_onsets(a.onsets, b.onsets)
         assert np.array_equal(a.overlaps, b.overlaps, equal_nan=True)
 
-    def test_time_grid_is_read_only(self):
-        # every unit of a run reads the one memoized grid
-        grid = run_sweep(small_config()).time_grid
-        with pytest.raises(ValueError):
-            grid[0] = 0.5
+    def test_time_grid_is_read_only(self, tmp_path):
+        # build_time_grid returns the grid read-only: every unit of a run
+        # reads the one memoized grid, and so does each trajectory read
+        # back from onset.csv
+        cfg = small_config()
+        result = run_sweep(cfg)
+        write_tables(result, tmp_path)
+        for grid in (build_time_grid(cfg.time_grid), result.time_grid,
+                     *(traj.t for traj in read_onset_table(tmp_path, cfg))):
+            with pytest.raises(ValueError, match="read-only"):
+                grid[0] = 0.5
 
     def test_interleaved_configs_keep_their_own_couplings(self):
         # the memo of couplings and grid keys on the whole config: B
@@ -1048,6 +1062,20 @@ class TestRunTable:
             assert traj.t is result.time_grid
             assert same_onsets(traj.onsets,
                                result.onsets[:, d_index, p_index])
+
+    def test_read_back_gives_the_runs_trajectories(self, tmp_path):
+        # one builder makes both: the same container, (protocol, delta)
+        # order and onsets, from the run and from its onset.csv
+        cfg = small_config(deltas=(0.1, 0.01),
+                           protocols=("random", "disjoint"))
+        result = run_sweep(cfg)
+        write_tables(result, tmp_path)
+        ran, read = result.trajectories, read_onset_table(tmp_path, cfg)
+        assert type(read) is type(ran)
+        assert [(t.protocol, t.delta) for t in read] == [
+            (t.protocol, t.delta) for t in ran]
+        for a, b in zip(read, ran):
+            assert same_onsets(a.onsets, b.onsets)
 
     def test_pooled_run_builds_no_cell_in_the_parent(self, tmp_path,
                                                      monkeypatch):
