@@ -78,15 +78,19 @@ def valid_configs(draw):
     p0 = draw(_open_unit(), label="p0")
     deltas = draw(_deltas(4), label="deltas")
     _assume_threshold_clears_floor(p0, deltas)
+    try:
+        time_grid = TimeGridSpec(
+            *sorted((t_min, t_knee, t_max)),
+            n_dense=draw(st.integers(2, 200), label="n_dense"),
+            n_coarse=draw(st.integers(1, 200), label="n_coarse"))
+    except ConfigError:   # ends too close for a strictly rising grid
+        reject()
     return RunConfig(
         n_sites=n_sites, g=g, coupling_rate=coupling_rate, p0=p0,
         deltas=deltas, theta=draw(_open_unit(), label="theta"), protocols=protocols,
         n_fragments=draw(st.integers(1, 10 ** 6), label="n_fragments"),
         m_grid=m_grid,
-        time_grid=TimeGridSpec(
-            *sorted((t_min, t_knee, t_max)),
-            n_dense=draw(st.integers(2, 200), label="n_dense"),
-            n_coarse=draw(st.integers(1, 200), label="n_coarse")),
+        time_grid=time_grid,
         alpha=draw(st.floats(2.0 ** -53, 1.0, exclude_min=True,
                              exclude_max=True), label="alpha"),
         bootstrap_replicates=draw(st.integers(1, 10 ** 6), label="B"),
