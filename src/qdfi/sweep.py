@@ -3,27 +3,12 @@
 One run draws couplings once and walks an adaptive time grid (geometric
 before the knee where onsets move fast, linear after), which
 build_time_grid returns read-only; _run_inputs keeps both, per process,
-for the last config asked for.  Each (protocol, t)
-work unit takes the config and its coordinates and runs in two phases.
-Per m, it samples the fragment family, keeps only each fragment's
-coupling sum and estimates the pair overlap.  The sums of consecutive
-families wait in one block of at most _CHI_BLOCK fragments (a larger
-family is a block of its own); before the next family would overfill
-it, one Holevo pass gives every fragment's chi and adequacy flag per
-delta, and each (t, m, delta) cell counts its slice.  Blocking changes
-how many calls do the work, not the work or any output byte, and a unit
-holds one block of sums at a time, not every family of its time point.
-Per delta, the adequate fractions are isotonically smoothed along m, the
-onset is extracted, and the Wilson-inversion and bootstrap bounds are
-combined.  A failed chi pass names every (t, m) of its block, a failed
-cell its own (t, m) and a failed onset its (t, delta).
-
-A unit returns its cells as one (m, delta) block of CELL_DTYPE rows (n,
-k, Wilson bounds, isotonic fraction), its overlaps as one (m,) block of
-floats, NaN for a family of a single fragment, and its onsets as one
-(delta,) block of ONSET_DTYPE rows, not as records.  run_sweep copies
-each block into one preallocated array whose axes follow the config:
-the time grid, m_grid, deltas and protocols, in the config's order.
+for the last config asked for.  Each (protocol, t) work unit takes the
+config and its coordinates, runs _count_stage, then _onset_stage on its
+counts (their docstrings state each phase), and returns its cells,
+overlaps and onsets as arrays, not as records.  run_sweep copies each
+block into one preallocated array whose axes follow the config: the
+time grid, m_grid, deltas and protocols, in the config's order.
 SweepResult.cells, .overlaps and .onsets are those arrays, read-only;
 RedundancyTrajectory.of views onset columns as trajectories, for a run
 and for io's read-back, and io alone orders every CSV's rows.
@@ -495,9 +480,15 @@ def cell_chi_values(config: RunConfig, t_index: int, m_index: int,
     This is the exact computation the sweep performs, on the couplings
     and time grid the config draws and the same derived seed, so post-hoc
     diagnostics can recover the fragment-level distribution without
-    storing it.
+    storing it.  An index off the config's grids or an unknown protocol
+    raises ConfigError naming it.
     """
     couplings, time_grid = _run_inputs(config)
+    for name, value, valid in (("t_index", t_index, range(time_grid.size)),
+                               ("m_index", m_index, range(len(config.m_grid))),
+                               ("protocol", protocol, PROTOCOLS)):
+        if value not in valid:
+            raise ConfigError(f"{name} {value!r} is not in {valid}")
     sample = _sample_cell(config, t_index, m_index, protocol)
     return _adequacy(config, float(time_grid[t_index]),
                      _coupling_sums(couplings, sample), ())[0]
@@ -513,20 +504,35 @@ class _TimePayload:
     holevo_evaluations: int
 
 
-def _compute_time_point(config: RunConfig, protocol: str,
-                        t_index: int) -> _TimePayload:
+def _raise_failures(t: float, protocol: str, errors: list) -> None:
+    """Raise one SweepCellError naming each ((key, value), exception)."""
+    if errors:
+        raise SweepCellError("cell failures: " + "; ".join(
+            f"(t={t}, {key}={value}, {protocol}): {type(exc).__name__}: {exc}"
+            for (key, value), exc in errors)) from errors[0][1]
+
+
+def _count_stage(config: RunConfig, protocol: str,
+                 t_index: int) -> Tuple[np.ndarray, np.ndarray, int]:
+    """A work unit's count stage: the (m, delta) CELL_DTYPE cells with NaN
+    phi_iso, the (m,) overlap etas and the Holevo evaluation count.  Per m,
+    it samples the fragment family, keeps only each fragment's coupling
+    sum, dropping its index block before the next draw, and estimates the
+    pair overlap.  The sums of consecutive families wait in one block of
+    at most _CHI_BLOCK fragments (a larger family is a block of its own);
+    before the next family would overfill it, one Holevo pass gives every
+    fragment's chi and adequacy flag per delta, and each (t, m, delta)
+    cell counts its slice, keeping no record.  Blocking changes how many
+    calls do the work, not the work or any output byte, and a unit holds
+    one block of sums at a time.  A failed chi pass names every (t, m) of
+    its block, a failed family or cell its own (t, m), all in one
+    SweepCellError."""
     couplings, time_grid = _run_inputs(config)
     t = float(time_grid[t_index])
     entropy = binary_entropy(config.p0)
     tols = [Tolerance.for_entropy(d, entropy) for d in config.deltas]
     proto_id = _PROTOCOL_IDS[protocol]
-    # (("m", m) or ("delta", delta), exception) of each failed step at t
     errors: List[Tuple[tuple, Exception]] = []
-
-    # Per block of consecutive families: one Holevo pass, then each
-    # family's cells from its slice; a chi failure names every (t, m) of
-    # the block, a cell failure one.  Each cell's numbers go into the
-    # unit's (m, delta) table, and no record is kept.
     block: List[Tuple[int, np.ndarray]] = []
     table = np.empty((len(config.m_grid), len(tols)), dtype=CELL_DTYPE)
     evaluations = 0
@@ -548,9 +554,6 @@ def _compute_time_point(config: RunConfig, protocol: str,
                 start = stop
         block.clear()
 
-    # Per m: each family's coupling sums and overlap estimate; its index
-    # block is dropped before the next draw, and the pending block is
-    # evaluated before the family would take it past _CHI_BLOCK fragments.
     etas = np.full(len(config.m_grid), math.nan)
     for m_index, m in enumerate(config.m_grid):
         with _reported(errors, ("m", m)):
@@ -569,13 +572,26 @@ def _compute_time_point(config: RunConfig, protocol: str,
             block.append((m_index, sums))
     if block:
         evaluate_block()
+    _raise_failures(t, protocol, errors)
+    return table, etas, evaluations
 
+
+def _onset_stage(config: RunConfig, protocol: str, t_index: int,
+                 cells: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """A work unit's onset stage: the (delta,) ONSET_DTYPE onsets of a
+    successful count stage's cells and etas (onsets need every cell of
+    the time point).  Per delta, the adequate fractions are isotonically
+    smoothed along m into the cells' phi_iso, the onset is extracted, the
+    Wilson-inversion and bootstrap bounds are combined, and R and FI are
+    taken at the onset with its m's eta; a failed delta names its
+    (t, delta), all in one SweepCellError."""
+    t = float(_run_inputs(config)[1][t_index])
+    proto_id = _PROTOCOL_IDS[protocol]
+    errors: List[Tuple[tuple, Exception]] = []
     onsets = np.empty(len(config.deltas), dtype=ONSET_DTYPE)
     m_arr = np.asarray(config.m_grid, dtype=np.int64)
-    # Per delta: onsets need every cell of the time point, so none is
-    # computed once a cell has failed.
-    for d_index, delta in enumerate([] if errors else config.deltas):
-        column = table[:, d_index]
+    for d_index, delta in enumerate(config.deltas):
+        column = cells[:, d_index]
         with _reported(errors, ("delta", delta)):
             n_arr = column["n"].astype(float)
             k_arr = column["k"].astype(float)
@@ -601,12 +617,16 @@ def _compute_time_point(config: RunConfig, protocol: str,
                                                      eta)
             onsets[d_index] = (m_star or 0, m_lo or 0, m_hi or 0, r, r_eff,
                                eta, fi, fi_eff)
+    _raise_failures(t, protocol, errors)
+    return onsets
 
-    if errors:
-        raise SweepCellError("cell failures: " + "; ".join(
-            f"(t={t}, {key}={value}, {protocol}): {type(exc).__name__}: {exc}"
-            for (key, value), exc in errors)) from errors[0][1]
-    return _TimePayload(cells=table, onsets=onsets, overlaps=etas,
+
+def _compute_time_point(config: RunConfig, protocol: str,
+                        t_index: int) -> _TimePayload:
+    """One (protocol, t) work unit: _onset_stage after _count_stage."""
+    cells, etas, evaluations = _count_stage(config, protocol, t_index)
+    onsets = _onset_stage(config, protocol, t_index, cells, etas)
+    return _TimePayload(cells=cells, onsets=onsets, overlaps=etas,
                         holevo_evaluations=evaluations)
 
 
@@ -693,7 +713,8 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
 class OracleReport:
     """Sampled-vs-exact adequacy comparison for an enumerable environment:
     the grid times checked and, at each, the random and the exhaustive
-    cells as CELL_DTYPE tables of shape (time, m, delta)."""
+    cells as CELL_DTYPE tables of shape (time, m, delta), from the count
+    stage only, so their phi_iso is NaN."""
 
     times: np.ndarray
     sampled: np.ndarray
@@ -706,10 +727,11 @@ class OracleReport:
 def oracle_report(config: RunConfig) -> OracleReport:
     """Cross-check sampled adequacy against exact enumeration.
 
-    At three times (quartile indices of the grid) runs simulate's own
-    (protocol, t) work unit, _compute_time_point, for the random protocol
-    and for the exhaustive family of all C(N, m) fragments, with the
-    Wilson band at ORACLE_BAND_ALPHA; the config with those protocols
+    At three times (quartile indices of the grid) runs the count stage of
+    simulate's own (protocol, t) work unit, _count_stage, and never its
+    onset stage, for the random protocol and for the exhaustive family of
+    all C(N, m) fragments, with the Wilson band at ORACLE_BAND_ALPHA; the
+    tables' phi_iso is therefore NaN.  The config with those protocols
     must validate, so every C(N, m) on the grid must fit the enumeration
     cap.  Each protocol's (m, delta) blocks are stacked into one (time,
     m, delta) table, with m and delta in config order.  A cell passes
@@ -723,7 +745,7 @@ def oracle_report(config: RunConfig) -> OracleReport:
     n_t = time_grid.size
     t_indices = sorted({n_t // 4, n_t // 2, (3 * n_t) // 4})
     sampled, exact = (
-        np.stack([_compute_time_point(config, protocol, t_index).cells
+        np.stack([_count_stage(config, protocol, t_index)[0]
                   for t_index in t_indices])
         for protocol in config.protocols)
     phi_exact = exact["k"] / exact["n"]

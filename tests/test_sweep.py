@@ -18,12 +18,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qdfi.sweep
-from qdfi import (AdequacyCell, ConfigError, CouplingSet, ONSET_DTYPE,
-                  RedundancyTrajectory, RunConfig, SweepCellError,
-                  TimeGridSpec, Tolerance, binary_entropy, build_time_grid,
-                  cell_chi_values, derive_cell_seed, enumerate_fragments,
-                  holevo_biased, oracle_report, read_onset_table, run_sweep,
-                  sample_random_fragments, write_tables)
+from qdfi import (AdequacyCell, CELL_DTYPE, ConfigError, CouplingSet,
+                  ONSET_DTYPE, RedundancyTrajectory, RunConfig,
+                  SweepCellError, TimeGridSpec, Tolerance, binary_entropy,
+                  build_time_grid, cell_chi_values, derive_cell_seed,
+                  enumerate_fragments, holevo_biased, oracle_report,
+                  read_onset_table, redundancy_fi, run_sweep,
+                  sample_random_fragments, wilson_interval, write_tables)
 from qdfi.sweep import PURPOSE_COUPLINGS
 
 
@@ -738,7 +739,8 @@ class TestOracleReport:
 
     def test_cells_are_the_sweeps_cells(self):
         # each oracle cell is the random cell simulate writes at the 99%
-        # band, and its exact fraction the exhaustive cell's p_hat
+        # band, and its exact fraction the exhaustive cell's p_hat; the
+        # oracle runs the count stage only, so its phi_iso is NaN
         cfg = RunConfig(n_sites=8, m_grid=(1, 2, 4, 8), n_fragments=200,
                         deltas=(0.05, 0.2), protocols=("random", "exhaustive"),
                         alpha=qdfi.sweep.ORACLE_BAND_ALPHA,
@@ -753,8 +755,37 @@ class TestOracleReport:
         assert len(set(report.times.tolist())) == 3
         t_indices = np.searchsorted(res.time_grid, report.times)
         assert np.array_equal(res.time_grid[t_indices], report.times)
-        assert np.array_equal(report.sampled, res.cells[t_indices, ..., 0])
-        assert np.array_equal(report.exact, res.cells[t_indices, ..., 1])
+        counts = ["n", "k", "ci_low", "ci_high"]
+        assert np.array_equal(report.sampled[counts],
+                              res.cells[t_indices, ..., 0][counts])
+        assert np.array_equal(report.exact[counts],
+                              res.cells[t_indices, ..., 1][counts])
+        for table in (report.sampled, report.exact):
+            assert np.isnan(table["phi_iso"]).all()
+
+    def test_runs_no_onset_stage(self, monkeypatch):
+        cfg = RunConfig(n_sites=8, m_grid=(1, 2, 4, 8), n_fragments=200,
+                        deltas=(0.05, 0.2),
+                        time_grid=TimeGridSpec(n_dense=4, n_coarse=4),
+                        bootstrap_replicates=20, overlap_pairs=10,
+                        master_seed=11)
+        want = oracle_report(cfg)
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the oracle ran the onset stage")
+
+        for name in ("isotonic_fit", "onset_ci_inversion",
+                     "_bootstrap_counts", "combine_onset_ci",
+                     "redundancy_fi"):
+            monkeypatch.setattr(qdfi.sweep, name, broken)
+        got = oracle_report(cfg)
+        assert np.array_equal(got.times, want.times)
+        for table in ("sampled", "exact"):
+            assert (getattr(got, table).tobytes()
+                    == getattr(want, table).tobytes())
+        assert ((got.max_abs_deviation, got.fraction_within, got.passed)
+                == (want.max_abs_deviation, want.fraction_within,
+                    want.passed))
 
     def test_unenumerable_rejected(self):
         cfg = RunConfig(n_sites=60, m_grid=(30,), n_fragments=10,
@@ -858,6 +889,70 @@ class TestCellErrors:
             assert isinstance(cause, ValueError)
         else:  # a pool re-raises with the worker's traceback as the cause
             assert f"ValueError: {name} broke" in str(cause)
+
+
+class TestOnsetStage:
+    """The onset stage on a hand-built count table, with no sampling."""
+
+    M_GRID = (1, 2, 4, 8)
+
+    def _onsets(self, k, etas=(math.nan,) * 4):
+        cfg = RunConfig(n_sites=100, m_grid=self.M_GRID, theta=0.5,
+                        deltas=(0.05,),
+                        time_grid=TimeGridSpec(n_dense=2, n_coarse=1),
+                        bootstrap_replicates=200)
+        cells = np.empty((len(self.M_GRID), 1), dtype=CELL_DTYPE)
+        for m_index, k_m in enumerate(k):
+            cells[m_index, 0] = (10, k_m, *wilson_interval(k_m, 10, cfg.alpha),
+                                 math.nan)
+        onsets = qdfi.sweep._onset_stage(cfg, "random", 0, cells,
+                                         np.asarray(etas, dtype=float))
+        assert onsets.shape == (1,)
+        return cells[:, 0], onsets[0]
+
+    def test_onset_of_a_pooled_table(self):
+        cells, onset = self._onsets((0, 6, 4, 10))
+        # 6/10 and 4/10 pool to 1/2, which reaches theta = 1/2 at m = 2
+        assert cells["phi_iso"].tolist() == [0.0, 0.5, 0.5, 1.0]
+        assert onset["m_star"] == 2
+        assert 0 < onset["m_star_lo"] <= 2 <= onset["m_star_hi"]
+        assert onset["r"] == 50.0 and onset["fi"] == math.log2(50.0)
+        # NaN etas: no correction
+        assert onset["eta"] == 0.0 and onset["r_eff"] == 50.0
+
+    def test_eta_at_the_onset_corrects_r(self):
+        _, onset = self._onsets((0, 6, 4, 10), (math.nan, 0.1, 0.2, 0.3))
+        assert onset["eta"] == 0.1
+        assert onset["r_eff"] == redundancy_fi(100, 2, 0.1).r_eff
+        assert onset["fi_eff"] == redundancy_fi(100, 2, 0.1).fi_eff
+
+    @pytest.mark.parametrize("eta", [1.0, math.nan])
+    def test_eta_of_one_or_nan_leaves_onset_uncorrected(self, eta):
+        _, onset = self._onsets((0, 6, 4, 10), (0.3, eta, 0.2, 0.3))
+        assert onset["eta"] == 0.0
+        assert (onset["r_eff"], onset["fi_eff"]) == (50.0, math.log2(50.0))
+
+    def test_no_adequate_fragment_gives_an_absent_onset(self):
+        cells, onset = self._onsets((0, 0, 0, 0))
+        assert cells["phi_iso"].tolist() == [0.0] * 4
+        assert same_onsets(np.array([onset]), absent_onsets(1))
+
+
+class TestCellChiValuesCoordinates:
+    """cell_chi_values names a coordinate the config does not have."""
+
+    @pytest.mark.parametrize("t_index, m_index, protocol, named", [
+        (3, 0, "random", "t_index 3"),
+        (0, 8, "random", "m_index 8"),
+        (-1, 0, "random", "t_index -1"),
+        (0, -1, "random", "m_index -1"),
+        (0, 0, "bogus", "protocol 'bogus'"),
+    ], ids=["t-off-grid", "m-off-grid", "t-negative", "m-negative",
+            "unknown-protocol"])
+    def test_bad_coordinate_named(self, t_index, m_index, protocol, named):
+        cfg = small_config(time_grid=TimeGridSpec(n_dense=2, n_coarse=1))
+        with pytest.raises(ConfigError, match=named):
+            cell_chi_values(cfg, t_index, m_index, protocol)
 
 
 def absent_onsets(shape):
