@@ -15,6 +15,16 @@ Layout:
     io / cli    config files, CSV tables, command-line front end
 """
 
+import os
+
+# numpy's bundled OpenBLAS starts one helper thread per extra core when
+# numpy loads, and each busy-waits about 2^28 cycles before it sleeps.  No
+# qdfi command calls BLAS, so with the shortest timeout the idle threads
+# sleep at once; unlike OPENBLAS_NUM_THREADS=1 this leaves a caller that
+# does use BLAS its threads.  Set before any submodule imports numpy, so
+# every qdfi process and pool worker gets it; a value already set wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from ._version import __version__
 from . import analysis, estimation, model, sampling, sweep, io
 from .analysis import *

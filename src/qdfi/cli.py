@@ -114,19 +114,28 @@ def _out_dir(path: str) -> Path:
     return out
 
 
+def _cpu_seconds() -> float:
+    """CPU time of this process and of its reaped children (the pool
+    workers), user plus system."""
+    times = os.times()
+    return (times.user + times.system
+            + times.children_user + times.children_system)
+
+
 def _cmd_simulate(ns) -> int:
     config = RunConfig() if ns.config is None else parse_config(ns.config)
     threads = _parse_threads(ns.threads)
     _out_dir(ns.out)
-    started = time.perf_counter()
+    started, cpu_started = time.perf_counter(), _cpu_seconds()
     result = run_sweep(config, threads=threads)
     written = write_tables(result, ns.out)
     elapsed = time.perf_counter() - started
+    cpu = _cpu_seconds() - cpu_started
     # Timing goes to stdout only; output files must be rerun-identical.
     print(f"simulate: {result.cells.size} cells, "
           f"{result.stats.holevo_evaluations} holevo evaluations, "
           f"{result.stats.fi_soft_violations} soft FI violations, "
-          f"{elapsed:.1f}s")
+          f"{elapsed:.1f}s, {cpu:.1f}s CPU")
     for name in sorted(written):
         print(f"  {written[name]}")
     return 0

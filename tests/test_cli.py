@@ -433,7 +433,8 @@ class TestCliCommands:
     def test_simulate_prints_soft_fi_violations(self, tmp_path, capsys,
                                                 fast_cfg_file, monkeypatch):
         # bench/run.py reads the Holevo count as the second comma-separated
-        # field, so the soft FI violation count comes after it
+        # field, so the soft FI violation count comes after it, and the
+        # CPU time is the last field
         results = []
 
         def recording(*args, **kwargs):
@@ -447,6 +448,7 @@ class TestCliCommands:
         stats = results[0].stats
         assert summary[1] == f"{stats.holevo_evaluations} holevo evaluations"
         assert summary[2] == f"{stats.fi_soft_violations} soft FI violations"
+        assert re.fullmatch(r"\d+\.\ds CPU", summary[-1]), summary[-1]
 
     def test_threads_auto_follows_affinity(self, monkeypatch):
         monkeypatch.setattr(qdfi.cli.os, "sched_getaffinity",

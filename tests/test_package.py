@@ -1,11 +1,17 @@
 """Package surface: every public name the package binds is exported,
-every module uses what it imports, and the package needs nothing at run
-time beyond the standard library and numpy."""
+every module uses what it imports, the package needs nothing at run
+time beyond the standard library and numpy, and importing it sets
+OpenBLAS's idle-thread timeout before numpy loads."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import qdfi
 
@@ -87,3 +93,34 @@ def test_runtime_imports_are_stdlib_or_numpy():
             outside.extend(f"{path.stem}: {name}" for name in names
                            if name.split(".")[0] not in allowed)
     assert not outside, f"runtime imports beyond stdlib and numpy: {outside}"
+
+
+# Records the variable as the first lookup of numpy sees it, that is,
+# as OpenBLAS reads it when numpy loads it, and again after the import.
+_TIMEOUT_PROBE = """
+import json, os, sys
+seen = []
+class Spy:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        return None
+sys.meta_path.insert(0, Spy)
+import qdfi.cli
+print(json.dumps([seen, os.environ.get("OPENBLAS_THREAD_TIMEOUT")]))
+"""
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "4"), ("20", "20")])
+def test_openblas_timeout_set_before_numpy_loads(preset, expected):
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = str(Path(qdfi.__file__).parents[1])
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    child = subprocess.run([sys.executable, "-c", _TIMEOUT_PROBE], env=env,
+                           capture_output=True, text=True, check=True)
+    seen, after = json.loads(child.stdout.splitlines()[-1])
+    assert seen == [expected]
+    assert after == expected
