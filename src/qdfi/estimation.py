@@ -167,8 +167,9 @@ class IsotonicCurve:
     phi_iso: np.ndarray
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.m_grid, dtype=np.int64)
-        phi = np.asarray(self.phi_iso, dtype=float)
+        # copies, so freezing them leaves the caller's arrays writable
+        grid = np.array(self.m_grid, dtype=np.int64)
+        phi = np.array(self.phi_iso, dtype=float)
         if grid.ndim != 1 or phi.shape != grid.shape or grid.size < 1:
             raise EstimationError("curve needs matching 1-d m_grid/phi_iso")
         if grid.size > 1 and np.any(np.diff(grid) <= 0):
@@ -176,7 +177,6 @@ class IsotonicCurve:
         if np.any(np.diff(phi) < 0.0):
             raise EstimationError("phi_iso must be nondecreasing")
         grid.setflags(write=False)
-        phi = phi.copy()
         phi.setflags(write=False)
         object.__setattr__(self, "m_grid", grid)
         object.__setattr__(self, "phi_iso", phi)
@@ -315,7 +315,7 @@ def _bootstrap_counts(m_values: np.ndarray, k: np.ndarray, n: np.ndarray,
                       seed: int) -> Tuple[Optional[int], Optional[int]]:
     """Percentile bootstrap of the onset from per-m counts.
 
-    k and n are the adequate and total float counts of the cells on the
+    k and n are the adequate and total counts of the cells on the
     strictly increasing grid m_values, as the sweep passes them.
     Resampling n Bernoulli flags with replacement is a Binomial(n, k/n)
     draw on the adequate count, which is how replicates are generated

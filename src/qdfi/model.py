@@ -5,9 +5,11 @@ environment spins with fixed couplings lambda_k.  Everything downstream
 (adequacy counting, redundancy, functional information) reduces to three
 ingredients implemented here:
 
-* the pairwise overlap of conditional environment states, kept in log
-  domain because exp(-g^2 t^2 sum lambda) underflows long before the
-  interesting regime ends,
+* the couplings lambda_k and the scale g, from which the sweep forms a
+  fragment's log overlap -g^2 t^2 sum lambda (sweep._adequacy); the
+  functions here take the overlap in log domain because
+  exp(-g^2 t^2 sum lambda) underflows long before the interesting regime
+  ends,
 * the Holevo information of a binary ensemble of pure states, which for
   equal priors collapses to h2((1+c)/2) and for biased priors to the
   entropy of the larger eigenvalue of a 2x2 density matrix,
@@ -31,7 +33,6 @@ __all__ = [
     "ENTROPY_FLOOR",
     "binary_entropy",
     "binary_entropy_inverse",
-    "log_overlap",
     "holevo_biased",
     "is_adequate",
     "overlap_cutoff",
@@ -44,8 +45,6 @@ __all__ = [
 _EDGE_TOL = 1e-9
 # Clamp applied to log arguments so entropy evaluation never produces NaN.
 _LOG_CLIP = 1e-15
-# Absolute bracket width at which binary_entropy_inverse stops bisecting.
-_H2_INVERSE_TOL = 1e-12
 
 
 class DomainError(ValueError):
@@ -95,7 +94,8 @@ ENTROPY_FLOOR = max(binary_entropy(_LOG_CLIP), binary_entropy(1.0 - _LOG_CLIP))
 
 
 def binary_entropy_inverse(y: float) -> float:
-    """Principal inverse of h2 on [0, 1/2], bisected to _H2_INVERSE_TOL.
+    """Principal inverse of h2 on [0, 1/2]: the smallest float h with
+    h2(h) >= y, found by bisection down to adjacent floats.
 
     binary_entropy_inverse(0.0) == 0.0 and binary_entropy_inverse(1.0) == 0.5.
     """
@@ -106,35 +106,20 @@ def binary_entropy_inverse(y: float) -> float:
     y = min(max(y, 0.0), 1.0)
     if y == 0.0:
         return 0.0
+    # h2 is flat near 1/2, so bisection would stop below it
     if y == 1.0:
         return 0.5
+    # h2(lo) < y <= h2(hi) holds throughout; once no float lies between
+    # them, hi is the answer
     lo, hi = 0.0, 0.5
-    while hi - lo > _H2_INVERSE_TOL:
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
         if binary_entropy(mid) < y:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
-
-
-def log_overlap(couplings, g: float, t: float) -> float:
-    """ln |<E_0(t)|E_1(t)>| for a fragment holding the given couplings.
-
-    For pure dephasing the conditional fragment states stay product states
-    and the log overlap is exactly -g^2 t^2 sum_k lambda_k.  Working in
-    log domain here is what keeps late times representable.
-    """
-    lam = np.asarray(couplings, dtype=float)
-    if lam.ndim != 1:
-        raise DomainError("couplings must be one-dimensional")
-    if not np.all(np.isfinite(lam)) or np.any(lam < 0.0):
-        raise DomainError("couplings must be finite and nonnegative")
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    if not math.isfinite(g):
-        raise DomainError("coupling scale g must be finite")
-    return -(g * g) * (t * t) * float(lam.sum())
 
 
 def _overlap_from_log(log_c) -> np.ndarray:
@@ -176,7 +161,6 @@ class CouplingSet:
 
     couplings: np.ndarray
     g: float
-    n_sites: int = field(init=False)
     coupling_mean: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -191,7 +175,6 @@ class CouplingSet:
         lam = lam.copy()
         lam.setflags(write=False)
         object.__setattr__(self, "couplings", lam)
-        object.__setattr__(self, "n_sites", int(lam.size))
         object.__setattr__(self, "coupling_mean", float(lam.mean()))
 
     @classmethod

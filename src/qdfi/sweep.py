@@ -318,7 +318,8 @@ class RunConfig:
         # binary_entropy clips its argument, so a threshold at or below
         # what a clipped chi reads would let the clip decide adequacy
         d_max = max(self.deltas)
-        if not (1.0 - d_max) * binary_entropy(self.p0) > ENTROPY_FLOOR:
+        lowest = Tolerance.for_entropy(d_max, binary_entropy(self.p0))
+        if not lowest.threshold > ENTROPY_FLOOR:
             raise ConfigError(
                 f"p0 = {self.p0} with delta = {d_max} gives an adequacy "
                 f"threshold (1 - delta) * H(p0) at or below the entropy "
@@ -459,7 +460,8 @@ def _adequacy(config: RunConfig, t: float, sums: np.ndarray,
               tols: Sequence[Tolerance]) -> Tuple[np.ndarray, list]:
     """Holevo information chi at time t of fragments with coupling sums
     ``sums`` and their adequacy flags per tolerance.  The log overlap is
-    -g^2 t^2 times the sum (model.log_overlap); this order fixes the bytes."""
+    -g^2 t^2 times the sum, formed here alone; this order fixes the
+    bytes."""
     chi = holevo_biased(-(config.g ** 2) * (t * t) * sums, config.p0)
     return chi, [is_adequate(chi, tol) for tol in tols]
 
@@ -593,8 +595,8 @@ def _onset_stage(config: RunConfig, protocol: str, t_index: int,
     for d_index, delta in enumerate(config.deltas):
         column = cells[:, d_index]
         with _reported(errors, ("delta", delta)):
-            n_arr = column["n"].astype(float)
-            k_arr = column["k"].astype(float)
+            n_arr = column["n"]
+            k_arr = column["k"]
             iso = isotonic_fit(k_arr / n_arr, n_arr)
             column["phi_iso"] = iso
             m_star = onset_from_curve(IsotonicCurve(m_arr, iso), config.theta)

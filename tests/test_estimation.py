@@ -290,6 +290,18 @@ class TestOnsetFromCurve:
             IsotonicCurve(m_grid=np.array([1, 2]),
                           phi_iso=np.array([0.5, 0.4]))
 
+    def test_caller_arrays_stay_writable(self):
+        # the curve freezes copies of its arrays, never the caller's own
+        m = np.arange(1, 5, dtype=np.int64)
+        phi = np.array([0.1, 0.2, 0.3, 0.4])
+        curve = IsotonicCurve(m, phi)
+        m[0] = 7
+        phi[0] = 0.0
+        assert curve.m_grid.tolist() == [1, 2, 3, 4]
+        assert curve.phi_iso[0] == 0.1
+        with pytest.raises(ValueError, match="read-only"):
+            curve.m_grid[0] = 7
+
 
 class TestRedundancyFi:
     def test_large_environment(self):
@@ -395,8 +407,9 @@ def counts_of(flags_by_m):
     """(m_values, k, n) arrays, as the sweep passes them, from (m, flags)
     pairs sorted by increasing m."""
     m_values = np.array([m for m, _ in flags_by_m], dtype=np.int64)
-    k = np.array([np.count_nonzero(f) for _, f in flags_by_m], dtype=float)
-    n = np.array([f.size for _, f in flags_by_m], dtype=float)
+    k = np.array([np.count_nonzero(f) for _, f in flags_by_m],
+                 dtype=np.int64)
+    n = np.array([f.size for _, f in flags_by_m], dtype=np.int64)
     return m_values, k, n
 
 

@@ -23,9 +23,11 @@ from qdfi import (AdequacyCell, CELL_DTYPE, ConfigError, CouplingSet,
                   SweepCellError, TimeGridSpec, Tolerance, binary_entropy,
                   build_time_grid, cell_chi_values, derive_cell_seed,
                   enumerate_fragments, holevo_biased, oracle_report,
-                  read_onset_table, redundancy_fi, run_sweep,
-                  sample_random_fragments, wilson_interval, write_tables)
+                  overlap_cutoff, parse_config_text, read_onset_table,
+                  redundancy_fi, run_sweep, sample_random_fragments,
+                  wilson_interval, write_tables)
 from qdfi.sweep import PURPOSE_COUPLINGS
+from test_golden import CONFIGS, _config_text
 
 
 def small_config(**kw):
@@ -340,6 +342,28 @@ class TestSweepExactness:
             tol = Tolerance.for_entropy(delta, entropy)
             k = int(np.sum(chi >= tol.threshold))
             assert res.cells["k"][t_index, m_index, d_index, 0] == k
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_adequacy_is_a_threshold_on_the_coupling_sum(self, name):
+        # chi is monotone in the overlap, so a fragment is adequate iff
+        # its log overlap, formed as _adequacy forms it, is at most
+        # ln c_delta; checked on every family each golden config draws
+        cfg = parse_config_text(_config_text(name))
+        couplings, time_grid = qdfi.sweep._run_inputs(cfg)
+        entropy = binary_entropy(cfg.p0)
+        tols = [Tolerance.for_entropy(d, entropy) for d in cfg.deltas]
+        log_cuts = [math.log(overlap_cutoff(tol, cfg.p0)) for tol in tols]
+        for protocol in cfg.protocols:
+            for t_index, t in enumerate(time_grid.tolist()):
+                for m_index in range(len(cfg.m_grid)):
+                    sample = qdfi.sweep._sample_cell(cfg, t_index, m_index,
+                                                     protocol)
+                    sums = qdfi.sweep._coupling_sums(couplings, sample)
+                    flags = qdfi.sweep._adequacy(cfg, t, sums, tols)[1]
+                    log_c = -(cfg.g ** 2) * (t * t) * sums
+                    for f, log_cut in zip(flags, log_cuts):
+                        assert np.array_equal(f, log_c <= log_cut), (
+                            protocol, t, cfg.m_grid[m_index])
 
     def test_earliest_time_nothing_adequate(self):
         # at t = 0.01 with g = 0.5, rate = 1 every overlap is ~1 and no
