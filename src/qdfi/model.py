@@ -98,6 +98,7 @@ def binary_entropy_inverse(y: float) -> float:
     h2(h) >= y, found by bisection down to adjacent floats.
 
     binary_entropy_inverse(0.0) == 0.0 and binary_entropy_inverse(1.0) == 0.5.
+    A positive y at or below ENTROPY_FLOOR raises DomainError.
     """
     if not math.isfinite(y):
         raise DomainError("entropy value must be finite")
@@ -106,6 +107,11 @@ def binary_entropy_inverse(y: float) -> float:
     y = min(max(y, 0.0), 1.0)
     if y == 0.0:
         return 0.0
+    # binary_entropy clips its argument, so below the floor every bracket
+    # point reads at least y and bisection would end at the smallest float
+    if y <= ENTROPY_FLOOR:
+        raise DomainError(f"entropy value {y} is at or below the entropy "
+                          f"floor {ENTROPY_FLOOR:.4g}; h2 cannot be inverted")
     # h2 is flat near 1/2, so bisection would stop below it
     if y == 1.0:
         return 0.5
@@ -239,8 +245,9 @@ def overlap_cutoff(tol: Tolerance, p0: float) -> float:
     Solving holevo_biased's h2(lambda_plus) = (1 - delta) H_S gives, with
     h = h2^{-1}((1 - delta) H_S) and q = min(p0, 1-p0),
     c_delta^2 = (q - h) (1 - q - h) / (q (1 - q)); at p0 = 1/2 that is
-    exactly (1 - 2h)^2.  Raises DomainError when p0 is 0 or 1, or when
-    the threshold exceeds h2(p0), which no overlap reaches.
+    exactly (1 - 2h)^2.  Raises DomainError when p0 is 0 or 1, when the
+    threshold exceeds h2(p0), which no overlap reaches, or when it is
+    positive but at or below ENTROPY_FLOOR, where h2 cannot be inverted.
     """
     p0 = float(_as_prob(p0, "p0"))
     q = min(p0, 1.0 - p0)

@@ -131,7 +131,7 @@ def _distinct_rows_by_redraw(rng: np.random.Generator, n_sites: int,
     by exactly the row's missing count per round, so the row stops at the
     first m distinct values of that stream: an exactly uniform m-subset
     by label symmetry.  Rows whose first draw repeats nothing are the
-    plain sorted draw, and with m = 1 the draw is returned as it is.
+    plain sorted draw, and with m = 1 that is the draw as it is.
 
     Each round gathers the rows that still repeat into a compact block,
     redraws, sorts and writes them back.  Redrawn slots are filled in
@@ -139,8 +139,6 @@ def _distinct_rows_by_redraw(rng: np.random.Generator, n_sites: int,
     the PCG64 stream fixes every row.
     """
     idx = rng.integers(0, n_sites, size=(n_rows, m), dtype=np.int64)
-    if m == 1:
-        return idx
     idx.sort(axis=1)
     slots = _repeated_slots(idx)
     active = np.arange(n_rows)

@@ -6,9 +6,11 @@ build_time_grid returns read-only; _run_inputs keeps both, per process,
 for the last config asked for.  Each (protocol, t) work unit takes the
 config and its coordinates, runs _count_stage, then _onset_stage on its
 counts (their docstrings state each phase), and returns its cells,
-overlaps and onsets as arrays, not as records.  run_sweep copies each
-block into one preallocated array whose axes follow the config: the
-time grid, m_grid, deltas and protocols, in the config's order.
+overlaps and onsets as arrays, not as records; its first failure ends
+it with one SweepCellError naming the cells of the failed step.
+run_sweep copies each block into one preallocated array whose axes
+follow the config: the time grid, m_grid, deltas and protocols, in the
+config's order.
 SweepResult.cells, .overlaps and .onsets are those arrays, read-only;
 RedundancyTrajectory.of views onset columns as trajectories, for a run
 and for io's read-back, and io alone orders every CSV's rows.
@@ -68,7 +70,8 @@ class ConfigError(ValueError):
 
 
 class SweepCellError(RuntimeError):
-    """One or more cells failed; the message lists their coordinates."""
+    """A work unit failed; the message names the cells of the failed step
+    by their coordinates, and the failure is its cause."""
 
 
 # Seed-stream id of each protocol: its position in sampling.PROTOCOLS.
@@ -415,7 +418,6 @@ ONSET_DTYPE = np.dtype([("m_star", np.int64), ("m_star_lo", np.int64),
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     config: RunConfig
-    couplings: CouplingSet
     time_grid: np.ndarray
     cells: np.ndarray    # CELL_DTYPE, (t, m, delta, protocol), read-only
     onsets: np.ndarray    # ONSET_DTYPE, (t, delta, protocol), read-only
@@ -466,15 +468,6 @@ def _adequacy(config: RunConfig, t: float, sums: np.ndarray,
     return chi, [is_adequate(chi, tol) for tol in tols]
 
 
-@contextmanager
-def _reported(errors: List[Tuple[tuple, Exception]], *where: tuple):
-    """Record the body's exception once per coordinate in ``where``."""
-    try:
-        yield
-    except Exception as exc:  # aggregated, reported with coordinates
-        errors.extend((w, exc) for w in where)
-
-
 def cell_chi_values(config: RunConfig, t_index: int, m_index: int,
                     protocol: str) -> np.ndarray:
     """Per-fragment Holevo information chi for one cell.
@@ -506,12 +499,17 @@ class _TimePayload:
     holevo_evaluations: int
 
 
-def _raise_failures(t: float, protocol: str, errors: list) -> None:
-    """Raise one SweepCellError naming each ((key, value), exception)."""
-    if errors:
+@contextmanager
+def _failure_at(t: float, protocol: str, *where: Tuple[str, object]):
+    """Re-raise the body's exception at once as one SweepCellError that
+    names it at each (key, value) of ``where``, with the exception as its
+    cause."""
+    try:
+        yield
+    except Exception as exc:  # re-raised with the cell coordinates
         raise SweepCellError("cell failures: " + "; ".join(
             f"(t={t}, {key}={value}, {protocol}): {type(exc).__name__}: {exc}"
-            for (key, value), exc in errors)) from errors[0][1]
+            for key, value in where)) from exc
 
 
 def _count_stage(config: RunConfig, protocol: str,
@@ -526,39 +524,39 @@ def _count_stage(config: RunConfig, protocol: str,
     fragment's chi and adequacy flag per delta, and each (t, m, delta)
     cell counts its slice, keeping no record.  Blocking changes how many
     calls do the work, not the work or any output byte, and a unit holds
-    one block of sums at a time.  A failed chi pass names every (t, m) of
-    its block, a failed family or cell its own (t, m), all in one
-    SweepCellError."""
+    one block of sums at a time.  The first failure ends the unit with a
+    SweepCellError: a failed chi pass names every (t, m) of its block, a
+    failed family or cell its own (t, m)."""
     couplings, time_grid = _run_inputs(config)
     t = float(time_grid[t_index])
     entropy = binary_entropy(config.p0)
     tols = [Tolerance.for_entropy(d, entropy) for d in config.deltas]
     proto_id = _PROTOCOL_IDS[protocol]
-    errors: List[Tuple[tuple, Exception]] = []
     block: List[Tuple[int, np.ndarray]] = []
     table = np.empty((len(config.m_grid), len(tols)), dtype=CELL_DTYPE)
     evaluations = 0
 
     def evaluate_block() -> None:
         nonlocal evaluations
-        with _reported(errors, *(("m", config.m_grid[i]) for i, _ in block)):
+        with _failure_at(t, protocol,
+                         *(("m", config.m_grid[i]) for i, _ in block)):
             chi, flags = _adequacy(
                 config, t, np.concatenate([s for _, s in block]), tols)
-            evaluations += int(chi.size)
-            start = 0
-            for m_index, sums in block:
-                stop = start + sums.size
-                with _reported(errors, ("m", config.m_grid[m_index])):
-                    cells = [adequacy_cell(f[start:stop], config.alpha)
-                             for f in flags]
-                    table[m_index] = [(c.n, c.k, c.ci_low, c.ci_high,
-                                       math.nan) for c in cells]
-                start = stop
+        evaluations += int(chi.size)
+        start = 0
+        for m_index, sums in block:
+            stop = start + sums.size
+            with _failure_at(t, protocol, ("m", config.m_grid[m_index])):
+                cells = [adequacy_cell(f[start:stop], config.alpha)
+                         for f in flags]
+                table[m_index] = [(c.n, c.k, c.ci_low, c.ci_high,
+                                   math.nan) for c in cells]
+            start = stop
         block.clear()
 
     etas = np.full(len(config.m_grid), math.nan)
     for m_index, m in enumerate(config.m_grid):
-        with _reported(errors, ("m", m)):
+        with _failure_at(t, protocol, ("m", m)):
             sample = _sample_cell(config, t_index, m_index, protocol)
             sums = _coupling_sums(couplings, sample)
             if sample.n_fragments >= 2:
@@ -568,13 +566,11 @@ def _count_stage(config: RunConfig, protocol: str,
                 etas[m_index] = estimate_overlap_eta(
                     sample, config.overlap_pairs, pair_seed).eta
             del sample
-            if block and (sum(s.size for _, s in block) + sums.size
-                          > _CHI_BLOCK):
-                evaluate_block()
-            block.append((m_index, sums))
-    if block:
-        evaluate_block()
-    _raise_failures(t, protocol, errors)
+        if block and (sum(s.size for _, s in block) + sums.size
+                      > _CHI_BLOCK):
+            evaluate_block()
+        block.append((m_index, sums))
+    evaluate_block()    # m_grid is never empty
     return table, etas, evaluations
 
 
@@ -585,16 +581,15 @@ def _onset_stage(config: RunConfig, protocol: str, t_index: int,
     the time point).  Per delta, the adequate fractions are isotonically
     smoothed along m into the cells' phi_iso, the onset is extracted, the
     Wilson-inversion and bootstrap bounds are combined, and R and FI are
-    taken at the onset with its m's eta; a failed delta names its
-    (t, delta), all in one SweepCellError."""
+    taken at the onset with its m's eta.  The first failed delta ends the
+    unit with a SweepCellError naming its (t, delta)."""
     t = float(_run_inputs(config)[1][t_index])
     proto_id = _PROTOCOL_IDS[protocol]
-    errors: List[Tuple[tuple, Exception]] = []
     onsets = np.empty(len(config.deltas), dtype=ONSET_DTYPE)
     m_arr = np.asarray(config.m_grid, dtype=np.int64)
     for d_index, delta in enumerate(config.deltas):
         column = cells[:, d_index]
-        with _reported(errors, ("delta", delta)):
+        with _failure_at(t, protocol, ("delta", delta)):
             n_arr = column["n"]
             k_arr = column["k"]
             iso = isotonic_fit(k_arr / n_arr, n_arr)
@@ -619,7 +614,6 @@ def _onset_stage(config: RunConfig, protocol: str, t_index: int,
                                                      eta)
             onsets[d_index] = (m_star or 0, m_lo or 0, m_hi or 0, r, r_eff,
                                eta, fi, fi_eff)
-    _raise_failures(t, protocol, errors)
     return onsets
 
 
@@ -670,7 +664,7 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     """
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-    couplings, time_grid = _run_inputs(config)
+    time_grid = _run_inputs(config)[1]
     n_t = time_grid.size
     protocols = [p for p in config.protocols for _ in range(n_t)]
     t_indices = list(range(n_t)) * len(config.protocols)
@@ -706,9 +700,8 @@ def run_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
 
     stats = RunStats(holevo_evaluations=evaluations,
                      fi_soft_violations=_fi_soft_violations(onsets))
-    return SweepResult(config=config, couplings=couplings,
-                       time_grid=time_grid, cells=table, onsets=onsets,
-                       overlaps=overlaps, stats=stats)
+    return SweepResult(config=config, time_grid=time_grid, cells=table,
+                       onsets=onsets, overlaps=overlaps, stats=stats)
 
 
 @dataclass(frozen=True, eq=False)

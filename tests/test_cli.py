@@ -154,7 +154,7 @@ def _result_of(config, onsets=None):
         onsets = np.empty((0, d, p), ONSET_DTYPE)
     else:
         times = build_time_grid(config.time_grid)
-    return SweepResult(config=config, couplings=None, time_grid=times,
+    return SweepResult(config=config, time_grid=times,
                        cells=np.empty((0, m, d, p), CELL_DTYPE),
                        onsets=onsets, overlaps=np.empty((0, m, p)),
                        stats=RunStats(0, 0))

@@ -115,6 +115,14 @@ class TestBinaryEntropyInverse:
         with pytest.raises(DomainError):
             binary_entropy_inverse(1.1)
 
+    def test_rejects_values_at_or_below_floor(self):
+        # binary_entropy reads the clip there, and bisection ended at
+        # 5e-324 after about 1075 steps
+        for y in (1e-20, ENTROPY_FLOOR):
+            with pytest.raises(DomainError, match="entropy floor"):
+                binary_entropy_inverse(y)
+        self.assert_smallest_reaching(math.nextafter(ENTROPY_FLOOR, 1.0))
+
 
 class TestHolevoEquiprobable:
     # holevo_biased at equal priors p0 = 1/2
@@ -251,6 +259,12 @@ class TestOverlapCutoff:
         for p0 in (0.0, 1.0):
             with pytest.raises(DomainError, match="strictly between"):
                 overlap_cutoff(Tolerance(delta=0.5, threshold=0.0), p0)
+
+    def test_threshold_at_or_below_floor_rejected(self):
+        # such a threshold had a cutoff of 1.0, as if nothing were asked
+        for threshold in (1e-20, ENTROPY_FLOOR):
+            with pytest.raises(DomainError, match="entropy floor"):
+                overlap_cutoff(Tolerance(delta=0.5, threshold=threshold), 0.5)
 
 
 class TestMeanField:

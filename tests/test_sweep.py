@@ -300,7 +300,8 @@ class TestRunConfig:
         result = run_sweep(small_config(
             coupling_rate=rate, g=1e-150,
             time_grid=TimeGridSpec(n_dense=2, n_coarse=1)))
-        assert math.isfinite(float(np.sum(result.couplings.couplings)))
+        assert math.isfinite(float(np.sum(
+            result.config.couplings().couplings)))
 
     def test_unenumerable_exhaustive_rejected(self):
         with pytest.raises(ConfigError, match=r"m = 15 .*C\(30, 15\) = "
@@ -645,8 +646,9 @@ class TestDeterminism:
         b = small_config(master_seed=a.master_seed + 1)
         first, other, again = run_sweep(a), run_sweep(b), run_sweep(a)
         assert np.array_equal(again.cells, first.cells)
-        assert np.array_equal(other.couplings.couplings,
-                              b.couplings().couplings)
+        # B run after A gives what B gives from an empty memo
+        qdfi.sweep._run_inputs.cache_clear()
+        assert np.array_equal(other.cells, run_sweep(b).cells)
         assert not np.array_equal(other.cells, first.cells)
 
     def test_thread_count_invisible(self):
@@ -891,23 +893,56 @@ class TestCellErrors:
         assert "delta=" not in message and not fits  # no onset computed
         assert isinstance(err.value.__cause__, ValueError)
 
+    def test_family_failure_stops_its_unit(self, monkeypatch):
+        real = qdfi.sweep.sample_random_fragments
+        drawn = []
+
+        def broken_at_m2(n_sites, m, *args):
+            drawn.append(m)
+            if m == 2:
+                raise ValueError("no family")
+            return real(n_sites, m, *args)
+
+        monkeypatch.setattr(qdfi.sweep, "sample_random_fragments",
+                            broken_at_m2)
+        with pytest.raises(SweepCellError, match="m=2, random"):
+            run_sweep(self._config())
+        # the unit raises at its first failed family: no m = 3 draw follows
+        assert drawn == [1, 2]
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("name", ["isotonic_fit", "_bootstrap_counts"])
-    def test_onset_failure_names_every_delta(self, monkeypatch, name,
-                                             threads):
+    def test_onset_failure_names_its_first_delta(self, monkeypatch, tmp_path,
+                                                 name, threads):
+        real_stage = qdfi.sweep._onset_stage
+        unit = {}
+        log = tmp_path / "calls"
+
+        def onset_stage(config, protocol, t_index, *args):
+            unit["t_index"] = t_index
+            return real_stage(config, protocol, t_index, *args)
+
         def broken(*args, **kwargs):
+            # a file, as a pool worker's calls are made in another process
+            with open(log, "a") as out:
+                out.write(f"{unit['t_index']}\n")
             raise ValueError(f"{name} broke")
 
+        monkeypatch.setattr(qdfi.sweep, "_onset_stage", onset_stage)
         monkeypatch.setattr(qdfi.sweep, name, broken)
         cfg = self._config()
         t0 = float(build_time_grid(cfg.time_grid)[0])
         with pytest.raises(SweepCellError) as err:
             run_sweep(cfg, threads=threads)
         message = str(err.value)
-        for delta in cfg.deltas:
-            assert (f"(t={t0}, delta={delta}, random): ValueError: "
-                    f"{name} broke") in message
-        assert message.count(f"{name} broke") == len(cfg.deltas)
+        assert message.count(f"{name} broke") == 1
+        assert (f"(t={t0}, delta={cfg.deltas[0]}, random): ValueError: "
+                f"{name} broke") in message
+        assert not any(f"delta={delta}," in message
+                       for delta in cfg.deltas[1:])
+        # the unit at t0 stopped at its first delta; a pool may have run
+        # other units, each of which stopped at its own first delta
+        assert log.read_text().split().count("0") == 1
         cause = err.value.__cause__
         if threads == 1:
             assert isinstance(cause, ValueError)
